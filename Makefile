@@ -11,19 +11,10 @@ build:
 test:
 	$(GO) test ./...
 
-# Race check on the packages with lock-free hot paths: the parallel runtime
-# (pool dispatch, scratch arenas), graph construction (atomic scatter), the
-# tracer (concurrent span begin/end under the global mutex), and the
-# telemetry registry (lock-free metric updates under concurrent scrapes).
-# bsp and harness are included because both publish metrics concurrently:
-# every bsp kernel launch observes bsp_kernel_seconds and bumps the launch/
-# thread counters from whatever goroutine ran the superstep while a scrape
-# may be reading them, and the harness publishes the per-cell histograms
-# (symbreak_*_seconds) during runs whose solvers still have pool workers
-# in flight — the racy interleavings only these packages exercise.
+# Race check over every package; -short skips only the lint suite and the
+# exhaustive small-graph solve.
 race:
-	$(GO) test -race ./internal/par/... ./internal/graph/... ./internal/trace/... \
-		./internal/telemetry/... ./internal/bsp/... ./internal/harness/...
+	$(GO) test -race -short ./...
 
 vet:
 	$(GO) vet ./...

@@ -20,10 +20,6 @@
 // -cpuprofile/-memprofile write pprof profiles; -serve ADDR runs a live
 // telemetry HTTP server (/metrics, /healthz, /trace, /debug/pprof/) for
 // the duration of the run. See DESIGN.md § Observability.
-//
-// Tuning: -frontier-div D (or SYMBREAK_FRONTIER_DIV=D in the environment)
-// sets the edgeMap direction-switch divisor for every hybrid traversal in
-// the run — pull while frontier > n/D; 0 keeps the built-in default.
 package main
 
 import (
@@ -33,13 +29,11 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"strconv"
 	"strings"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/dataset"
-	"repro/internal/frontier"
 	"repro/internal/harness"
 	"repro/internal/par"
 	"repro/internal/telemetry"
@@ -63,11 +57,7 @@ func main() {
 	cpuprofile := flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a pprof heap profile to this file at exit")
 	serve := flag.String("serve", "", "serve live telemetry over HTTP on this address for the duration of the run (/metrics, /healthz, /trace, /debug/pprof/)")
-	frontierDiv := flag.Int("frontier-div", envFrontierDiv(),
-		"edgeMap direction-switch divisor d: pull while frontier > n/d (0 = built-in default; env SYMBREAK_FRONTIER_DIV)")
 	flag.Parse()
-
-	frontier.SetPullDiv(*frontierDiv)
 
 	if *parstats {
 		par.EnableStats(true)
@@ -302,20 +292,4 @@ func main() {
 		f.Close()
 	}
 	fmt.Fprintf(os.Stderr, "benchall: done in %v\n", time.Since(start).Round(time.Millisecond))
-}
-
-// envFrontierDiv reads SYMBREAK_FRONTIER_DIV as the -frontier-div default,
-// so batch runs can tune the direction switch without editing command
-// lines. Unset or unparsable means 0 (keep the built-in default).
-func envFrontierDiv() int {
-	s := os.Getenv("SYMBREAK_FRONTIER_DIV")
-	if s == "" {
-		return 0
-	}
-	d, err := strconv.Atoi(s)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "benchall: ignoring SYMBREAK_FRONTIER_DIV=%q: %v\n", s, err)
-		return 0
-	}
-	return d
 }

@@ -1,10 +1,9 @@
 package coloring
 
 import (
-	"time"
-
 	"repro/internal/biconn"
 	"repro/internal/graph"
+	"repro/internal/trace"
 )
 
 // ColorBiconn is an extension beyond the paper's three decompositions,
@@ -15,24 +14,27 @@ import (
 // blocks are never adjacent), and only the articulation points need a
 // second pass against the whole graph.
 func ColorBiconn(g *graph.Graph, eng Engine) (*Coloring, Report) {
-	rep := Report{Strategy: "COLOR-Biconn"}
-	decompStart := time.Now()
+	rep := Report{Report: trace.Report{Strategy: "COLOR-Biconn"}}
+	dsp := rep.Decompose()
 	bc := biconn.Blocks(g)
-	rep.Decomp = time.Since(decompStart)
+	rep.Decomposed(dsp)
 
-	start := time.Now()
 	n := g.NumVertices()
 	c := NewColoring(n)
 	cut, interior := gather2(n, func(i int) bool { return bc.IsArticulation[i] })
+	sp := rep.Phase("solve/parts")
+	var in Stats
 	if len(interior) > 0 {
-		st := eng.Repair(g, c.Color, interior)
-		rep.Rounds += st.Rounds
+		in = eng.Repair(g, c.Color, interior)
 	}
+	rep.EndPhase(sp, in.Rounds)
+	sp = rep.Phase("solve/repair")
 	rep.Conflicted = int64(len(cut))
+	var out Stats
 	if len(cut) > 0 {
-		st := eng.Repair(g, c.Color, cut)
-		rep.Rounds += st.Rounds
+		out = eng.Repair(g, c.Color, cut)
 	}
-	rep.Solve = time.Since(start)
+	sp.Add("conflicts", rep.Conflicted)
+	rep.EndPhase(sp, out.Rounds)
 	return c, rep
 }

@@ -9,10 +9,10 @@ package coloring
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/graph"
 	"repro/internal/par"
+	"repro/internal/trace"
 )
 
 // Uncolored marks a vertex that has no color yet.
@@ -114,20 +114,12 @@ func loses(v, w int32) bool {
 	return v < w
 }
 
-// Report describes a full decomposition-based coloring run.
+// Report describes a full decomposition-based coloring run: the shared
+// run report, whose Rounds accumulate engine iterations across phases,
+// plus the recoloring count.
 type Report struct {
-	// Strategy names the algorithm ("COLOR-Degk" etc.).
-	Strategy string
-	// Decomp is the decomposition wall time.
-	Decomp time.Duration
-	// Solve is the wall time of coloring phases.
-	Solve time.Duration
-	// Rounds accumulates engine iterations across phases.
-	Rounds int
+	trace.Report
 	// Conflicted counts vertices that had to be recolored after the
 	// independent subgraph colorings (the cost driver for COLOR-Rand).
 	Conflicted int64
 }
-
-// Total is the end-to-end wall time.
-func (r Report) Total() time.Duration { return r.Decomp + r.Solve }

@@ -1,8 +1,6 @@
 package coloring
 
 import (
-	"time"
-
 	"repro/internal/decomp"
 	"repro/internal/graph"
 	"repro/internal/par"
@@ -14,65 +12,54 @@ import (
 // with each other), then detect conflicts across the bridges and recolor
 // the conflicted vertices against G_c ∪ G_b = G.
 func ColorBridge(g *graph.Graph, eng Engine) (*Coloring, Report) {
-	rep := Report{Strategy: "COLOR-Bridge"}
-	dsp := trace.Begin("decomp")
+	rep := Report{Report: trace.Report{Strategy: "COLOR-Bridge"}}
+	dsp := rep.Decompose()
 	d := decomp.Bridge(g)
-	dsp.End()
-	rep.Decomp = d.Elapsed
+	rep.Decomposed(dsp)
 
-	start := time.Now()
 	// C_c ← COLOR(G_c): G_c keeps global ids, its components color in
 	// parallel inside the engine.
-	sp := trace.Begin("solve/G_c")
+	sp := rep.Phase("solve/G_c")
 	c, st := eng.Fresh(d.Parts[0].G)
-	sp.Add("rounds", int64(st.Rounds))
-	sp.End()
-	rep.Rounds += st.Rounds
+	rep.EndPhase(sp, st.Rounds)
 	// Only bridge edges can be monochromatic. Reset the lower endpoint of
 	// each conflicting bridge.
-	sp = trace.Begin("solve/repair")
+	sp = rep.Phase("solve/repair")
 	work := resetConflicts(c.Color, d.Bridges)
 	rep.Conflicted = int64(len(work))
 	st = eng.Repair(g, c.Color, work)
 	sp.Add("conflicts", rep.Conflicted)
-	sp.Add("rounds", int64(st.Rounds))
-	sp.End()
-	rep.Rounds += st.Rounds
-	rep.Solve = time.Since(start)
+	rep.EndPhase(sp, st.Rounds)
 	return c, rep
 }
 
 // ColorRand is the paper's Algorithm 8: color the k random induced
 // subgraphs with an identical palette, collect the endpoints of
 // monochromatic cross edges, and recolor them along with G_{k+1} — i.e.
-// against the full graph.
+// against the full graph. Each part is colored on its own relabelled
+// subgraph: the local ids feed the engine's hashed tie-break.
 func ColorRand(g *graph.Graph, k int, seed uint64, eng Engine) (*Coloring, Report) {
-	rep := Report{Strategy: "COLOR-Rand"}
-	dsp := trace.Begin("decomp")
+	rep := Report{Report: trace.Report{Strategy: "COLOR-Rand"}}
+	dsp := rep.Decompose()
 	d := decomp.Rand(g, k, seed)
-	dsp.End()
-	rep.Decomp = d.Elapsed
+	rep.Decomposed(dsp)
 
-	start := time.Now()
 	c := NewColoring(g.NumVertices())
-	sp := trace.Begin("solve/parts")
+	sp := rep.Phase("solve/parts")
+	rounds := 0
 	for _, part := range d.Parts {
 		local, st := eng.Fresh(part.G)
-		rep.Rounds += st.Rounds
+		rounds += st.Rounds
 		mergeColors(c.Color, part, local)
 	}
-	sp.Add("rounds", int64(rep.Rounds))
-	sp.End()
+	rep.EndPhase(sp, rounds)
 	// Conflicts can only sit on cross edges.
-	sp = trace.Begin("solve/repair")
+	sp = rep.Phase("solve/repair")
 	work := resetConflictsSub(c.Color, d.Cross)
 	rep.Conflicted = int64(len(work))
 	st := eng.Repair(g, c.Color, work)
 	sp.Add("conflicts", rep.Conflicted)
-	sp.Add("rounds", int64(st.Rounds))
-	sp.End()
-	rep.Rounds += st.Rounds
-	rep.Solve = time.Since(start)
+	rep.EndPhase(sp, st.Rounds)
 	return c, rep
 }
 
@@ -82,28 +69,21 @@ func ColorRand(g *graph.Graph, k int, seed uint64, eng Engine) (*Coloring, Repor
 // then repair the monochromatic inter-ball endpoints against the full
 // graph.
 func ColorMPX(g *graph.Graph, beta float64, seed uint64, eng Engine) (*Coloring, Report) {
-	rep := Report{Strategy: "COLOR-MPX"}
-	dsp := trace.Begin("decomp")
+	rep := Report{Report: trace.Report{Strategy: "COLOR-MPX"}}
+	dsp := rep.Decompose()
 	d := decomp.MPX(g, beta, seed)
-	dsp.End()
-	rep.Decomp = d.Elapsed
+	rep.Decomposed(dsp)
 
-	start := time.Now()
-	sp := trace.Begin("solve/balls")
+	sp := rep.Phase("solve/balls")
 	c, st := eng.Fresh(d.Parts[0].G)
-	sp.Add("rounds", int64(st.Rounds))
-	sp.End()
-	rep.Rounds += st.Rounds
+	rep.EndPhase(sp, st.Rounds)
 	// Conflicts can only sit on inter-ball edges.
-	sp = trace.Begin("solve/repair")
+	sp = rep.Phase("solve/repair")
 	work := resetConflictsSub(c.Color, d.Cross)
 	rep.Conflicted = int64(len(work))
 	st = eng.Repair(g, c.Color, work)
 	sp.Add("conflicts", rep.Conflicted)
-	sp.Add("rounds", int64(st.Rounds))
-	sp.End()
-	rep.Rounds += st.Rounds
-	rep.Solve = time.Since(start)
+	rep.EndPhase(sp, st.Rounds)
 	return c, rep
 }
 
@@ -121,35 +101,29 @@ func ColorMPX(g *graph.Graph, beta float64, seed uint64, eng Engine) (*Coloring,
 // so it colors exactly G_H. The G_L phase's disjoint palette likewise
 // never collides with G_H colors.
 func ColorDegk(g *graph.Graph, k int, eng Engine) (*Coloring, Report) {
-	rep := Report{Strategy: "COLOR-Degk"}
+	rep := Report{Report: trace.Report{Strategy: "COLOR-Degk"}}
 	n := g.NumVertices()
 
-	dsp := trace.Begin("decomp")
-	decompStart := time.Now()
+	dsp := rep.Decompose()
 	low := make([]bool, n)
 	par.For(n, func(i int) { low[i] = g.Degree(int32(i)) <= int32(k) })
-	rep.Decomp = time.Since(decompStart)
-	dsp.End()
+	rep.Decomposed(dsp)
 
-	start := time.Now()
 	c := NewColoring(n)
 	lowList, high := gather2(n, func(i int) bool { return low[i] })
-	sp := trace.Begin("solve/G_H")
+	sp := rep.Phase("solve/G_H")
+	var hi Stats
 	if len(high) > 0 {
-		st := eng.Repair(g, c.Color, high)
-		sp.Add("rounds", int64(st.Rounds))
-		rep.Rounds += st.Rounds
+		hi = eng.Repair(g, c.Color, high)
 	}
-	sp.End()
+	rep.EndPhase(sp, hi.Rounds)
 	base := c.NumColors() // palette for G_L starts above max(C_H)
-	sp = trace.Begin("solve/G_L")
+	sp = rep.Phase("solve/G_L")
+	var lo Stats
 	if len(lowList) > 0 {
-		st := boundedPalette(g, c.Color, lowList, base, k+1, eng.Exec)
-		sp.Add("rounds", int64(st.Rounds))
-		rep.Rounds += st.Rounds
+		lo = boundedPalette(g, c.Color, lowList, base, k+1, eng.Exec)
 	}
-	sp.End()
-	rep.Solve = time.Since(start)
+	rep.EndPhase(sp, lo.Rounds)
 	return c, rep
 }
 

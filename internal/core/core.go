@@ -224,6 +224,9 @@ func Solve(g *graph.Graph, p Problem, opt Options) (*Result, error) {
 	if strategy == StrategyAuto {
 		strategy = TableIStrategy(p, opt.Arch)
 	}
+	if strategy < StrategyBaseline || strategy > StrategyMPX {
+		return nil, fmt.Errorf("core: unknown strategy %d", strategy)
+	}
 	if opt.RandParts < 1 {
 		return nil, fmt.Errorf("core: RandParts must be ≥ 1, got %d", opt.RandParts)
 	}
@@ -241,19 +244,24 @@ func Solve(g *graph.Graph, p Problem, opt Options) (*Result, error) {
 	}
 
 	sp := trace.Beginf("core %s/%s/%s", p, strategy, opt.Arch)
+	var rep trace.Report
 	switch p {
 	case ProblemMM:
-		solveMM(g, strategy, opt, res)
+		res.Matching, rep = solveMM(g, strategy, opt)
 	case ProblemColor:
-		solveColor(g, strategy, opt, res)
+		res.Coloring, rep = solveColor(g, strategy, opt)
 	case ProblemMIS:
-		solveMIS(g, strategy, opt, res)
+		res.IndepSet, rep = solveMIS(g, strategy, opt)
 	default:
 		sp.End()
 		return nil, fmt.Errorf("core: unknown problem %d", p)
 	}
-	sp.Add("rounds", int64(res.Report.Rounds))
+	sp.Add("rounds", int64(rep.Rounds))
 	sp.End()
+	res.Report.StrategyName = rep.Strategy
+	res.Report.Decomp = rep.Decomp
+	res.Report.Solve = rep.Solve
+	res.Report.Rounds = rep.Rounds
 
 	if opt.Arch == ArchGPU {
 		after := opt.Machine.Stats()
@@ -267,151 +275,89 @@ func Solve(g *graph.Graph, p Problem, opt Options) (*Result, error) {
 	return res, nil
 }
 
-func solveMM(g *graph.Graph, strategy Strategy, opt Options, res *Result) {
-	var alg matching.Algorithm
+// solveMM runs the strategy's matcher; the baseline runs as the report's
+// single phase, "solve". solveColor and solveMIS have the same shape.
+func solveMM(g *graph.Graph, strategy Strategy, opt Options) (*matching.Matching, trace.Report) {
+	alg, name := matching.GMSolver(), "GM"
 	if opt.Arch == ArchGPU {
-		alg = matching.LMAXSolver(opt.Machine, opt.Seed)
-	} else {
-		alg = matching.GMSolver()
+		alg, name = matching.LMAXSolver(opt.Machine, opt.Seed), "LMAX"
 	}
 	switch strategy {
-	case StrategyBaseline:
-		sp := trace.Begin("solve")
-		start := time.Now()
-		m, st := alg(g)
-		res.Matching = m
-		res.Report.Solve = time.Since(start)
-		res.Report.Rounds = st.Rounds
-		sp.Add("rounds", int64(st.Rounds))
-		sp.Add("matched", st.Matched)
-		sp.End()
-		if opt.Arch == ArchGPU {
-			res.Report.StrategyName = "LMAX"
-		} else {
-			res.Report.StrategyName = "GM"
-		}
 	case StrategyBridge:
-		m, rep := matching.MMBridge(g, alg)
-		res.Matching = m
-		fillMM(&res.Report, rep)
+		return matching.MMBridge(g, alg)
 	case StrategyRand:
-		m, rep := matching.MMRand(g, opt.RandParts, opt.Seed, alg)
-		res.Matching = m
-		fillMM(&res.Report, rep)
+		return matching.MMRand(g, opt.RandParts, opt.Seed, alg)
 	case StrategyDegk:
-		m, rep := matching.MMDegk(g, opt.DegK, alg)
-		res.Matching = m
-		fillMM(&res.Report, rep)
+		return matching.MMDegk(g, opt.DegK, alg)
 	case StrategyMPX:
-		m, rep := matching.MMMPX(g, opt.MPXBeta, opt.Seed, alg)
-		res.Matching = m
-		fillMM(&res.Report, rep)
+		return matching.MMMPX(g, opt.MPXBeta, opt.Seed, alg)
 	}
+	rep := trace.Report{Strategy: name}
+	sp := rep.Phase("solve")
+	m, st := alg(g)
+	sp.Add("matched", st.Matched)
+	rep.EndPhase(sp, st.Rounds)
+	return m, rep
 }
 
-func fillMM(r *Report, rep matching.Report) {
-	r.StrategyName = rep.Strategy
-	r.Decomp = rep.Decomp
-	r.Solve = rep.Solve
-	r.Rounds = rep.Rounds
-}
-
-func solveColor(g *graph.Graph, strategy Strategy, opt Options, res *Result) {
-	var eng coloring.Engine
+func solveColor(g *graph.Graph, strategy Strategy, opt Options) (*coloring.Coloring, trace.Report) {
+	var eng coloring.Engine = coloring.NewVB()
 	if opt.Arch == ArchGPU {
 		eng = coloring.NewEB(opt.Machine)
-	} else {
-		eng = coloring.NewVB()
 	}
+	var c *coloring.Coloring
+	var rep coloring.Report
 	switch strategy {
-	case StrategyBaseline:
-		sp := trace.Begin("solve")
-		start := time.Now()
-		c, st := eng.Fresh(g)
-		res.Coloring = c
-		res.Report.Solve = time.Since(start)
-		res.Report.Rounds = st.Rounds
-		res.Report.StrategyName = eng.Name()
-		sp.Add("rounds", int64(st.Rounds))
-		sp.End()
 	case StrategyBridge:
-		c, rep := coloring.ColorBridge(g, eng)
-		res.Coloring = c
-		fillColor(&res.Report, rep)
+		c, rep = coloring.ColorBridge(g, eng)
 	case StrategyRand:
-		c, rep := coloring.ColorRand(g, opt.RandParts, opt.Seed, eng)
-		res.Coloring = c
-		fillColor(&res.Report, rep)
+		c, rep = coloring.ColorRand(g, opt.RandParts, opt.Seed, eng)
 	case StrategyDegk:
-		c, rep := coloring.ColorDegk(g, opt.DegK, eng)
-		res.Coloring = c
-		fillColor(&res.Report, rep)
+		c, rep = coloring.ColorDegk(g, opt.DegK, eng)
 	case StrategyMPX:
-		c, rep := coloring.ColorMPX(g, opt.MPXBeta, opt.Seed, eng)
-		res.Coloring = c
-		fillColor(&res.Report, rep)
+		c, rep = coloring.ColorMPX(g, opt.MPXBeta, opt.Seed, eng)
+	default:
+		rep.Strategy = eng.Name()
+		sp := rep.Phase("solve")
+		var st coloring.Stats
+		c, st = eng.Fresh(g)
+		rep.EndPhase(sp, st.Rounds)
 	}
+	return c, rep.Report
 }
 
-func fillColor(r *Report, rep coloring.Report) {
-	r.StrategyName = rep.Strategy
-	r.Decomp = rep.Decomp
-	r.Solve = rep.Solve
-	r.Rounds = rep.Rounds
-}
-
-func solveMIS(g *graph.Graph, strategy Strategy, opt Options, res *Result) {
-	var alg mis.Solver
+func solveMIS(g *graph.Graph, strategy Strategy, opt Options) (*mis.IndepSet, trace.Report) {
+	alg := mis.LubySolver(opt.Seed)
 	if opt.Arch == ArchGPU {
 		alg = mis.LubyGPUSolver(opt.Machine, opt.Seed)
-	} else {
-		alg = mis.LubySolver(opt.Seed)
 	}
+	var s *mis.IndepSet
+	var rep mis.Report
 	switch strategy {
-	case StrategyBaseline:
-		sp := trace.Begin("solve")
-		start := time.Now()
-		var s *mis.IndepSet
+	case StrategyBridge:
+		s, rep = mis.MISBridge(g, alg)
+	case StrategyRand:
+		s, rep = mis.MISRand(g, opt.RandParts, opt.Seed, alg)
+	case StrategyDegk:
+		kp := mis.KPSolver()
+		if opt.Arch == ArchGPU {
+			kp = mis.KPSolverOn(opt.Machine.Launch)
+		}
+		s, rep = mis.MISDeg2With(g, alg, kp)
+	case StrategyMPX:
+		s, rep = mis.MISMPX(g, opt.MPXBeta, opt.Seed, alg)
+	default:
+		rep.Strategy = "LubyMIS"
+		sp := rep.Phase("solve")
 		var st mis.Stats
 		if opt.Arch == ArchGPU {
 			s, st = mis.LubyGPU(g, opt.Machine, opt.Seed)
 		} else {
 			s, st = mis.Luby(g, opt.Seed)
 		}
-		res.IndepSet = s
-		res.Report.Solve = time.Since(start)
-		res.Report.Rounds = st.Rounds
-		res.Report.StrategyName = "LubyMIS"
-		sp.Add("rounds", int64(st.Rounds))
-		sp.End()
-	case StrategyBridge:
-		s, rep := mis.MISBridge(g, alg)
-		res.IndepSet = s
-		fillMIS(&res.Report, rep)
-	case StrategyRand:
-		s, rep := mis.MISRand(g, opt.RandParts, opt.Seed, alg)
-		res.IndepSet = s
-		fillMIS(&res.Report, rep)
-	case StrategyDegk:
-		kp := mis.KPSolver()
-		if opt.Arch == ArchGPU {
-			kp = mis.KPSolverOn(opt.Machine.Launch)
-		}
-		s, rep := mis.MISDeg2With(g, alg, kp)
-		res.IndepSet = s
-		fillMIS(&res.Report, rep)
-	case StrategyMPX:
-		s, rep := mis.MISMPX(g, opt.MPXBeta, opt.Seed, alg)
-		res.IndepSet = s
-		fillMIS(&res.Report, rep)
+		rep.EndPhase(sp, st.Rounds)
 	}
-}
-
-func fillMIS(r *Report, rep mis.Report) {
-	r.StrategyName = rep.Strategy
-	r.Decomp = rep.Decomp
-	r.Solve = rep.Solve
-	r.Rounds = rep.Rounds
+	return s, rep.Report
 }
 
 // SolveCtx is Solve with a context. If ctx carries a trace.Collector

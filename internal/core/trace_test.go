@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/trace"
@@ -13,47 +14,55 @@ import (
 // instrumentation's own overhead. The bound here is looser than the 5%
 // documented for benchall-sized runs because these test graphs solve in
 // microseconds, where fixed span overhead weighs proportionally more.
+// The solve phases' rounds counters must sum to Report.Rounds and to the
+// top span's rounds: a phase that records its rounds twice fails here.
 func TestTracePhaseCoverage(t *testing.T) {
 	g := randomGraph(4000, 40000, 3)
 	trace.Enable(true)
 	defer trace.Enable(false)
 
-	for _, p := range []Problem{ProblemMM, ProblemColor, ProblemMIS} {
-		for _, s := range []Strategy{StrategyBaseline, StrategyBridge, StrategyRand, StrategyDegk} {
-			trace.Reset()
-			if _, err := Solve(g, p, Options{Strategy: s, Seed: 7}); err != nil {
-				t.Fatalf("%v/%v: %v", p, s, err)
-			}
-			snap := trace.Snapshot()
-			if len(snap.Children) != 1 {
-				t.Fatalf("%v/%v: want one top-level span, got %d", p, s, len(snap.Children))
-			}
-			top := snap.Children[0]
-			if top.Dur() <= 0 {
-				t.Fatalf("%v/%v: top span has no duration", p, s)
-			}
-			cover := float64(top.ChildSum()) / float64(top.DurNs)
-			if cover < 0.5 || cover > 1.01 {
-				t.Errorf("%v/%v: phase spans cover %.0f%% of %v (%s)",
-					p, s, cover*100, top.Dur(), top.Name)
-			}
-			if top.Counter("rounds") <= 0 {
-				t.Errorf("%v/%v: top span missing rounds counter", p, s)
-			}
-			// Decomposed strategies must expose a decomp phase and at
-			// least one solve phase.
-			if s != StrategyBaseline {
-				if top.Find("decomp") == nil {
-					t.Errorf("%v/%v: no decomp span", p, s)
+	for _, a := range []Arch{ArchCPU, ArchGPU} {
+		for _, p := range []Problem{ProblemMM, ProblemColor, ProblemMIS} {
+			for _, s := range []Strategy{StrategyBaseline, StrategyBridge, StrategyRand, StrategyDegk, StrategyMPX} {
+				trace.Reset()
+				res, err := Solve(g, p, Options{Strategy: s, Arch: a, Seed: 7})
+				if err != nil {
+					t.Fatalf("%v/%v/%v: %v", p, s, a, err)
+				}
+				snap := trace.Snapshot()
+				if len(snap.Children) != 1 {
+					t.Fatalf("%v/%v/%v: want one top-level span, got %d", p, s, a, len(snap.Children))
+				}
+				top := snap.Children[0]
+				if top.Dur() <= 0 {
+					t.Fatalf("%v/%v/%v: top span has no duration", p, s, a)
+				}
+				cover := float64(top.ChildSum()) / float64(top.DurNs)
+				if cover < 0.5 || cover > 1.01 {
+					t.Errorf("%v/%v/%v: phase spans cover %.0f%% of %v (%s)",
+						p, s, a, cover*100, top.Dur(), top.Name)
+				}
+				if top.Counter("rounds") <= 0 {
+					t.Errorf("%v/%v/%v: top span missing rounds counter", p, s, a)
 				}
 				var solves int
+				var rounds int64
 				for _, c := range top.Children {
-					if len(c.Name) >= 5 && c.Name[:5] == "solve" {
+					if strings.HasPrefix(c.Name, "solve") {
 						solves++
+						rounds += c.Counter("rounds")
 					}
 				}
 				if solves == 0 {
-					t.Errorf("%v/%v: no solve/* phase spans", p, s)
+					t.Errorf("%v/%v/%v: no solve/* phase spans", p, s, a)
+				}
+				if rounds != int64(res.Report.Rounds) || rounds != top.Counter("rounds") {
+					t.Errorf("%v/%v/%v: solve phases count %d rounds, Report.Rounds %d, top span %d",
+						p, s, a, rounds, res.Report.Rounds, top.Counter("rounds"))
+				}
+				// Decomposed strategies must expose a decomp phase.
+				if s != StrategyBaseline && top.Find("decomp") == nil {
+					t.Errorf("%v/%v/%v: no decomp span", p, s, a)
 				}
 			}
 		}

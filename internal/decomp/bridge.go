@@ -1,8 +1,6 @@
 package decomp
 
 import (
-	"time"
-
 	"repro/internal/bfs"
 	"repro/internal/graph"
 	"repro/internal/par"
@@ -19,8 +17,6 @@ type BridgeInfo struct {
 	Bridges []graph.Edge
 	// Rounds is the BFS depth (the parallel round count of Step 1).
 	Rounds int
-	// Elapsed is the bridge-finding wall time.
-	Elapsed time.Duration
 
 	parent  []int32
 	covered *par.Bitset
@@ -48,62 +44,60 @@ func (bi *BridgeInfo) IsBridge(a, b int32) bool {
 func FindBridges(g *graph.Graph) *BridgeInfo {
 	bi := &BridgeInfo{}
 	sp := trace.Begin("find-bridges")
-	bi.Elapsed = timed(func() {
-		n := g.NumVertices()
+	n := g.NumVertices()
 
-		// STEP 1: parallel BFS forest (multi-source so disconnected inputs
-		// decompose too), direction-optimizing via the frontier engine.
-		// Any BFS forest contains every bridge, and the deeper endpoint of
-		// a bridge is fixed by the (direction-independent) level array, so
-		// the bridge set and its listing order do not depend on which
-		// forest the hybrid traversal finds.
-		bfsSpan := trace.Begin("bfs")
-		tree := bfs.ForestHybrid(g)
-		bi.Rounds = tree.Depth
-		bfsSpan.Add("rounds", int64(tree.Depth))
-		bfsSpan.End()
+	// STEP 1: parallel BFS forest (multi-source so disconnected inputs
+	// decompose too), direction-optimizing via the frontier engine.
+	// Any BFS forest contains every bridge, and the deeper endpoint of
+	// a bridge is fixed by the (direction-independent) level array, so
+	// the bridge set and its listing order do not depend on which
+	// forest the hybrid traversal finds.
+	bfsSpan := trace.Begin("bfs")
+	tree := bfs.ForestHybrid(g)
+	bi.Rounds = tree.Depth
+	bfsSpan.Add("rounds", int64(tree.Depth))
+	bfsSpan.End()
 
-		// covered[v] marks the tree edge {v, P(v)} as lying on some cycle.
-		covered := par.NewBitset(n)
+	// covered[v] marks the tree edge {v, P(v)} as lying on some cycle.
+	covered := par.NewBitset(n)
 
-		// STEP 2: for every non-tree edge {x, y}, climb to the LCA marking
-		// tree edges. Climbing alternates on the deeper endpoint so both
-		// walks meet exactly at the LCA.
-		markSpan := trace.Begin("lca-mark")
-		g.ForEachEdgePar(func(u, v int32) {
-			if tree.IsTreeEdge(u, v) {
-				return
-			}
-			x, y := u, v
-			for x != y {
-				if tree.Level[x] < tree.Level[y] {
-					x, y = y, x
-				}
-				// x is the deeper endpoint; mark its parent edge and climb.
-				covered.Set(int(x))
-				x = tree.Parent[x]
-			}
-		})
-		markSpan.End()
-
-		// Unmarked tree edges are the bridges. Gather per chunk.
-		nc := par.NumChunks(n)
-		bufs := make([][]graph.Edge, nc)
-		par.RangeIdx(n, func(w, lo, hi int) {
-			var out []graph.Edge
-			for i := lo; i < hi; i++ {
-				if tree.Parent[i] >= 0 && !covered.Test(i) {
-					out = append(out, graph.Edge{U: int32(i), V: tree.Parent[i]}.Canon())
-				}
-			}
-			bufs[w] = out
-		})
-		for _, b := range bufs {
-			bi.Bridges = append(bi.Bridges, b...)
+	// STEP 2: for every non-tree edge {x, y}, climb to the LCA marking
+	// tree edges. Climbing alternates on the deeper endpoint so both
+	// walks meet exactly at the LCA.
+	markSpan := trace.Begin("lca-mark")
+	g.ForEachEdgePar(func(u, v int32) {
+		if tree.IsTreeEdge(u, v) {
+			return
 		}
-		bi.parent = tree.Parent
-		bi.covered = covered
+		x, y := u, v
+		for x != y {
+			if tree.Level[x] < tree.Level[y] {
+				x, y = y, x
+			}
+			// x is the deeper endpoint; mark its parent edge and climb.
+			covered.Set(int(x))
+			x = tree.Parent[x]
+		}
 	})
+	markSpan.End()
+
+	// Unmarked tree edges are the bridges. Gather per chunk.
+	nc := par.NumChunks(n)
+	bufs := make([][]graph.Edge, nc)
+	par.RangeIdx(n, func(w, lo, hi int) {
+		var out []graph.Edge
+		for i := lo; i < hi; i++ {
+			if tree.Parent[i] >= 0 && !covered.Test(i) {
+				out = append(out, graph.Edge{U: int32(i), V: tree.Parent[i]}.Canon())
+			}
+		}
+		bufs[w] = out
+	})
+	for _, b := range bufs {
+		bi.Bridges = append(bi.Bridges, b...)
+	}
+	bi.parent = tree.Parent
+	bi.covered = covered
 	sp.Add("bridges", int64(len(bi.Bridges)))
 	sp.End()
 	return bi
@@ -116,17 +110,15 @@ func FindBridges(g *graph.Graph) *BridgeInfo {
 func Bridge(g *graph.Graph) *Result {
 	r := &Result{Technique: TechBridge}
 	sp := trace.Begin("decomp/BRIDGE")
-	r.Elapsed = timed(func() {
-		bi := FindBridges(g)
-		r.Rounds = bi.Rounds
-		r.Bridges = bi.Bridges
-		mat := trace.Begin("materialize")
-		gc := graph.RemoveEdges(g, func(a, b int32) bool { return !bi.IsBridge(a, b) })
-		r.Parts = []*graph.Sub{graph.IdentitySub(gc)}
-		r.Cross = graph.EdgeInducedSubgraph(g, bi.IsBridge)
-		r.Label = make([]int32, g.NumVertices()) // all zero: the single G_c part
-		mat.End()
-	})
+	bi := FindBridges(g)
+	r.Rounds = bi.Rounds
+	r.Bridges = bi.Bridges
+	mat := trace.Begin("materialize")
+	gc := graph.RemoveEdges(g, func(a, b int32) bool { return !bi.IsBridge(a, b) })
+	r.Parts = []*graph.Sub{graph.IdentitySub(gc)}
+	r.Cross = graph.EdgeInducedSubgraph(g, bi.IsBridge)
+	r.Label = make([]int32, g.NumVertices()) // all zero: the single G_c part
+	mat.End()
 	if trace.Enabled() {
 		traceResult(sp, r)
 	}

@@ -51,11 +51,8 @@ func TestFindBridgesMatchesOracleRandom(t *testing.T) {
 	}
 }
 
-func TestFindBridgesElapsedAndRounds(t *testing.T) {
+func TestFindBridgesRounds(t *testing.T) {
 	bi := FindBridges(pathGraph(100))
-	if bi.Elapsed <= 0 {
-		t.Fatal("Elapsed not recorded")
-	}
 	if bi.Rounds != 100 {
 		t.Fatalf("Rounds = %d, want BFS depth 100", bi.Rounds)
 	}

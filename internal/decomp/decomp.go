@@ -3,7 +3,6 @@ package decomp
 import (
 	"fmt"
 	"strings"
-	"time"
 
 	"repro/internal/graph"
 	"repro/internal/trace"
@@ -95,9 +94,6 @@ type Result struct {
 	// Rounds is the number of parallel rounds the decomposition ran
 	// (BRIDGE: BFS depth; others: 1).
 	Rounds int
-	// Elapsed is the decomposition wall time, including subgraph
-	// materialization (what Figure 2 measures).
-	Elapsed time.Duration
 }
 
 // PartEdges reports the total number of edges across Parts.
@@ -115,13 +111,6 @@ func (r *Result) CrossEdges() int64 {
 		return 0
 	}
 	return r.Cross.NumEdges()
-}
-
-// timed runs fn and returns its duration.
-func timed(fn func()) time.Duration {
-	start := time.Now()
-	fn()
-	return time.Since(start)
 }
 
 // traceResult records a finished decomposition's shape counters on its

@@ -313,15 +313,6 @@ func TestTechniqueString(t *testing.T) {
 	}
 }
 
-func TestElapsedRecorded(t *testing.T) {
-	g := randomGraph(2000, 10000, 2)
-	for _, r := range []*Result{Bridge(g), Rand(g, 10, 1), Degk(g, 2)} {
-		if r.Elapsed <= 0 {
-			t.Fatalf("%v: Elapsed = %v", r.Technique, r.Elapsed)
-		}
-	}
-}
-
 func TestMultilevelDecomposition(t *testing.T) {
 	g := randomGraph(1500, 6000, 12)
 	r := Multilevel(g, 6, 3)

@@ -29,20 +29,18 @@ func Degk(g *graph.Graph, k int) *Result {
 	}
 	r := &Result{Technique: TechDegk}
 	sp := trace.Begin("decomp/DEGk")
-	r.Elapsed = timed(func() {
-		n := g.NumVertices()
-		label := make([]int32, n)
-		par.For(n, func(i int) {
-			if g.Degree(int32(i)) > int32(k) {
-				label[i] = DegkHigh
-			} else {
-				label[i] = DegkLow
-			}
-		})
-		r.Parts, r.Cross = graph.PartitionByLabel(g, label, 2)
-		r.Label = label
-		r.Rounds = 1
+	n := g.NumVertices()
+	label := make([]int32, n)
+	par.For(n, func(i int) {
+		if g.Degree(int32(i)) > int32(k) {
+			label[i] = DegkHigh
+		} else {
+			label[i] = DegkLow
+		}
 	})
+	r.Parts, r.Cross = graph.PartitionByLabel(g, label, 2)
+	r.Label = label
+	r.Rounds = 1
 	if trace.Enabled() {
 		traceResult(sp, r)
 	}

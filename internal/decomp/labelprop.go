@@ -26,68 +26,66 @@ func LabelProp(g *graph.Graph, k, iters int, seed uint64) *Result {
 	}
 	r := &Result{Technique: TechLabelProp}
 	sp := trace.Begin("decomp/LABELPROP")
-	r.Elapsed = timed(func() {
-		n := g.NumVertices()
-		label := make([]int32, n)
-		par.For(n, func(i int) {
-			label[i] = int32(par.HashRange(seed, int64(i), k))
-		})
-		next := make([]int32, n)
-		for it := 0; it < iters; it++ {
-			var changed int32
-			par.Range(n, func(lo, hi int) {
-				counts := make([]int32, k)
-				anyChanged := false
-				for i := lo; i < hi; i++ {
-					v := int32(i)
-					ns := g.Neighbors(v)
-					if len(ns) == 0 {
-						next[i] = label[i]
-						continue
-					}
-					for j := range counts {
-						counts[j] = 0
-					}
-					for _, w := range ns {
-						counts[label[w]]++
-					}
-					best := label[i]
-					bestC := counts[best]
-					for j := int32(0); int(j) < k; j++ {
-						if counts[j] > bestC {
-							best, bestC = j, counts[j]
-						}
-					}
-					next[i] = best
-					if best != label[i] {
-						anyChanged = true
-					}
-				}
-				if anyChanged {
-					atomic.StoreInt32(&changed, 1)
-				}
-			})
-			label, next = next, label
-			r.Rounds++
-			if changed == 0 {
-				break
-			}
-		}
-		// Guard against a part going empty (label propagation can absorb
-		// small parts): remap used labels densely and adjust k.
-		used := make([]int64, k)
-		par.For(n, func(i int) { atomic.StoreInt64(&used[label[i]], 1) })
-		rank := par.ExclusiveSum(used)
-		kk := int(rank[k])
-		if kk == 0 {
-			kk = 1 // empty graph: keep a single empty part
-		}
-		if kk < k {
-			par.For(n, func(i int) { label[i] = int32(rank[label[i]]) })
-		}
-		r.Parts, r.Cross = graph.PartitionByLabel(g, label, kk)
-		r.Label = label
+	n := g.NumVertices()
+	label := make([]int32, n)
+	par.For(n, func(i int) {
+		label[i] = int32(par.HashRange(seed, int64(i), k))
 	})
+	next := make([]int32, n)
+	for it := 0; it < iters; it++ {
+		var changed int32
+		par.Range(n, func(lo, hi int) {
+			counts := make([]int32, k)
+			anyChanged := false
+			for i := lo; i < hi; i++ {
+				v := int32(i)
+				ns := g.Neighbors(v)
+				if len(ns) == 0 {
+					next[i] = label[i]
+					continue
+				}
+				for j := range counts {
+					counts[j] = 0
+				}
+				for _, w := range ns {
+					counts[label[w]]++
+				}
+				best := label[i]
+				bestC := counts[best]
+				for j := int32(0); int(j) < k; j++ {
+					if counts[j] > bestC {
+						best, bestC = j, counts[j]
+					}
+				}
+				next[i] = best
+				if best != label[i] {
+					anyChanged = true
+				}
+			}
+			if anyChanged {
+				atomic.StoreInt32(&changed, 1)
+			}
+		})
+		label, next = next, label
+		r.Rounds++
+		if changed == 0 {
+			break
+		}
+	}
+	// Guard against a part going empty (label propagation can absorb
+	// small parts): remap used labels densely and adjust k.
+	used := make([]int64, k)
+	par.For(n, func(i int) { atomic.StoreInt64(&used[label[i]], 1) })
+	rank := par.ExclusiveSum(used)
+	kk := int(rank[k])
+	if kk == 0 {
+		kk = 1 // empty graph: keep a single empty part
+	}
+	if kk < k {
+		par.For(n, func(i int) { label[i] = int32(rank[label[i]]) })
+	}
+	r.Parts, r.Cross = graph.PartitionByLabel(g, label, kk)
+	r.Label = label
 	if trace.Enabled() {
 		traceResult(sp, r)
 	}

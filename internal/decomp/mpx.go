@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/frontier"
 	"repro/internal/graph"
@@ -46,8 +45,6 @@ type MPXInfo struct {
 	// rounds executed.
 	Balls  int
 	Rounds int
-	// Elapsed is the ball-growing wall time.
-	Elapsed time.Duration
 }
 
 // MPXGrow runs the ball-growing phase. Shifts are pure hashes of
@@ -60,110 +57,108 @@ func MPXGrow(g *graph.Graph, beta float64, seed uint64) *MPXInfo {
 	}
 	info := &MPXInfo{}
 	sp := trace.Begin("mpx-grow")
-	info.Elapsed = timed(func() {
-		n := g.NumVertices()
-		delta := make([]float64, n)
-		par.For(n, func(i int) {
-			// Uniform in (0, 1], so the log is finite.
-			u := (float64(par.Hash64(seed, int64(i))>>11) + 1) / (1 << 53)
-			delta[i] = -math.Log(u) / beta
-		})
-		maxDelta := par.MaxIndexed(n, 0, func(i int) float64 { return delta[i] })
-
-		// start[v] = floor(maxDelta − delta_v): the round at which v
-		// begins growing its own ball unless another ball claimed it
-		// first. Fractional shift differences within a round resolve by
-		// the min-center-id tie break below.
-		start := make([]int32, n)
-		par.For(n, func(i int) {
-			start[i] = int32(maxDelta - delta[i])
-		})
-
-		// Vertices ordered by (start round, id): a cursor walks this once,
-		// seeding each round's new centers in ascending id order.
-		order := make([]int32, n)
-		par.Iota(order)
-		par.SortSlice(order, func(a, b int32) bool {
-			if start[a] != start[b] {
-				return start[a] < start[b]
-			}
-			return a < b
-		})
-
-		center := make([]int32, n)
-		round := make([]int32, n)
-		par.Fill(center, int32(-1))
-		par.Fill(round, int32(-1))
-		visited := par.NewBitset(n)
-
-		eng := &frontier.Engine{}
-		f := frontier.Empty(n)
-		remaining := n
-		cursor := 0
-		r := int32(0)
-		for remaining > 0 {
-			// Seed the balls whose shifted start time has arrived, unless
-			// a growing ball already swallowed the would-be center.
-			var centers []int32
-			for cursor < n && start[order[cursor]] <= r {
-				v := order[cursor]
-				cursor++
-				if !visited.Test(int(v)) {
-					centers = append(centers, v)
-				}
-			}
-			if len(centers) > 0 {
-				cs := centers
-				rr := r
-				par.For(len(cs), func(i int) {
-					v := cs[i]
-					center[v] = v
-					round[v] = rr
-					visited.Set(int(v))
-				})
-				info.Balls += len(cs)
-				remaining -= len(cs)
-				f = frontier.Union(f, frontier.New(n, centers))
-			}
-			if remaining == 0 {
-				info.Rounds = int(r) + 1
-				break
-			}
-			if f.IsEmpty() {
-				// Nothing growing yet: jump to the next start time.
-				if next := start[order[cursor]]; next > r {
-					r = next
-				} else {
-					r++
-				}
-				continue
-			}
-			// Grow every ball one hop. A contended vertex keeps the
-			// smallest center id (CAS-min), so the claim is order-free;
-			// Dedup because the min can improve more than once per round.
-			nf := eng.EdgeMap(g, f, frontier.Ops{
-				Cond:  func(v int32) bool { return !visited.Test(int(v)) },
-				Dedup: true,
-				Update: func(u, v int32) bool {
-					return claimMinCenter(&center[v], center[u])
-				},
-			})
-			// Claim phase: the newly reached vertices join their balls.
-			rr := r + 1
-			frontier.Map(nf, func(v int32) {
-				visited.Set(int(v))
-				round[v] = rr
-			})
-			remaining -= nf.Size()
-			f = nf
-			r++
-			info.Rounds = int(r)
-		}
-		info.Center = center
-		info.Round = round
-		info.Delta = delta
-		info.MaxDelta = maxDelta
+	n := g.NumVertices()
+	delta := make([]float64, n)
+	par.For(n, func(i int) {
+		// Uniform in (0, 1], so the log is finite.
+		u := (float64(par.Hash64(seed, int64(i))>>11) + 1) / (1 << 53)
+		delta[i] = -math.Log(u) / beta
 	})
+	maxDelta := par.MaxIndexed(n, 0, func(i int) float64 { return delta[i] })
+
+	// start[v] = floor(maxDelta − delta_v): the round at which v
+	// begins growing its own ball unless another ball claimed it
+	// first. Fractional shift differences within a round resolve by
+	// the min-center-id tie break below.
+	start := make([]int32, n)
+	par.For(n, func(i int) {
+		start[i] = int32(maxDelta - delta[i])
+	})
+
+	// Vertices ordered by (start round, id): a cursor walks this once,
+	// seeding each round's new centers in ascending id order.
+	order := make([]int32, n)
+	par.Iota(order)
+	par.SortSlice(order, func(a, b int32) bool {
+		if start[a] != start[b] {
+			return start[a] < start[b]
+		}
+		return a < b
+	})
+
+	center := make([]int32, n)
+	round := make([]int32, n)
+	par.Fill(center, int32(-1))
+	par.Fill(round, int32(-1))
+	visited := par.NewBitset(n)
+
+	eng := &frontier.Engine{}
+	f := frontier.Empty(n)
+	remaining := n
+	cursor := 0
+	r := int32(0)
+	for remaining > 0 {
+		// Seed the balls whose shifted start time has arrived, unless
+		// a growing ball already swallowed the would-be center.
+		var centers []int32
+		for cursor < n && start[order[cursor]] <= r {
+			v := order[cursor]
+			cursor++
+			if !visited.Test(int(v)) {
+				centers = append(centers, v)
+			}
+		}
+		if len(centers) > 0 {
+			cs := centers
+			rr := r
+			par.For(len(cs), func(i int) {
+				v := cs[i]
+				center[v] = v
+				round[v] = rr
+				visited.Set(int(v))
+			})
+			info.Balls += len(cs)
+			remaining -= len(cs)
+			f = frontier.Union(f, frontier.New(n, centers))
+		}
+		if remaining == 0 {
+			info.Rounds = int(r) + 1
+			break
+		}
+		if f.IsEmpty() {
+			// Nothing growing yet: jump to the next start time.
+			if next := start[order[cursor]]; next > r {
+				r = next
+			} else {
+				r++
+			}
+			continue
+		}
+		// Grow every ball one hop. A contended vertex keeps the
+		// smallest center id (CAS-min), so the claim is order-free;
+		// Dedup because the min can improve more than once per round.
+		nf := eng.EdgeMap(g, f, frontier.Ops{
+			Cond:  func(v int32) bool { return !visited.Test(int(v)) },
+			Dedup: true,
+			Update: func(u, v int32) bool {
+				return claimMinCenter(&center[v], center[u])
+			},
+		})
+		// Claim phase: the newly reached vertices join their balls.
+		rr := r + 1
+		frontier.Map(nf, func(v int32) {
+			visited.Set(int(v))
+			round[v] = rr
+		})
+		remaining -= nf.Size()
+		f = nf
+		r++
+		info.Rounds = int(r)
+	}
+	info.Center = center
+	info.Round = round
+	info.Delta = delta
+	info.MaxDelta = maxDelta
 	sp.Add("balls", int64(info.Balls))
 	sp.Add("rounds", int64(info.Rounds))
 	sp.End()
@@ -192,37 +187,35 @@ func claimMinCenter(addr *int32, id int32) bool {
 func MPX(g *graph.Graph, beta float64, seed uint64) *Result {
 	r := &Result{Technique: TechMPX}
 	sp := trace.Begin("decomp/MPX")
-	r.Elapsed = timed(func() {
-		info := MPXGrow(g, beta, seed)
-		r.Rounds = info.Rounds
-		r.Balls = info.Balls
-		n := g.NumVertices()
-		center := info.Center
+	info := MPXGrow(g, beta, seed)
+	r.Rounds = info.Rounds
+	r.Balls = info.Balls
+	n := g.NumVertices()
+	center := info.Center
 
-		mat := trace.Begin("materialize")
-		sameBall := func(a, b int32) bool { return center[a] == center[b] }
-		gb := graph.RemoveEdges(g, sameBall)
-		r.Parts = []*graph.Sub{graph.IdentitySub(gb)}
-		r.Cross = graph.EdgeInducedSubgraph(g, func(a, b int32) bool {
-			return center[a] != center[b]
-		})
-
-		// Compact center ids to dense ball indices: rank of the center
-		// among all centers in id order.
-		isCenter := make([]int32, n)
-		par.For(n, func(i int) {
-			if center[i] == int32(i) {
-				isCenter[i] = 1
-			}
-		})
-		rank := par.ExclusiveSum32(isCenter)
-		label := make([]int32, n)
-		par.For(n, func(i int) {
-			label[i] = int32(rank[center[i]])
-		})
-		r.Label = label
-		mat.End()
+	mat := trace.Begin("materialize")
+	sameBall := func(a, b int32) bool { return center[a] == center[b] }
+	gb := graph.RemoveEdges(g, sameBall)
+	r.Parts = []*graph.Sub{graph.IdentitySub(gb)}
+	r.Cross = graph.EdgeInducedSubgraph(g, func(a, b int32) bool {
+		return center[a] != center[b]
 	})
+
+	// Compact center ids to dense ball indices: rank of the center
+	// among all centers in id order.
+	isCenter := make([]int32, n)
+	par.For(n, func(i int) {
+		if center[i] == int32(i) {
+			isCenter[i] = 1
+		}
+	})
+	rank := par.ExclusiveSum32(isCenter)
+	label := make([]int32, n)
+	par.For(n, func(i int) {
+		label[i] = int32(rank[center[i]])
+	})
+	r.Label = label
+	mat.End()
 	if trace.Enabled() {
 		traceResult(sp, r)
 	}

@@ -119,8 +119,8 @@ func TestMPXResultShape(t *testing.T) {
 	if r.Balls < 1 {
 		t.Fatalf("Balls = %d", r.Balls)
 	}
-	if r.Elapsed <= 0 || r.Rounds < 1 {
-		t.Fatalf("Elapsed = %v, Rounds = %d", r.Elapsed, r.Rounds)
+	if r.Rounds < 1 {
+		t.Fatalf("Rounds = %d", r.Rounds)
 	}
 	n := g.NumVertices()
 	seen := map[int32]bool{}

@@ -18,12 +18,10 @@ const TechMultilevel Technique = 100
 func Multilevel(g *graph.Graph, k int, seed uint64) *Result {
 	r := &Result{Technique: TechMultilevel}
 	sp := trace.Begin("decomp/MULTILEVEL")
-	r.Elapsed = timed(func() {
-		label, st := multilevel.Partition(g, k, seed, multilevel.Options{})
-		r.Parts, r.Cross = graph.PartitionByLabel(g, label, k)
-		r.Label = label
-		r.Rounds = st.Levels
-	})
+	label, st := multilevel.Partition(g, k, seed, multilevel.Options{})
+	r.Parts, r.Cross = graph.PartitionByLabel(g, label, k)
+	r.Label = label
+	r.Rounds = st.Levels
 	if trace.Enabled() {
 		traceResult(sp, r)
 	}

@@ -23,16 +23,14 @@ func Rand(g *graph.Graph, k int, seed uint64) *Result {
 	}
 	r := &Result{Technique: TechRand}
 	sp := trace.Begin("decomp/RAND")
-	r.Elapsed = timed(func() {
-		n := g.NumVertices()
-		label := make([]int32, n)
-		par.For(n, func(i int) {
-			label[i] = int32(par.HashRange(seed, int64(i), k))
-		})
-		r.Parts, r.Cross = graph.PartitionByLabel(g, label, k)
-		r.Label = label
-		r.Rounds = 1
+	n := g.NumVertices()
+	label := make([]int32, n)
+	par.For(n, func(i int) {
+		label[i] = int32(par.HashRange(seed, int64(i), k))
 	})
+	r.Parts, r.Cross = graph.PartitionByLabel(g, label, k)
+	r.Label = label
+	r.Rounds = 1
 	if trace.Enabled() {
 		traceResult(sp, r)
 	}

@@ -14,7 +14,8 @@
 // each representation at most once, on first use. EdgeMap applies a
 // relaxation function over the out-edges of a subset and returns the
 // subset of updated vertices; Engine carries the direction-switch
-// tuning (PullDiv: pull while frontier > n/div).
+// divisor per traversal (PullDiv: pull while frontier > n/div; zero
+// means DefaultPullDiv).
 //
 // # Determinism contract
 //

@@ -1,8 +1,6 @@
 package frontier
 
 import (
-	"sync/atomic"
-
 	"repro/internal/graph"
 	"repro/internal/par"
 	"repro/internal/telemetry"
@@ -18,28 +16,6 @@ const DefaultPullDiv = 16
 // NoPull as an Engine.PullDiv disables bottom-up steps entirely: every
 // round pushes. Plain (non-hybrid) BFS runs this way.
 const NoPull = -1
-
-// pullDiv is the process-wide default divisor, settable for tuning
-// experiments (cmd/benchall plumbs -frontier-div / SYMBREAK_FRONTIER_DIV
-// into it). Zero means DefaultPullDiv.
-var pullDiv atomic.Int32
-
-// SetPullDiv sets the process-wide default direction-switch divisor.
-// d <= 0 restores DefaultPullDiv.
-func SetPullDiv(d int) {
-	if d < 0 {
-		d = 0
-	}
-	pullDiv.Store(int32(d))
-}
-
-// PullDiv reports the process-wide default direction-switch divisor.
-func PullDiv() int {
-	if d := pullDiv.Load(); d > 0 {
-		return int(d)
-	}
-	return DefaultPullDiv
-}
 
 // Ops defines one edge-map relaxation, Ligra's F = (update, cond).
 type Ops struct {
@@ -64,13 +40,13 @@ type Ops struct {
 }
 
 // Engine runs direction-optimizing edge maps. The zero value is ready to
-// use with the process default threshold; it additionally tracks the
+// use with the default threshold; it additionally tracks the
 // previous round's direction so direction switches can be counted. An
 // Engine is not safe for concurrent use — create one per traversal.
 type Engine struct {
 	// PullDiv overrides the direction-switch divisor for this engine:
-	// bottom-up while frontier size exceeds n/PullDiv. Zero uses the
-	// process default (PullDiv()); NoPull disables bottom-up.
+	// bottom-up while frontier size exceeds n/PullDiv. Zero uses
+	// DefaultPullDiv; NoPull disables bottom-up.
 	PullDiv int
 
 	started  bool
@@ -137,7 +113,7 @@ func (e *Engine) EdgeMap(g *graph.Graph, f *Subset, ops Ops) *Subset {
 func (e *Engine) pullRound(size, n int) bool {
 	div := e.PullDiv
 	if div == 0 {
-		div = PullDiv()
+		div = DefaultPullDiv
 	}
 	if div <= 0 {
 		return false

@@ -332,27 +332,20 @@ func TestEngineCounters(t *testing.T) {
 	}
 }
 
-func TestSetPullDiv(t *testing.T) {
-	defer SetPullDiv(0)
-	if PullDiv() != DefaultPullDiv {
-		t.Fatalf("default PullDiv = %d", PullDiv())
-	}
-	SetPullDiv(3)
-	if PullDiv() != 3 {
-		t.Fatalf("PullDiv = %d after SetPullDiv(3)", PullDiv())
-	}
-	SetPullDiv(-5)
-	if PullDiv() != DefaultPullDiv {
-		t.Fatalf("PullDiv = %d after SetPullDiv(-5)", PullDiv())
-	}
-	// An engine override wins over the process default.
-	e := &Engine{PullDiv: 2}
-	if !e.pullRound(60, 100) {
-		t.Fatal("engine PullDiv=2 should pull at 60/100")
-	}
-	SetPullDiv(2)
-	e = &Engine{}
-	if !e.pullRound(60, 100) {
-		t.Fatal("process PullDiv=2 should pull at 60/100")
+// TestEnginePullDiv pins the direction switch: bottom-up while the
+// frontier exceeds n/PullDiv, zero meaning DefaultPullDiv, NoPull never.
+func TestEnginePullDiv(t *testing.T) {
+	for _, c := range []struct {
+		div, size int
+		pull      bool
+	}{
+		{2, 60, true}, {2, 50, false},
+		{0, 100/DefaultPullDiv + 1, true}, {0, 100 / DefaultPullDiv, false},
+		{NoPull, 100, false},
+	} {
+		e := &Engine{PullDiv: c.div}
+		if got := e.pullRound(c.size, 100); got != c.pull {
+			t.Errorf("PullDiv %d, frontier %d/100: pull = %v, want %v", c.div, c.size, got, c.pull)
+		}
 	}
 }

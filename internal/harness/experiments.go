@@ -69,23 +69,12 @@ func Fig2(cfg Config) *Table {
 	}
 	for _, spec := range cfg.specs() {
 		g := dataset.Load(spec, cfg.Scale, cfg.Seed)
-		avg := func(run func() time.Duration) time.Duration {
-			var total time.Duration
-			for r := 0; r < cfg.Repeats; r++ {
-				total += run()
-			}
-			return total / time.Duration(cfg.Repeats)
-		}
 		var rounds int
-		bridge := avg(func() time.Duration {
-			r := decomp.Bridge(g)
-			rounds = r.Rounds
-			return r.Elapsed
-		})
-		rand := avg(func() time.Duration { return decomp.Rand(g, 10, cfg.Seed).Elapsed })
-		degk := avg(func() time.Duration { return decomp.Degk(g, 2).Elapsed })
-		mpx := avg(func() time.Duration { return decomp.MPX(g, decomp.DefaultMPXBeta, cfg.Seed).Elapsed })
-		lp := avg(func() time.Duration { return decomp.LabelProp(g, 8, 5, cfg.Seed).Elapsed })
+		bridge := timeRun(cfg, func() { rounds = decomp.Bridge(g).Rounds })
+		rand := timeRun(cfg, func() { decomp.Rand(g, 10, cfg.Seed) })
+		degk := timeRun(cfg, func() { decomp.Degk(g, 2) })
+		mpx := timeRun(cfg, func() { decomp.MPX(g, decomp.DefaultMPXBeta, cfg.Seed) })
+		lp := timeRun(cfg, func() { decomp.LabelProp(g, 8, 5, cfg.Seed) })
 		t.Rows = append(t.Rows, []string{
 			spec.Name, fmtDur(bridge), fmtDur(rand), fmtDur(degk), fmtDur(mpx), fmtDur(lp),
 			fmt.Sprintf("%d", rounds),

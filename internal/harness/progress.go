@@ -5,7 +5,6 @@ package harness
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/bfs"
 	"repro/internal/dataset"
@@ -108,17 +107,8 @@ func BFSAblation(cfg Config) *Table {
 	for _, spec := range cfg.specs() {
 		g := dataset.Load(spec, cfg.Scale, cfg.Seed)
 		var depth int
-		timeIt := func(run func()) time.Duration {
-			var total time.Duration
-			for r := 0; r < cfg.Repeats; r++ {
-				start := time.Now()
-				run()
-				total += time.Since(start)
-			}
-			return total / time.Duration(cfg.Repeats)
-		}
-		plain := timeIt(func() { depth = bfs.Forest(g).Depth })
-		hybrid := timeIt(func() { bfs.ForestHybrid(g) })
+		plain := timeRun(cfg, func() { depth = bfs.Forest(g).Depth })
+		hybrid := timeRun(cfg, func() { bfs.ForestHybrid(g) })
 		t.Rows = append(t.Rows, []string{
 			spec.Name, fmtDur(plain), fmtDur(hybrid),
 			fmt.Sprintf("%.2fx", float64(plain)/float64(hybrid)),

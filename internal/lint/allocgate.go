@@ -150,10 +150,10 @@ func allocDiagsFor(p *Pass) (diags []allocDiag, dir string, ok bool, err error) 
 // hotpathFunc is one //lint:hotpath-annotated function in the pass
 // package.
 type hotpathFunc struct {
-	name                string
-	file                string
-	startLine, endLine  int
-	tokFile             *token.File
+	name               string
+	file               string
+	startLine, endLine int
+	tokFile            *token.File
 }
 
 // posAt converts a compiler file:line:col back into a token.Pos inside

@@ -45,8 +45,8 @@ type atomicPtrSummary struct {
 
 // atomicFacts is the program-wide result of the collection phase.
 type atomicFacts struct {
-	accesses []atomicAccess          // in deterministic program order
-	atomicAt map[string]string       // key -> first atomic site
+	accesses []atomicAccess               // in deterministic program order
+	atomicAt map[string]string            // key -> first atomic site
 	sums     map[string]*atomicPtrSummary // by funcKey
 }
 

@@ -1,8 +1,6 @@
 package matching
 
 import (
-	"time"
-
 	"repro/internal/biconn"
 	"repro/internal/graph"
 	"repro/internal/par"
@@ -16,22 +14,25 @@ import (
 // extends the matching across the articulation points.
 func MMBiconn(g *graph.Graph, mm Algorithm) (*Matching, Report) {
 	rep := Report{Strategy: "MM-Biconn"}
-	decompStart := time.Now()
+	dsp := rep.Decompose()
 	bc := biconn.Blocks(g)
-	rep.Decomp = time.Since(decompStart)
+	rep.Decomposed(dsp)
 
-	start := time.Now()
 	n := g.NumVertices()
 	m := NewMatching(n)
+	sp := rep.Phase("solve/parts")
 	member := make([]bool, n)
 	par.For(n, func(i int) { member[i] = !bc.IsArticulation[i] })
 	inner := graph.InducedSubgraph(g, member)
 	mi, st := mm(inner.G)
-	rep.Rounds += st.Rounds
 	mergeSub(m.Mate, inner, mi)
+	sp.Add("matched", st.Matched)
+	rep.EndPhase(sp, st.Rounds)
 	// Extend across the cut vertices (the whole residual graph, as in the
 	// other algorithms' final phases).
-	rep.Rounds += solveOnUnmatched(m.Mate, graph.IdentitySub(g), mm)
-	rep.Solve = time.Since(start)
+	sp = rep.Phase("solve/cross")
+	st = solveOnUnmatched(m.Mate, graph.IdentitySub(g), mm)
+	sp.Add("matched", st.Matched)
+	rep.EndPhase(sp, st.Rounds)
 	return m, rep
 }

@@ -1,8 +1,6 @@
 package matching
 
 import (
-	"time"
-
 	"repro/internal/decomp"
 	"repro/internal/graph"
 	"repro/internal/par"
@@ -21,10 +19,10 @@ func mergeSub(global []int32, sub *graph.Sub, local *Matching) {
 }
 
 // solveOnUnmatched induces sub on its vertices still unmatched in global,
-// runs mm there, and merges the result back. Returns the inner rounds.
+// runs mm there, and merges the result back. Returns the inner run's stats.
 // This realizes the recurring pseudocode step "V' ← unmatched vertices in
 // G_x using M; M' ← MM(G_x[V'])".
-func solveOnUnmatched(global []int32, sub *graph.Sub, mm Algorithm) int {
+func solveOnUnmatched(global []int32, sub *graph.Sub, mm Algorithm) Stats {
 	member := make([]bool, sub.NumVertices())
 	par.For(len(member), func(j int) {
 		member[j] = global[sub.ToGlobal[j]] == Unmatched
@@ -37,40 +35,53 @@ func solveOnUnmatched(global []int32, sub *graph.Sub, mm Algorithm) int {
 	})
 	local, st := mm(composed.G)
 	mergeSub(global, composed, local)
+	return st
+}
+
+// twoPhase is the body MM-Bridge, MM-Rand, MM-Degk and MM-MPX share. The
+// timed decomposition runs split, which returns the edge split — keep
+// selects the first phase's edges, cross the rest — and the part count
+// for the decomp span. The first phase matches the graph of kept edges,
+// which keeps global vertex ids; the second matches the edge-induced
+// subgraph of the cross edges, restricted to the vertices still
+// unmatched. first and second name the two phase spans.
+func twoPhase(g *graph.Graph, strategy, first, second string, mm Algorithm,
+	split func() (keep, cross func(u, v int32) bool, parts int)) (*Matching, Report) {
+	rep := Report{Strategy: strategy}
+	dsp := rep.Decompose()
+	keep, crossEdge, parts := split()
+	g1 := graph.RemoveEdges(g, keep)
+	cross := graph.EdgeInducedSubgraph(g, crossEdge)
 	if trace.Enabled() {
-		trace.Add("rounds", int64(st.Rounds))
-		trace.Add("matched", st.Matched)
+		dsp.Add("parts", int64(parts))
+		dsp.Add("cross_edges", int64(cross.G.NumEdges()))
 	}
-	return st.Rounds
+	rep.Decomposed(dsp)
+
+	m := NewMatching(g.NumVertices())
+	sp := rep.Phase(first)
+	m1, st := mm(g1)
+	par.Copy(m.Mate, m1.Mate)
+	sp.Add("matched", st.Matched)
+	rep.EndPhase(sp, st.Rounds)
+	sp = rep.Phase(second)
+	st = solveOnUnmatched(m.Mate, cross, mm)
+	sp.Add("matched", st.Matched)
+	rep.EndPhase(sp, st.Rounds)
+	return m, rep
 }
 
 // MMBridge is the paper's Algorithm 4: decompose by bridges, match the
-// 2-edge-connected components G_c, then augment with a matching on the
-// subgraph of the bridges induced by still-unmatched bridge vertices.
+// 2-edge-connected components G_c (G minus the bridges, whose components
+// the parallel subroutine solves simultaneously), then augment with a
+// matching on the subgraph of the bridges induced by still-unmatched
+// bridge vertices.
 func MMBridge(g *graph.Graph, mm Algorithm) (*Matching, Report) {
-	rep := Report{Strategy: "MM-Bridge"}
-	dsp := trace.Begin("decomp")
-	d := decomp.Bridge(g)
-	dsp.End()
-	rep.Decomp = d.Elapsed
-
-	start := time.Now()
-	m := NewMatching(g.NumVertices())
-	// M_c ← MM(G_c). G_c keeps global vertex ids, and its connected
-	// components are solved simultaneously by the parallel subroutine.
-	sp := trace.Begin("solve/parts")
-	mc, st := mm(d.Parts[0].G)
-	sp.Add("rounds", int64(st.Rounds))
-	sp.Add("matched", st.Matched)
-	sp.End()
-	rep.Rounds += st.Rounds
-	mergeSub(m.Mate, d.Parts[0], mc)
-	// M_b ← MM(G_b[V']) on the unmatched bridge vertices.
-	sp = trace.Begin("solve/cross")
-	rep.Rounds += solveOnUnmatched(m.Mate, d.Cross, mm)
-	sp.End()
-	rep.Solve = time.Since(start)
-	return m, rep
+	return twoPhase(g, "MM-Bridge", "solve/parts", "solve/cross", mm,
+		func() (func(u, v int32) bool, func(u, v int32) bool, int) {
+			bi := decomp.FindBridges(g)
+			return func(u, v int32) bool { return !bi.IsBridge(u, v) }, bi.IsBridge, 1
+		})
 }
 
 // MMRand is the paper's Algorithm 5: random k-way decomposition, one
@@ -80,42 +91,15 @@ func MMBridge(g *graph.Graph, mm Algorithm) (*Matching, Report) {
 // unmatched vertices. The paper uses k = 10 on the CPU and k = 4 on the
 // GPU, raising k toward the average degree on very dense instances.
 func MMRand(g *graph.Graph, k int, seed uint64, mm Algorithm) (*Matching, Report) {
-	rep := Report{Strategy: "MM-Rand"}
-	n := g.NumVertices()
-
-	// Decomposition: the labels, G_IS (same vertex set, intra-part edges),
-	// and the cross-edge subgraph G_{k+1}.
-	dsp := trace.Begin("decomp")
-	decompStart := time.Now()
-	label := make([]int32, n)
-	par.For(n, func(i int) {
-		label[i] = int32(par.HashRange(seed, int64(i), k))
-	})
-	gis := graph.RemoveEdges(g, func(u, v int32) bool { return label[u] == label[v] })
-	cross := graph.EdgeInducedSubgraph(g, func(u, v int32) bool { return label[u] != label[v] })
-	rep.Decomp = time.Since(decompStart)
-	if trace.Enabled() {
-		dsp.Add("parts", int64(k))
-		dsp.Add("cross_edges", int64(cross.G.NumEdges()))
-	}
-	dsp.End()
-
-	start := time.Now()
-	m := NewMatching(n)
-	// M_IS ← MM(G_IS).
-	sp := trace.Begin("solve/parts")
-	mi, st := mm(gis)
-	sp.Add("rounds", int64(st.Rounds))
-	sp.Add("matched", st.Matched)
-	sp.End()
-	rep.Rounds += st.Rounds
-	par.Copy(m.Mate, mi.Mate) // G_IS keeps global vertex ids
-	// M_{k+1} ← MM(G_{k+1}[V']).
-	sp = trace.Begin("solve/cross")
-	rep.Rounds += solveOnUnmatched(m.Mate, cross, mm)
-	sp.End()
-	rep.Solve = time.Since(start)
-	return m, rep
+	return twoPhase(g, "MM-Rand", "solve/parts", "solve/cross", mm,
+		func() (func(u, v int32) bool, func(u, v int32) bool, int) {
+			label := make([]int32, g.NumVertices())
+			par.For(len(label), func(i int) {
+				label[i] = int32(par.HashRange(seed, int64(i), k))
+			})
+			return func(u, v int32) bool { return label[u] == label[v] },
+				func(u, v int32) bool { return label[u] != label[v] }, k
+		})
 }
 
 // MMMPX is the MPX analogue of Algorithm 5 (an extension beyond the
@@ -124,76 +108,25 @@ func MMRand(g *graph.Graph, k int, seed uint64, mm Algorithm) (*Matching, Report
 // vertices. Where RAND fixes the part count k, MPX fixes the rate beta and
 // the ball count falls out of the shifts.
 func MMMPX(g *graph.Graph, beta float64, seed uint64, mm Algorithm) (*Matching, Report) {
-	rep := Report{Strategy: "MM-MPX"}
-	n := g.NumVertices()
-
-	dsp := trace.Begin("decomp")
-	decompStart := time.Now()
-	info := decomp.MPXGrow(g, beta, seed)
-	center := info.Center
-	gis := graph.RemoveEdges(g, func(u, v int32) bool { return center[u] == center[v] })
-	cross := graph.EdgeInducedSubgraph(g, func(u, v int32) bool { return center[u] != center[v] })
-	rep.Decomp = time.Since(decompStart)
-	if trace.Enabled() {
-		dsp.Add("parts", int64(info.Balls))
-		dsp.Add("cross_edges", int64(cross.G.NumEdges()))
-	}
-	dsp.End()
-
-	start := time.Now()
-	m := NewMatching(n)
-	// M_IS ← MM(G_IS): the balls' union keeps global vertex ids.
-	sp := trace.Begin("solve/parts")
-	mi, st := mm(gis)
-	sp.Add("rounds", int64(st.Rounds))
-	sp.Add("matched", st.Matched)
-	sp.End()
-	rep.Rounds += st.Rounds
-	par.Copy(m.Mate, mi.Mate)
-	// The inter-ball edges on unmatched vertices.
-	sp = trace.Begin("solve/cross")
-	rep.Rounds += solveOnUnmatched(m.Mate, cross, mm)
-	sp.End()
-	rep.Solve = time.Since(start)
-	return m, rep
+	return twoPhase(g, "MM-MPX", "solve/parts", "solve/cross", mm,
+		func() (func(u, v int32) bool, func(u, v int32) bool, int) {
+			info := decomp.MPXGrow(g, beta, seed)
+			center := info.Center
+			return func(u, v int32) bool { return center[u] == center[v] },
+				func(u, v int32) bool { return center[u] != center[v] }, info.Balls
+		})
 }
 
 // MMDegk is the paper's Algorithm 6: degree-k decomposition (k = 2 in the
-// paper), match the high-degree subgraph G_H first, then G_L ∪ G_C
-// restricted to unmatched vertices.
+// paper), match the high-degree subgraph G_H first, then G_L ∪ G_C (every
+// edge with at least one low-degree endpoint) restricted to unmatched
+// vertices.
 func MMDegk(g *graph.Graph, k int, mm Algorithm) (*Matching, Report) {
-	rep := Report{Strategy: "MM-Degk"}
-	n := g.NumVertices()
-
-	// Decomposition: classify by degree, materialize G_H and G_LC = G_L ∪
-	// G_C (every edge with at least one low-degree endpoint).
-	dsp := trace.Begin("decomp")
-	decompStart := time.Now()
-	low := make([]bool, n)
-	par.For(n, func(i int) { low[i] = g.Degree(int32(i)) <= int32(k) })
-	gh := graph.RemoveEdges(g, func(u, v int32) bool { return !low[u] && !low[v] })
-	glc := graph.EdgeInducedSubgraph(g, func(u, v int32) bool { return low[u] || low[v] })
-	rep.Decomp = time.Since(decompStart)
-	if trace.Enabled() {
-		dsp.Add("parts", 2)
-		dsp.Add("cross_edges", int64(glc.G.NumEdges()))
-	}
-	dsp.End()
-
-	start := time.Now()
-	m := NewMatching(n)
-	// M_H ← MM(G_H).
-	sp := trace.Begin("solve/G_H")
-	mh, st := mm(gh)
-	sp.Add("rounds", int64(st.Rounds))
-	sp.Add("matched", st.Matched)
-	sp.End()
-	rep.Rounds += st.Rounds
-	par.Copy(m.Mate, mh.Mate) // G_H kept global vertex ids
-	// M_LC ← MM(G_LC[V']).
-	sp = trace.Begin("solve/G_LC")
-	rep.Rounds += solveOnUnmatched(m.Mate, glc, mm)
-	sp.End()
-	rep.Solve = time.Since(start)
-	return m, rep
+	return twoPhase(g, "MM-Degk", "solve/G_H", "solve/G_LC", mm,
+		func() (func(u, v int32) bool, func(u, v int32) bool, int) {
+			low := make([]bool, g.NumVertices())
+			par.For(len(low), func(i int) { low[i] = g.Degree(int32(i)) <= int32(k) })
+			return func(u, v int32) bool { return !low[u] && !low[v] },
+				func(u, v int32) bool { return low[u] || low[v] }, 2
+		})
 }

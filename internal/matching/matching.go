@@ -8,10 +8,10 @@ package matching
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/graph"
 	"repro/internal/par"
+	"repro/internal/trace"
 )
 
 // Unmatched marks a vertex with no matching partner.
@@ -93,20 +93,9 @@ type Stats struct {
 // the CPU and LMAX on the GPU as subroutines.
 type Algorithm func(g *graph.Graph) (*Matching, Stats)
 
-// Report describes a full decomposition-based run.
-type Report struct {
-	// Strategy names the algorithm ("MM-Rand" etc.).
-	Strategy string
-	// Decomp is the decomposition wall time.
-	Decomp time.Duration
-	// Solve is the wall time of all matching phases.
-	Solve time.Duration
-	// Rounds accumulates the inner solver's iterations across phases.
-	Rounds int
-}
-
-// Total is the end-to-end wall time (decomposition + solving).
-func (r Report) Total() time.Duration { return r.Decomp + r.Solve }
+// Report describes a full decomposition-based run. It is the run report
+// every solver package shares.
+type Report = trace.Report
 
 // VertexCover returns the endpoints of the matching — the classic
 // 2-approximate vertex cover, the application Hochbaum's decomposition

@@ -1,11 +1,10 @@
 package mis
 
 import (
-	"time"
-
 	"repro/internal/biconn"
 	"repro/internal/graph"
 	"repro/internal/par"
+	"repro/internal/trace"
 )
 
 // MISBiconn is an extension beyond the paper's three decompositions
@@ -14,20 +13,14 @@ import (
 // minus their cut vertices, which are mutually non-adjacent across blocks
 // — followed by the general solver on the reduced remainder.
 func MISBiconn(g *graph.Graph, solver Solver) (*IndepSet, Report) {
-	rep := Report{Strategy: "MIS-Biconn"}
-	decompStart := time.Now()
+	rep := Report{Report: trace.Report{Strategy: "MIS-Biconn"}}
+	dsp := rep.Decompose()
 	bc := biconn.Blocks(g)
-	rep.Decomp = time.Since(decompStart)
+	rep.Decomposed(dsp)
 
-	start := time.Now()
 	n := g.NumVertices()
-	set := NewIndepSet(n)
 	member := make([]bool, n)
 	par.For(n, func(i int) { member[i] = !bc.IsArticulation[i] })
-	st := maskedPhase(g, set, member, solver)
-	rep.Rounds += st.Rounds
-	st = remainderPhase(g, set, solver)
-	rep.Rounds += st.Rounds
-	rep.Solve = time.Since(start)
+	set := twoPhases(&rep, g, member, "solve/masked", solver, solver)
 	return set, rep
 }

@@ -1,8 +1,6 @@
 package mis
 
 import (
-	"time"
-
 	"repro/internal/decomp"
 	"repro/internal/graph"
 	"repro/internal/par"
@@ -105,6 +103,18 @@ func remainderPhase(g *graph.Graph, set *IndepSet, solver Solver) Stats {
 	return solver(g, status, set, active)
 }
 
+// twoPhases runs the phases every decomposed MIS shares: first on the
+// subgraph induced by member, in the span named name, then rest on the
+// reduced remainder.
+func twoPhases(rep *Report, g *graph.Graph, member []bool, name string, first, rest Solver) *IndepSet {
+	set := NewIndepSet(g.NumVertices())
+	sp := rep.Phase(name)
+	rep.EndPhase(sp, maskedPhase(g, set, member, first).Rounds)
+	sp = rep.Phase("solve/remainder")
+	rep.EndPhase(sp, remainderPhase(g, set, rest).Rounds)
+	return set
+}
+
 // MISBridge is the paper's Algorithm 10: find the bridges, compute an MIS
 // on ∪ᵢ Hᵢ (the 2-edge-connected components minus bridge endpoints) and on
 // the reduced remainder. The order heuristic from §V-B1 computes the
@@ -115,16 +125,12 @@ func MISBridge(g *graph.Graph, solver Solver) (*IndepSet, Report) {
 
 // MISBridgeOrdered is MISBridge with an explicit phase order (ablation).
 func MISBridgeOrdered(g *graph.Graph, solver Solver, ord Order) (*IndepSet, Report) {
-	rep := Report{Strategy: "MIS-Bridge"}
-	dsp := trace.Begin("decomp")
+	rep := Report{Report: trace.Report{Strategy: "MIS-Bridge"}}
+	dsp := rep.Decompose()
 	bi := decomp.FindBridges(g)
-	dsp.End()
-	rep.Decomp = bi.Elapsed
+	rep.Decomposed(dsp)
 
-	start := time.Now()
 	n := g.NumVertices()
-	set := NewIndepSet(n)
-
 	isBridgeVtx := make([]bool, n)
 	for _, e := range bi.Bridges {
 		isBridgeVtx[e.U] = true
@@ -154,17 +160,7 @@ func MISBridgeOrdered(g *graph.Graph, solver Solver, ord Order) (*IndepSet, Repo
 	// among bridge endpoints — not only the bridges — or two endpoints
 	// joined by a non-bridge edge could both enter the set (the paper's
 	// sketch elides this; see DESIGN.md §5).
-	sp := trace.Begin("solve/masked")
-	st := maskedPhase(g, set, member, solver)
-	sp.Add("rounds", int64(st.Rounds))
-	sp.End()
-	rep.Rounds += st.Rounds
-	sp = trace.Begin("solve/remainder")
-	st = remainderPhase(g, set, solver)
-	sp.Add("rounds", int64(st.Rounds))
-	sp.End()
-	rep.Rounds += st.Rounds
-	rep.Solve = time.Since(start)
+	set := twoPhases(&rep, g, member, "solve/masked", solver, solver)
 	return set, rep
 }
 
@@ -177,19 +173,17 @@ func MISRand(g *graph.Graph, k int, seed uint64, solver Solver) (*IndepSet, Repo
 
 // MISRandOrdered is MISRand with an explicit phase order (ablation).
 func MISRandOrdered(g *graph.Graph, k int, seed uint64, solver Solver, ord Order) (*IndepSet, Report) {
-	rep := Report{Strategy: "MIS-Rand"}
+	rep := Report{Report: trace.Report{Strategy: "MIS-Rand"}}
 	n := g.NumVertices()
 
 	// Decomposition: the random labels plus the cross-edge classification.
-	dsp := trace.Begin("decomp")
-	decompStart := time.Now()
+	dsp := rep.Decompose()
 	label := make([]int32, n)
 	par.For(n, func(i int) {
 		label[i] = int32(par.HashRange(seed, int64(i), k))
 	})
 	hasCross, partEdges := crossClassify(g, label)
-	rep.Decomp = time.Since(decompStart)
-	dsp.End()
+	rep.Decomposed(dsp)
 
 	set := labeledTwoPhase(&rep, g, hasCross, partEdges, solver, ord)
 	return set, rep
@@ -205,14 +199,12 @@ func MISMPX(g *graph.Graph, beta float64, seed uint64, solver Solver) (*IndepSet
 
 // MISMPXOrdered is MISMPX with an explicit phase order (ablation).
 func MISMPXOrdered(g *graph.Graph, beta float64, seed uint64, solver Solver, ord Order) (*IndepSet, Report) {
-	rep := Report{Strategy: "MIS-MPX"}
+	rep := Report{Report: trace.Report{Strategy: "MIS-MPX"}}
 
-	dsp := trace.Begin("decomp")
-	decompStart := time.Now()
+	dsp := rep.Decompose()
 	info := decomp.MPXGrow(g, beta, seed)
 	hasCross, partEdges := crossClassify(g, info.Center)
-	rep.Decomp = time.Since(decompStart)
-	dsp.End()
+	rep.Decomposed(dsp)
 
 	set := labeledTwoPhase(&rep, g, hasCross, partEdges, solver, ord)
 	return set, rep
@@ -245,8 +237,6 @@ func crossClassify(g *graph.Graph, label []int32) (hasCross []bool, partEdges in
 // cross side, then the reduced remainder.
 func labeledTwoPhase(rep *Report, g *graph.Graph, hasCross []bool, partEdges int64, solver Solver, ord Order) *IndepSet {
 	n := g.NumVertices()
-	start := time.Now()
-	set := NewIndepSet(n)
 	crossVerts := par.Count(n, func(i int) bool { return hasCross[i] })
 	crossEdges := g.NumEdges() - partEdges
 	rep.SparserFirst = pickFirst(ord,
@@ -256,18 +246,7 @@ func labeledTwoPhase(rep *Report, g *graph.Graph, hasCross []bool, partEdges int
 	par.For(n, func(i int) { member[i] = hasCross[i] != rep.SparserFirst })
 	// As in MISBridge, the cross-first phase is vertex-induced from G so
 	// intra-part edges between cross endpoints are respected.
-	sp := trace.Begin("solve/masked")
-	st := maskedPhase(g, set, member, solver)
-	sp.Add("rounds", int64(st.Rounds))
-	sp.End()
-	rep.Rounds += st.Rounds
-	sp = trace.Begin("solve/remainder")
-	st = remainderPhase(g, set, solver)
-	sp.Add("rounds", int64(st.Rounds))
-	sp.End()
-	rep.Rounds += st.Rounds
-	rep.Solve = time.Since(start)
-	return set
+	return twoPhases(rep, g, member, "solve/masked", solver, solver)
 }
 
 // MISDeg2 is the paper's Algorithm 12: classify vertices by the degree-2
@@ -288,30 +267,16 @@ func MISDeg2(g *graph.Graph, solver Solver) (*IndepSet, Report) {
 // G_L phase (GPU runs pass KPSolverOn(machine.Launch) so the phase's work
 // is charged to the device).
 func MISDeg2With(g *graph.Graph, solver, kp Solver) (*IndepSet, Report) {
-	rep := Report{Strategy: "MIS-Deg2"}
+	rep := Report{Report: trace.Report{Strategy: "MIS-Deg2"}}
 	n := g.NumVertices()
 
 	// The decomposition is one classification pass — "a simple
 	// computation" per the paper's Figure 2 discussion.
-	dsp := trace.Begin("decomp")
-	decompStart := time.Now()
+	dsp := rep.Decompose()
 	low := make([]bool, n)
 	par.For(n, func(i int) { low[i] = g.Degree(int32(i)) <= 2 })
-	rep.Decomp = time.Since(decompStart)
-	dsp.End()
+	rep.Decomposed(dsp)
 
-	start := time.Now()
-	set := NewIndepSet(n)
-	sp := trace.Begin("solve/G_L")
-	st := maskedPhase(g, set, low, kp)
-	sp.Add("rounds", int64(st.Rounds))
-	sp.End()
-	rep.Rounds += st.Rounds
-	sp = trace.Begin("solve/remainder")
-	st = remainderPhase(g, set, solver)
-	sp.Add("rounds", int64(st.Rounds))
-	sp.End()
-	rep.Rounds += st.Rounds
-	rep.Solve = time.Since(start)
+	set := twoPhases(&rep, g, low, "solve/G_L", kp, solver)
 	return set, rep
 }

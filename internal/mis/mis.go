@@ -15,10 +15,10 @@ package mis
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/graph"
 	"repro/internal/par"
+	"repro/internal/trace"
 )
 
 // State is a vertex's position in an MIS computation.
@@ -108,21 +108,12 @@ func freshRun(g *graph.Graph, solver Solver) (*IndepSet, Stats) {
 	return set, st
 }
 
-// Report describes a full decomposition-based run.
+// Report describes a full decomposition-based run: the shared run report
+// (its Decomp covers classification, labeling, or bridge finding — no
+// subgraphs are materialized) plus the order heuristic's verdict.
 type Report struct {
-	// Strategy names the algorithm ("MIS-Deg2" etc.).
-	Strategy string
-	// Decomp is the decomposition wall time (classification, labeling, or
-	// bridge finding — no subgraphs are materialized).
-	Decomp time.Duration
-	// Solve is the wall time of the MIS phases.
-	Solve time.Duration
-	// Rounds accumulates inner solver rounds across phases.
-	Rounds int
+	trace.Report
 	// SparserFirst records whether the order heuristic ran the
 	// decomposed subgraph before the remainder (MIS-Bridge / MIS-Rand).
 	SparserFirst bool
 }
-
-// Total is the end-to-end wall time.
-func (r Report) Total() time.Duration { return r.Decomp + r.Solve }

@@ -15,7 +15,6 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
-	"time"
 
 	"repro/internal/graph"
 	"repro/internal/par"
@@ -32,8 +31,6 @@ type Stats struct {
 	MaxPartWeight int64
 	// Imbalance is MaxPartWeight / (n/k).
 	Imbalance float64
-	// Elapsed is the wall time.
-	Elapsed time.Duration
 }
 
 // Options tunes Partition.
@@ -81,14 +78,12 @@ func (w *wgraph) n() int { return len(w.wvtx) }
 // labels in [0, k) and run statistics.
 func Partition(g *graph.Graph, k int, seed uint64, opt Options) ([]int32, Stats) {
 	var st Stats
-	start := time.Now()
 	if k < 1 {
 		panic(fmt.Sprintf("multilevel: k=%d", k))
 	}
 	n := g.NumVertices()
 	label := make([]int32, n)
 	if k == 1 || n == 0 {
-		st.Elapsed = time.Since(start)
 		st.MaxPartWeight = int64(n)
 		st.Imbalance = 1
 		return label, st
@@ -96,7 +91,6 @@ func Partition(g *graph.Graph, k int, seed uint64, opt Options) ([]int32, Stats)
 	if k >= n {
 		// Degenerate: one vertex per part.
 		par.Iota(label)
-		st.Elapsed = time.Since(start)
 		st.MaxPartWeight = 1
 		st.Imbalance = float64(k) / float64(n)
 		return label, st
@@ -156,7 +150,6 @@ func Partition(g *graph.Graph, k int, seed uint64, opt Options) ([]int32, Stats)
 		}
 	}
 	st.Imbalance = float64(st.MaxPartWeight) * float64(k) / float64(n)
-	st.Elapsed = time.Since(start)
 	return label, st
 }
 

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -268,6 +269,67 @@ func TestSolveQueueTimeout503(t *testing.T) {
 	<-done
 }
 
+// TestSolvePanicReleasesKey pins the singleflight's panic path: when the
+// leader's run panics, the leader and the follower that joined it both
+// get a recorded 500, and a later identical request runs afresh instead
+// of waiting forever on the abandoned key.
+func TestSolvePanicReleasesKey(t *testing.T) {
+	entered := make(chan struct{}, 1)
+	proceed := make(chan struct{})
+	svc, url, _ := newTestServer(t, Config{})
+	var fired atomic.Bool
+	svc.testHookBeforeRun = func() {
+		if fired.CompareAndSwap(false, true) {
+			entered <- struct{}{}
+			<-proceed
+			panic("injected solver fault")
+		}
+	}
+
+	req := `{"graph":"ring","problem":"mis","seed":5}`
+	codes := make(chan int, 2)
+	post := func() {
+		resp, err := http.Post(url+"/solve", "application/json", strings.NewReader(req))
+		if err != nil {
+			codes <- -1
+			return
+		}
+		resp.Body.Close()
+		codes <- resp.StatusCode
+	}
+	go post() // the leader, parked in the hook
+	<-entered
+	go post() // a follower coalescing onto it
+	deadline := time.Now().Add(10 * time.Second)
+	for svc.flight.dups.Load() < 1 {
+		if time.Now().After(deadline) {
+			t.Fatal("follower never joined the leader")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	close(proceed)
+	for i := 0; i < 2; i++ {
+		if code := <-codes; code != http.StatusInternalServerError {
+			t.Fatalf("request during the panicking run: status %d; want 500", code)
+		}
+	}
+
+	resp, body := postSolve(t, url, req)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("request after the panic: status %d, body %s; want 200", resp.StatusCode, body)
+	}
+	recent, _ := svc.rec.list()
+	var failed int
+	for _, rec := range recent {
+		if rec.Status == http.StatusInternalServerError && strings.Contains(rec.Error, "injected solver fault") {
+			failed++
+		}
+	}
+	if failed != 2 {
+		t.Fatalf("flight recorder holds %d records of the panic; want 2", failed)
+	}
+}
+
 func TestGraphsEndpoint(t *testing.T) {
 	_, url, _ := newTestServer(t, Config{})
 	resp, err := http.Get(url + "/graphs")
@@ -332,6 +394,7 @@ func TestSolveErrorCodes(t *testing.T) {
 		{"unknown algo", `{"graph":"ring","problem":"mm","algo":"magic"}`, http.StatusBadRequest},
 		{"unknown arch", `{"graph":"ring","problem":"mm","arch":"tpu"}`, http.StatusBadRequest},
 		{"negative params", `{"graph":"ring","problem":"mm","params":{"parts":-1}}`, http.StatusBadRequest},
+		{"parts above vertices", `{"graph":"ring","problem":"color","algo":"rand","params":{"parts":65}}`, http.StatusBadRequest},
 		{"no graph", `{"problem":"mm"}`, http.StatusBadRequest},
 		{"unknown graph", `{"graph":"nope","problem":"mm"}`, http.StatusNotFound},
 		{"both sources", `{"graph":"ring","edges":[[0,1]],"problem":"mm"}`, http.StatusConflict},

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"fmt"
 	"sync"
 	"sync/atomic"
 )
@@ -31,7 +32,9 @@ func newFlightGroup() *flightGroup {
 
 // do runs fn once per key among concurrent callers. The leader runs fn;
 // followers block until it finishes and share its result. shared reports
-// whether this caller was a follower.
+// whether this caller was a follower. A panic in fn becomes the error
+// every caller gets, and the key is released either way, so one bad run
+// cannot wedge later requests for the same key.
 func (g *flightGroup) do(key string, fn func() (*solveOutcome, error)) (val *solveOutcome, err error, shared bool) {
 	g.mu.Lock()
 	if c, inflight := g.calls[key]; inflight {
@@ -44,11 +47,17 @@ func (g *flightGroup) do(key string, fn func() (*solveOutcome, error)) (val *sol
 	g.calls[key] = c
 	g.mu.Unlock()
 
-	c.val, c.err = fn()
-
-	g.mu.Lock()
-	delete(g.calls, key)
-	g.mu.Unlock()
-	close(c.done)
+	func() {
+		defer func() {
+			if r := recover(); r != nil {
+				c.val, c.err = nil, fmt.Errorf("serve: solve panicked: %v", r)
+			}
+			g.mu.Lock()
+			delete(g.calls, key)
+			g.mu.Unlock()
+			close(c.done)
+		}()
+		c.val, c.err = fn()
+	}()
 	return c.val, c.err, false
 }

@@ -206,6 +206,12 @@ func (s *Service) parseSolve(req *solveRequest) (*parsedSolve, *httpError) {
 	default:
 		return nil, httpErrorf(http.StatusBadRequest, "request needs a corpus graph name or inline edges")
 	}
+	// Parts beyond n are empty, and the part count sizes the
+	// decomposition's per-part arrays.
+	if req.Params.Parts > g.NumVertices() {
+		return nil, httpErrorf(http.StatusBadRequest,
+			"params.parts %d exceeds the graph's %d vertices", req.Params.Parts, g.NumVertices())
+	}
 
 	strategy := strat
 	if strategy == core.StrategyAuto {

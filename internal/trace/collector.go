@@ -61,7 +61,7 @@ func (c *Collector) Begin(name string) *Span {
 	if c == nil || !enabled.Load() {
 		return nil
 	}
-	return c.begin(name)
+	return c.begin(name, time.Now())
 }
 
 // Beginf is Begin with a formatted name; the format runs only when
@@ -70,15 +70,15 @@ func (c *Collector) Beginf(format string, args ...any) *Span {
 	if c == nil || !enabled.Load() {
 		return nil
 	}
-	return c.begin(fmt.Sprintf(format, args...))
+	return c.begin(fmt.Sprintf(format, args...), time.Now())
 }
 
 // begin records the span unconditionally; callers have already checked
 // enabled (exactly one atomic load on the hot path).
-func (c *Collector) begin(name string) *Span {
+func (c *Collector) begin(name string, start time.Time) *Span {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	sp := &Span{name: name, parent: c.cur, start: time.Now(), c: c}
+	sp := &Span{name: name, parent: c.cur, start: start, c: c}
 	c.cur.children = append(c.cur.children, sp)
 	c.cur = sp
 	return sp

@@ -87,7 +87,16 @@ func Begin(name string) *Span {
 	if !enabled.Load() {
 		return nil
 	}
-	return current().begin(name)
+	return current().begin(name, time.Now())
+}
+
+// beginAt is Begin with the start time supplied, so a Report's one clock
+// reading per phase boundary serves its span too.
+func beginAt(name string, start time.Time) *Span {
+	if !enabled.Load() {
+		return nil
+	}
+	return current().begin(name, start)
 }
 
 // Beginf is Begin with a formatted name; the format runs only when
@@ -98,7 +107,7 @@ func Beginf(format string, args ...any) *Span {
 	if !enabled.Load() {
 		return nil
 	}
-	return current().begin(fmt.Sprintf(format, args...))
+	return current().begin(fmt.Sprintf(format, args...), time.Now())
 }
 
 // End closes the span, recording its wall time. The owning collector's
@@ -106,6 +115,13 @@ func Beginf(format string, args ...any) *Span {
 // closes (concurrent spans) cannot wedge the tracer. Safe on nil and on
 // already-ended spans.
 func (s *Span) End() {
+	if s != nil {
+		s.endAt(time.Now())
+	}
+}
+
+// endAt is End at a supplied time. Safe on nil.
+func (s *Span) endAt(end time.Time) {
 	if s == nil {
 		return
 	}
@@ -113,7 +129,7 @@ func (s *Span) End() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if !s.done {
-		s.dur = time.Since(s.start)
+		s.dur = end.Sub(s.start)
 		s.done = true
 	}
 	for c.cur != c.root && c.cur.done {

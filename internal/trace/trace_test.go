@@ -126,6 +126,52 @@ func TestDisabledZeroAlloc(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("disabled tracing allocates %v per span, want 0", allocs)
 	}
+	allocs = testing.AllocsPerRun(1000, func() {
+		var rep Report
+		sp := rep.Decompose()
+		rep.Decomposed(sp)
+		sp = rep.Phase("solve/parts")
+		rep.EndPhase(sp, 3)
+	})
+	if allocs != 0 {
+		t.Fatalf("disabled tracing allocates %v per report phase, want 0", allocs)
+	}
+}
+
+// TestReportPhases pins the one-clock contract: the decomp span's wall
+// time is Report.Decomp, the solve phase spans tile Report.Solve exactly
+// (glue between phases lands in the next span), and their rounds
+// counters sum to Report.Rounds.
+func TestReportPhases(t *testing.T) {
+	withTracing(t, func() {
+		rep := Report{Strategy: "X"}
+		sp := rep.Decompose()
+		time.Sleep(time.Millisecond)
+		rep.Decomposed(sp)
+		for i, rounds := range []int{2, 5} {
+			time.Sleep(time.Millisecond) // glue before the phase
+			sp = rep.Phase([]string{"solve/a", "solve/b"}[i])
+			time.Sleep(time.Millisecond)
+			rep.EndPhase(sp, rounds)
+		}
+		snap := Snapshot()
+		if len(snap.Children) != 3 {
+			t.Fatalf("want decomp + 2 phases, got %d spans", len(snap.Children))
+		}
+		d, a, b := snap.Children[0], snap.Children[1], snap.Children[2]
+		if d.Name != "decomp" || d.Dur() != rep.Decomp || rep.Decomp < time.Millisecond {
+			t.Errorf("decomp span %s %v, report Decomp %v", d.Name, d.Dur(), rep.Decomp)
+		}
+		if a.Dur()+b.Dur() != rep.Solve || rep.Solve < 4*time.Millisecond {
+			t.Errorf("phases %v + %v, report Solve %v", a.Dur(), b.Dur(), rep.Solve)
+		}
+		if a.Counter("rounds")+b.Counter("rounds") != int64(rep.Rounds) || rep.Rounds != 7 {
+			t.Errorf("rounds %d + %d, report %d", a.Counter("rounds"), b.Counter("rounds"), rep.Rounds)
+		}
+		if rep.Total() != rep.Decomp+rep.Solve {
+			t.Errorf("Total %v", rep.Total())
+		}
+	})
 }
 
 // TestConcurrentSpans exercises the tracer from many goroutines at once —
