@@ -12,10 +12,10 @@ package repro
 import (
 	"testing"
 
-	"repro/internal/bfs"
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/decomp"
+	"repro/internal/frontier"
 	"repro/internal/graph"
 	"repro/internal/harness"
 	"repro/internal/matching"
@@ -229,7 +229,7 @@ func BenchmarkFrontierHybridBFS(b *testing.B) {
 	g := benchGraph(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		bfs.ForestHybrid(g)
+		new(frontier.Engine).BFSForest(g)
 	}
 }
 

@@ -57,7 +57,7 @@ func main() {
 	serveQueueTimeout := flag.Duration("serve-queue-timeout", 0, "max time a request may queue for admission before 503 (0 = default 2s)")
 	serveCacheBytes := flag.Int64("serve-cache-bytes", 0, "solution cache byte budget (0 = default 256 MiB, negative = disable)")
 	serveUnitEdges := flag.Int64("serve-unit-edges", 0, "graph edges per admission unit (0 = default 256Ki)")
-	serveMaxInline := flag.Int("serve-max-inline", 0, "max inline edges accepted by POST /solve (0 = default 1Mi)")
+	serveMaxInline := flag.Int("serve-max-inline", 0, "max inline edges, and vertices, accepted by POST /solve (0 = default 1Mi)")
 	logFormat := flag.String("log-format", "text", "per-request log format written to stderr by the daemon: text or json")
 	slowLog := flag.Duration("slowlog", 0, "only emit request-log lines for /solve requests at least this slow (0 = log every request)")
 	flightN := flag.Int("flight-recorder", 0, "completed /solve requests retained for GET /debug/requests (0 = default 256, negative = disable)")

@@ -2,32 +2,15 @@
 // (internal/lint): determinism, trace-pairing, parallel-runtime and
 // interprocedural dataflow invariant checks over Go package patterns.
 //
-// Standalone:
-//
-//	symlint [-json] [-C dir] [-baseline file] [packages...]   # default ./...
+//	symlint [-json] [-C dir] [packages...]   # default ./...
 //
 // Findings print as file:line:col: [analyzer] message, one per line in a
 // stable (file, line, analyzer) order, and the exit status is 1 when
 // anything was found. -json emits the findings as a JSON array instead.
 // -list prints the suite, sorted by name, with each analyzer's doc line
-// and scope.
-//
-// Baselines: -baseline FILE subtracts the grandfathered findings
-// recorded in FILE (keyed analyzer/file/message with counts, no line
-// numbers) before deciding the exit status, and warns about stale
-// entries whose findings no longer exist. -write-baseline FILE records
-// the current findings as the new baseline. -write-alloc-baseline
-// regenerates each package's allocgate.baseline.json from the compiler's
-// current escape analysis of its //lint:hotpath functions.
-//
-// The command also speaks the `go vet -vettool` protocol (version and
-// flag probes plus the per-package .cfg mode), so
-//
-//	go build -o /tmp/symlint ./cmd/symlint
-//	go vet -vettool=/tmp/symlint ./...
-//
-// runs the same suite under the vet harness with its caching (allocgate
-// excepted: a vet unit must not shell back out to the go tool).
+// and scope. -write-alloc-baseline regenerates each package's
+// allocgate.baseline.json from the compiler's current escape analysis of
+// its //lint:hotpath functions.
 package main
 
 import (
@@ -35,33 +18,15 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 	"strings"
 
 	"repro/internal/lint"
 )
 
 func main() {
-	// go vet -vettool probes: version (cache key), supported flags, and
-	// the per-package config mode. These arrive before flag parsing.
-	if len(os.Args) == 2 {
-		switch {
-		case os.Args[1] == "-V=full" || os.Args[1] == "-V":
-			fmt.Printf("symlint version 1 symbreak-invariants\n")
-			return
-		case os.Args[1] == "-flags":
-			fmt.Println(lint.VetFlagsJSON)
-			return
-		case strings.HasSuffix(os.Args[1], ".cfg"):
-			os.Exit(lint.VetUnit(os.Args[1]))
-		}
-	}
-
 	jsonOut := flag.Bool("json", false, "emit findings as a JSON array")
 	dir := flag.String("C", ".", "directory to resolve package patterns in")
 	list := flag.Bool("list", false, "list the analyzers and exit")
-	baseline := flag.String("baseline", "", "subtract grandfathered findings recorded in this file")
-	writeBaseline := flag.String("write-baseline", "", "record current findings as the baseline file and exit")
 	writeAllocBaseline := flag.Bool("write-alloc-baseline", false, "regenerate allocgate.baseline.json for packages with //lint:hotpath functions and exit")
 	flag.Parse()
 
@@ -113,27 +78,6 @@ func main() {
 		os.Exit(1)
 	}
 
-	if *writeBaseline != "" {
-		anchor := filepath.Dir(*writeBaseline)
-		if err := lint.WriteBaseline(*writeBaseline, diags, anchor); err != nil {
-			fmt.Fprintf(os.Stderr, "symlint: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %s: %d finding(s) grandfathered\n", *writeBaseline, len(diags))
-		return
-	}
-	if *baseline != "" {
-		b, err := lint.LoadBaseline(*baseline)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "symlint: %v\n", err)
-			os.Exit(1)
-		}
-		anchor := filepath.Dir(*baseline)
-		for _, e := range b.Prune(diags, anchor) {
-			fmt.Fprintf(os.Stderr, "symlint: stale baseline entry (fixed? remove it): %s %s %q\n", e.Analyzer, e.File, e.Message)
-		}
-		diags = b.Filter(diags, anchor)
-	}
 	if *jsonOut {
 		if diags == nil {
 			diags = []lint.Diagnostic{}

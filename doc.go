@@ -13,7 +13,7 @@
 //
 //	internal/core       the public Solve API (problem × strategy × arch)
 //	internal/decomp     BRIDGE / RAND / DEGk (paper §II) + MPX ball growing
-//	internal/frontier   Ligra-style subsets + direction-optimizing EdgeMap
+//	internal/frontier   Ligra-style subsets, direction-optimizing EdgeMap, BFS forests
 //	internal/matching   GM, LMAX, Israeli–Itai, MM-Bridge/Rand/Degk/Biconn (§III)
 //	internal/coloring   VB, EB, Jones–Plassmann, COLOR-Bridge/Rand/Degk/Biconn (§IV)
 //	internal/mis        LubyMIS, greedy, KP bounded-degree, MIS-Bridge/Rand/Deg2/Biconn (§V)
@@ -22,7 +22,6 @@
 //	internal/dataset    the twelve Table II analogs
 //	internal/par        goroutine parallel runtime (the "CPU")
 //	internal/bsp        bulk-synchronous virtual manycore (the "GPU")
-//	internal/bfs        BFS (plain + hybrid) on the frontier engine
 //	internal/biconn     biconnected components / articulation points
 //	internal/bipartite  Hopcroft–Karp maximum matching (quality oracle)
 //	internal/multilevel matching-based k-way partitioner (METIS stand-in)
@@ -40,7 +39,7 @@
 //	cmd/decomp          run one decomposition
 //	cmd/graphgen        write dataset instances to edge-list files
 //	cmd/graphstat       Table II statistics
-//	cmd/symlint         static-analysis driver (standalone or go vet -vettool)
+//	cmd/symlint         static-analysis driver (whole module as one program)
 //	scripts/            bench2json.go (bench → JSON + regression gate), serve_smoke.sh
 //	docs/               OPS.md (operator guide), API.md (HTTP solve API reference)
 //	examples/           quickstart + four domain scenarios

@@ -16,7 +16,7 @@ package biconn
 import (
 	"sync/atomic"
 
-	"repro/internal/bfs"
+	"repro/internal/frontier"
 	"repro/internal/graph"
 	"repro/internal/par"
 )
@@ -45,7 +45,7 @@ func Blocks(g *graph.Graph) *Result {
 	// every edge also has its position id n + i in the canonical list.
 	// The union-find spans [0, n+m); tree edges use their child slot and
 	// alias their list slot to it, so queries by either id agree.
-	tree := bfs.Forest(g)
+	tree := (&frontier.Engine{PullDiv: frontier.NoPull}).BFSForest(g)
 	uf := newUnionFind(n + m)
 
 	// Alias list ids of tree edges to their child slot.

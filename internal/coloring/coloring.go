@@ -5,6 +5,15 @@
 // Deveci et al., run on the bsp virtual manycore), and the three
 // decomposition-based algorithms COLOR-Bridge, COLOR-Rand and COLOR-Degk
 // (Algorithms 7–9).
+//
+// VB, EB and COLOR-Degk's G_L phase run one speculative round loop
+// (speculate): every work vertex picks a candidate color, all candidates
+// commit, the losing endpoint of every monochromatic edge resets, and the
+// reset vertices are the next round's work. They differ only in the
+// executor that runs the loop's four steps (parallel chunks on the CPU, one
+// kernel launch per step on the virtual GPU) and in how a vertex finds its
+// smallest free color: VB's FORBIDDEN window, EB's 32-color bands, and
+// COLOR-Degk's (k+1)-color window starting above the G_H palette.
 package coloring
 
 import (
@@ -87,11 +96,79 @@ type Engine interface {
 	// and impose no constraints, so Repair doubles as a masked fresh
 	// coloring of the subgraph induced by work.
 	Repair(g *graph.Graph, color []int32, work []int32) Stats
-	// Exec runs kernel(i) for i in [0, n) on the engine's execution
-	// substrate (parallel loop on the CPU, kernel launch on the virtual
-	// GPU). Shared phases such as COLOR-Degk's bounded-palette coloring of
-	// G_L use it so their work is accounted to the right device.
-	Exec(n int, kernel func(i int))
+	// Exec runs body over a partition of [0, n) into contiguous ranges on
+	// the engine's execution substrate: parallel chunks on the CPU, one
+	// kernel launch of n single-index threads on the virtual GPU. Shared
+	// phases such as COLOR-Degk's bounded-palette coloring of G_L use it
+	// so their work is accounted to the right device.
+	Exec(n int, body func(lo, hi int))
+}
+
+// fresh colors all of g with repair: every vertex starts Uncolored
+// and in the work list. It is the Fresh of every Engine.
+func fresh(g *graph.Graph, repair func(g *graph.Graph, color, work []int32) Stats) (*Coloring, Stats) {
+	c := NewColoring(g.NumVertices())
+	work := make([]int32, g.NumVertices())
+	par.Iota(work)
+	return c, repair(g, c.Color, work)
+}
+
+// speculate is the speculative coloring loop of VB, EB and COLOR-Degk's
+// G_L phase. Each round runs four steps under exec: every work vertex
+// picks a candidate color against the current colors, all candidates
+// commit, the lower (hashed-id) priority endpoint of every monochromatic
+// edge marks itself, and the marked vertices reset to Uncolored and form
+// the next round's work. The highest priority in any conflict
+// neighborhood always keeps its color, so every round makes progress.
+//
+// pick receives a FORBIDDEN buffer of window entries (nil when window is
+// 0), allocated once per exec range and reused across that range's
+// vertices; pick must not rely on its contents on entry.
+func speculate(g *graph.Graph, color, work []int32, exec func(n int, body func(lo, hi int)),
+	window int, pick func(v int32, forbidden []bool) int32) Stats {
+	var st Stats
+	cand := make([]int32, g.NumVertices())
+	for len(work) > 0 {
+		st.Rounds++
+		exec(len(work), func(lo, hi int) {
+			var forbidden []bool
+			if window > 0 {
+				forbidden = make([]bool, window)
+			}
+			for i := lo; i < hi; i++ {
+				cand[work[i]] = pick(work[i], forbidden)
+			}
+		})
+		exec(len(work), func(lo, hi int) {
+			for i := lo; i < hi; i++ {
+				color[work[i]] = cand[work[i]]
+			}
+		})
+		exec(len(work), func(lo, hi int) {
+			for i := lo; i < hi; i++ {
+				v := work[i]
+				cv := color[v]
+				for _, w := range g.Neighbors(v) {
+					if color[w] == cv && loses(v, w) {
+						cand[v] = Uncolored
+						break
+					}
+				}
+			}
+		})
+		exec(len(work), func(lo, hi int) {
+			for i := lo; i < hi; i++ {
+				if cand[work[i]] == Uncolored {
+					color[work[i]] = Uncolored
+				}
+			}
+		})
+		work = par.Filter(work, func(v int32) bool { return color[v] == Uncolored })
+		if trace.Enabled() {
+			trace.Append("frontier", int64(len(work)))
+		}
+	}
+	return st
 }
 
 // conflictTieSeed scrambles vertex ids for conflict resolution. The paper

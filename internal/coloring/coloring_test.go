@@ -292,7 +292,7 @@ func TestBoundedPaletteDefensiveWiden(t *testing.T) {
 		color[i] = Uncolored
 	}
 	work := []int32{0, 1, 2, 3, 4}
-	boundedPalette(g, color, work, 10, 2, par.For)
+	boundedPalette(g, color, work, 10, 2, par.Range)
 	c := &Coloring{Color: color}
 	if err := Verify(g, c); err != nil {
 		t.Fatal(err)

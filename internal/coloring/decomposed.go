@@ -204,67 +204,15 @@ func resetConflictsSub(color []int32, cross *graph.Sub) []int32 {
 	return work
 }
 
-// boundedPalette colors the work vertices of g with the palette
-// [base, base+size) using a size-sized FORBIDDEN array, under the engine
-// executor. Colors outside the palette (e.g. the G_H phase's) never land in
-// the FORBIDDEN window, so only palette-internal conflicts matter. Correct
-// whenever every work vertex has degree below size (G_L under DEGk with
-// size = k+1); the window widens defensively otherwise.
-func boundedPalette(g *graph.Graph, color []int32, work []int32, base int32, size int, exec func(n int, kernel func(i int))) Stats {
-	maxDeg := par.Reduce(len(work), int32(0), func(i int) int32 {
-		return g.Degree(work[i])
-	}, func(a, b int32) int32 {
-		if a > b {
-			return a
-		}
-		return b
+// boundedPalette colors the work vertices of g with colors from base up,
+// searching a size-entry window from base (the paper's (k+1)-sized
+// FORBIDDEN array for G_L under DEGk, where every work vertex has degree
+// below size), under the engine executor. Colors below base (the G_H
+// phase's) never land in the window, so only palette-internal conflicts
+// matter. A vertex whose neighbors fill the window moves on to the next
+// one, so the palette widens only when a vertex's degree needs it.
+func boundedPalette(g *graph.Graph, color []int32, work []int32, base int32, size int, exec func(n int, body func(lo, hi int))) Stats {
+	return speculate(g, color, work, exec, size, func(v int32, forbidden []bool) int32 {
+		return findColor(g, color, v, forbidden, base)
 	})
-	if int(maxDeg) >= size {
-		size = int(maxDeg) + 1
-	}
-	var st Stats
-	cand := make([]int32, g.NumVertices())
-
-	for len(work) > 0 {
-		st.Rounds++
-		// Speculate: smallest palette color absent from the neighborhood.
-		exec(len(work), func(i int) {
-			v := work[i]
-			forbidden := make([]bool, size)
-			for _, w := range g.Neighbors(v) {
-				if cw := color[w]; cw >= base && cw < base+int32(size) {
-					forbidden[cw-base] = true
-				}
-			}
-			cand[v] = Uncolored
-			for j := 0; j < size; j++ {
-				if !forbidden[j] {
-					cand[v] = base + int32(j)
-					break
-				}
-			}
-		})
-		exec(len(work), func(i int) { color[work[i]] = cand[work[i]] })
-		// Conflicts: the lower (hashed-id) priority resets.
-		exec(len(work), func(i int) {
-			v := work[i]
-			cv := color[v]
-			for _, w := range g.Neighbors(v) {
-				if color[w] == cv && loses(v, w) {
-					cand[v] = Uncolored
-					break
-				}
-			}
-		})
-		exec(len(work), func(i int) {
-			if cand[work[i]] == Uncolored {
-				color[work[i]] = Uncolored
-			}
-		})
-		work = par.Filter(work, func(v int32) bool { return color[v] == Uncolored })
-		if trace.Enabled() {
-			trace.Append("frontier", int64(len(work)))
-		}
-	}
-	return st
 }

@@ -5,8 +5,6 @@ import (
 
 	"repro/internal/bsp"
 	"repro/internal/graph"
-	"repro/internal/par"
-	"repro/internal/trace"
 )
 
 // EB is the paper's GPU baseline (Algorithm EB, after Deveci et al.):
@@ -25,62 +23,24 @@ func NewEB(m *bsp.Machine) *EB { return &EB{machine: m} }
 // Name implements Engine.
 func (eb *EB) Name() string { return "EB" }
 
-// Exec implements Engine's executor: a kernel launch on the machine.
-func (eb *EB) Exec(n int, kernel func(i int)) { eb.machine.Launch(n, kernel) }
+// Exec implements Engine's executor: one kernel launch of n threads on
+// the machine, each thread running body over its own index.
+func (eb *EB) Exec(n int, body func(lo, hi int)) {
+	eb.machine.Launch(n, func(i int) { body(i, i+1) })
+}
 
 // Machine exposes the underlying virtual device (for stats accounting).
 func (eb *EB) Machine() *bsp.Machine { return eb.machine }
 
 // Fresh implements Engine.
-func (eb *EB) Fresh(g *graph.Graph) (*Coloring, Stats) {
-	c := NewColoring(g.NumVertices())
-	work := make([]int32, g.NumVertices())
-	par.Iota(work)
-	st := eb.Repair(g, c.Color, work)
-	return c, st
-}
+func (eb *EB) Fresh(g *graph.Graph) (*Coloring, Stats) { return fresh(g, eb.Repair) }
 
-// Repair implements Engine.
+// Repair implements Engine: the speculative loop as four kernel launches
+// per round, each thread picking its color through 32-color bands.
 func (eb *EB) Repair(g *graph.Graph, color []int32, work []int32) Stats {
-	var st Stats
-	n := g.NumVertices()
-	cand := make([]int32, n)
-
-	for len(work) > 0 {
-		st.Rounds++
-		// Kernel 1: speculative smallest available color via 32-bit bands.
-		eb.machine.Launch(len(work), func(i int) {
-			v := work[i]
-			cand[v] = findColor32(g, color, v)
-		})
-		// Kernel 2: commit.
-		eb.machine.Launch(len(work), func(i int) {
-			color[work[i]] = cand[work[i]]
-		})
-		// Kernel 3: edge conflict detection; the lowest (hashed-id)
-		// priority of each monochromatic edge resets.
-		eb.machine.Launch(len(work), func(i int) {
-			v := work[i]
-			cv := color[v]
-			for _, w := range g.Neighbors(v) {
-				if color[w] == cv && loses(v, w) {
-					cand[v] = Uncolored
-					break
-				}
-			}
-		})
-		// Kernel 4: apply resets.
-		eb.machine.Launch(len(work), func(i int) {
-			if cand[work[i]] == Uncolored {
-				color[work[i]] = Uncolored
-			}
-		})
-		work = par.Filter(work, func(v int32) bool { return color[v] == Uncolored })
-		if trace.Enabled() {
-			trace.Append("frontier", int64(len(work)))
-		}
-	}
-	return st
+	return speculate(g, color, work, eb.Exec, 0, func(v int32, _ []bool) int32 {
+		return findColor32(g, color, v)
+	})
 }
 
 // findColor32 returns the smallest color not used by v's neighbors,

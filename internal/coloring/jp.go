@@ -56,7 +56,7 @@ func NewJP(o Ordering, seed uint64) *JP { return &JP{Ordering: o, Seed: seed} }
 func (jp *JP) Name() string { return "JP-" + jp.Ordering.String() }
 
 // Exec implements Engine.
-func (jp *JP) Exec(n int, kernel func(i int)) { par.For(n, kernel) }
+func (jp *JP) Exec(n int, body func(lo, hi int)) { par.Range(n, body) }
 
 // priority returns the JP priority of v: higher colors earlier.
 func (jp *JP) priority(g *graph.Graph, v int32) uint64 {
@@ -72,13 +72,7 @@ func (jp *JP) priority(g *graph.Graph, v int32) uint64 {
 }
 
 // Fresh implements Engine.
-func (jp *JP) Fresh(g *graph.Graph) (*Coloring, Stats) {
-	c := NewColoring(g.NumVertices())
-	work := make([]int32, g.NumVertices())
-	par.Iota(work)
-	st := jp.Repair(g, c.Color, work)
-	return c, st
-}
+func (jp *JP) Fresh(g *graph.Graph) (*Coloring, Stats) { return fresh(g, jp.Repair) }
 
 // Repair implements Engine: colors the work vertices in priority-DAG
 // order. Colored non-work vertices constrain color choices as usual.

@@ -58,7 +58,7 @@ func TestConsecutiveChainColoringConvergesFast(t *testing.T) {
 	}
 	work := make([]int32, 5000)
 	par.Iota(work)
-	st := boundedPalette(g, color, work, 10, 3, par.For)
+	st := boundedPalette(g, color, work, 10, 3, par.Range)
 	if err := Verify(g, &Coloring{Color: color}); err != nil {
 		t.Fatal(err)
 	}

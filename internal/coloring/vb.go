@@ -3,7 +3,6 @@ package coloring
 import (
 	"repro/internal/graph"
 	"repro/internal/par"
-	"repro/internal/trace"
 )
 
 // VB is the paper's multicore CPU baseline (Algorithm VB, after Deveci et
@@ -27,19 +26,14 @@ func NewVB() *VB { return &VB{} }
 // Name implements Engine.
 func (vb *VB) Name() string { return "VB" }
 
-// Exec implements Engine's executor: plain parallel loops on the CPU.
-func (vb *VB) Exec(n int, kernel func(i int)) { par.For(n, kernel) }
+// Exec implements Engine's executor: parallel chunks on the CPU.
+func (vb *VB) Exec(n int, body func(lo, hi int)) { par.Range(n, body) }
 
 // Fresh implements Engine.
-func (vb *VB) Fresh(g *graph.Graph) (*Coloring, Stats) {
-	c := NewColoring(g.NumVertices())
-	work := make([]int32, g.NumVertices())
-	par.Iota(work)
-	st := vb.Repair(g, c.Color, work)
-	return c, st
-}
+func (vb *VB) Fresh(g *graph.Graph) (*Coloring, Stats) { return fresh(g, vb.Repair) }
 
-// Repair implements Engine.
+// Repair implements Engine: the speculative loop with one FORBIDDEN array
+// per chunk, each vertex searching windows from color 0.
 func (vb *VB) Repair(g *graph.Graph, color []int32, work []int32) Stats {
 	f := vb.ForbiddenSize
 	if f <= 0 {
@@ -55,55 +49,9 @@ func (vb *VB) Repair(g *graph.Graph, color []int32, work []int32) Stats {
 			f = 1
 		}
 	}
-	var st Stats
-	n := g.NumVertices()
-	cand := make([]int32, n)
-
-	for len(work) > 0 {
-		st.Rounds++
-		// Speculative assignment: smallest color absent from the (snapshot)
-		// neighborhood, searched window by window with the FORBIDDEN array.
-		par.Range(len(work), func(lo, hi int) {
-			forbidden := make([]bool, f)
-			for i := lo; i < hi; i++ {
-				v := work[i]
-				cand[v] = findColor(g, color, v, forbidden, 0)
-			}
-		})
-		// Commit this round's speculation.
-		par.Range(len(work), func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				color[work[i]] = cand[work[i]]
-			}
-		})
-		// Conflict detection: of each monochromatic edge, the lower
-		// (hashed-id) priority resets, so the highest priority in any
-		// conflict neighborhood always survives, guaranteeing progress.
-		par.Range(len(work), func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				v := work[i]
-				cv := color[v]
-				for _, w := range g.Neighbors(v) {
-					if color[w] == cv && loses(v, w) {
-						cand[v] = Uncolored
-						break
-					}
-				}
-			}
-		})
-		par.Range(len(work), func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				if cand[work[i]] == Uncolored {
-					color[work[i]] = Uncolored
-				}
-			}
-		})
-		work = par.Filter(work, func(v int32) bool { return color[v] == Uncolored })
-		if trace.Enabled() {
-			trace.Append("frontier", int64(len(work)))
-		}
-	}
-	return st
+	return speculate(g, color, work, vb.Exec, f, func(v int32, forbidden []bool) int32 {
+		return findColor(g, color, v, forbidden, 0)
+	})
 }
 
 // findColor returns the smallest color ≥ base not used by any neighbor of

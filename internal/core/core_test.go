@@ -126,6 +126,26 @@ func TestGPUStatsDelta(t *testing.T) {
 	}
 }
 
+// TestColorGPUKernelStructure pins the kernel structure of COLOR on the
+// GPU under every strategy: each speculative round — the baseline's, the
+// decomposed strategies' part, repair and G_L rounds alike — is exactly
+// four launches (pick, commit, detect, reset), and nothing else launches.
+func TestColorGPUKernelStructure(t *testing.T) {
+	for _, g := range []*graph.Graph{randomGraph(600, 2400, 1), randomGraph(2000, 2500, 3)} {
+		for _, s := range []Strategy{StrategyBaseline, StrategyBridge, StrategyRand, StrategyDegk, StrategyMPX} {
+			res, err := Solve(g, ProblemColor, Options{Strategy: s, Arch: ArchGPU, Seed: 7})
+			if err != nil {
+				t.Fatalf("%v: %v", s, err)
+			}
+			rep := res.Report
+			if rep.Rounds == 0 || rep.GPUStats.Launches != 4*int64(rep.Rounds) {
+				t.Errorf("%v on %d vertices: %d launches for %d rounds, want 4 per round",
+					s, g.NumVertices(), rep.GPUStats.Launches, rep.Rounds)
+			}
+		}
+	}
+}
+
 func TestSolveInvalidOptions(t *testing.T) {
 	g := randomGraph(10, 20, 5)
 	if _, err := Solve(g, ProblemMM, Options{RandParts: -1}); err == nil {

@@ -1,7 +1,7 @@
 package decomp
 
 import (
-	"repro/internal/bfs"
+	"repro/internal/frontier"
 	"repro/internal/graph"
 	"repro/internal/par"
 	"repro/internal/trace"
@@ -53,7 +53,7 @@ func FindBridges(g *graph.Graph) *BridgeInfo {
 	// the bridge set and its listing order do not depend on which
 	// forest the hybrid traversal finds.
 	bfsSpan := trace.Begin("bfs")
-	tree := bfs.ForestHybrid(g)
+	tree := new(frontier.Engine).BFSForest(g)
 	bi.Rounds = tree.Depth
 	bfsSpan.Add("rounds", int64(tree.Depth))
 	bfsSpan.End()

@@ -2,10 +2,11 @@
 // VertexSubset with sparse (sorted vertex list) and dense (par.Bitset)
 // representations that convert into each other on demand, and a
 // direction-optimizing EdgeMap that switches between top-down push and
-// bottom-up pull per round using the Beamer heuristic. BFS (plain and
-// hybrid), the BFS inside the BRIDGE decomposition, the MPX ball-growing
-// decomposition, and the active-set loops of the MIS solvers all run on
-// this engine instead of hand-rolled frontier loops.
+// bottom-up pull per round using the Beamer heuristic. The BFS forest of
+// the BRIDGE and BICONN decompositions (Engine.BFSForest, plain or
+// hybrid), the MPX ball-growing decomposition, and the active-set loops of
+// the MIS solvers all run on this engine instead of hand-rolled frontier
+// loops.
 //
 // # Core types
 //
@@ -15,7 +16,9 @@
 // relaxation function over the out-edges of a subset and returns the
 // subset of updated vertices; Engine carries the direction-switch
 // divisor per traversal (PullDiv: pull while frontier > n/div; zero
-// means DefaultPullDiv).
+// means DefaultPullDiv). Tree is a BFS forest (parent, level, depth)
+// that Engine.BFSForest grows from the smallest vertex of every
+// connected component, one EdgeMap per level.
 //
 // # Determinism contract
 //

@@ -9,8 +9,8 @@ import (
 
 // DefaultPullDiv is the default direction-switch divisor: EdgeMap goes
 // bottom-up while the frontier holds more than n/DefaultPullDiv vertices.
-// This is the Beamer heuristic previously hardcoded in internal/bfs;
-// the default is justified by the threshold sweep in EXPERIMENTS.md.
+// This is the Beamer heuristic; the default is justified by the
+// threshold sweep in EXPERIMENTS.md.
 const DefaultPullDiv = 16
 
 // NoPull as an Engine.PullDiv disables bottom-up steps entirely: every

@@ -6,8 +6,8 @@ package harness
 import (
 	"fmt"
 
-	"repro/internal/bfs"
 	"repro/internal/dataset"
+	"repro/internal/frontier"
 	"repro/internal/graph"
 	"repro/internal/matching"
 	"repro/internal/par"
@@ -107,8 +107,10 @@ func BFSAblation(cfg Config) *Table {
 	for _, spec := range cfg.specs() {
 		g := dataset.Load(spec, cfg.Scale, cfg.Seed)
 		var depth int
-		plain := timeRun(cfg, func() { depth = bfs.Forest(g).Depth })
-		hybrid := timeRun(cfg, func() { bfs.ForestHybrid(g) })
+		plain := timeRun(cfg, func() {
+			depth = (&frontier.Engine{PullDiv: frontier.NoPull}).BFSForest(g).Depth
+		})
+		hybrid := timeRun(cfg, func() { new(frontier.Engine).BFSForest(g) })
 		t.Rows = append(t.Rows, []string{
 			spec.Name, fmtDur(plain), fmtDur(hybrid),
 			fmt.Sprintf("%.2fx", float64(plain)/float64(hybrid)),

@@ -29,7 +29,7 @@ import (
 // Escape analysis shifts between compiler releases, so the baseline
 // records the go major.minor it was produced with and the check skips
 // silently under any other toolchain. The analyzer shells out to the
-// go tool and is skipped under the vet harness (unitcheck).
+// go tool.
 var Allocgate = &Analyzer{
 	Name: "allocgate",
 	Doc:  "no new heap allocations in //lint:hotpath functions vs the committed baseline",

@@ -51,17 +51,7 @@ type atomicFacts struct {
 }
 
 func runAtomicmix(p *Pass) error {
-	prog := p.Prog
-	if prog == nil {
-		prog = NewProgram([]*Package{{
-			Path:  p.Pkg.Path(),
-			Fset:  p.Fset,
-			Files: p.Files,
-			Types: p.Pkg,
-			Info:  p.Info,
-		}})
-	}
-	facts := atomicFactsFor(prog)
+	facts := atomicFactsFor(p.Prog)
 	for _, acc := range facts.accesses {
 		if acc.atomic || acc.pkgPath != p.Pkg.Path() {
 			continue

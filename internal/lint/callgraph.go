@@ -31,9 +31,8 @@ type FuncInfo struct {
 type Program struct {
 	Pkgs []*Package
 
-	decls   []*FuncInfo          // every function declaration, in load order
-	declIdx map[string]*FuncInfo // keyed by funcKey
-	cache   map[string]any
+	decls []*FuncInfo // every function declaration, in load order
+	cache map[string]any
 }
 
 // NewProgram indexes the packages into a Program. The declaration order
@@ -42,9 +41,8 @@ type Program struct {
 // order so findings and summaries never depend on map iteration.
 func NewProgram(pkgs []*Package) *Program {
 	prog := &Program{
-		Pkgs:    pkgs,
-		declIdx: map[string]*FuncInfo{},
-		cache:   map[string]any{},
+		Pkgs:  pkgs,
+		cache: map[string]any{},
 	}
 	for _, pkg := range pkgs {
 		for _, f := range pkg.Files {
@@ -57,9 +55,7 @@ func NewProgram(pkgs []*Package) *Program {
 				if !ok {
 					continue
 				}
-				fi := &FuncInfo{Fn: fn, Decl: fd, Pkg: pkg}
-				prog.decls = append(prog.decls, fi)
-				prog.declIdx[funcKey(fn)] = fi
+				prog.decls = append(prog.decls, &FuncInfo{Fn: fn, Decl: fd, Pkg: pkg})
 			}
 		}
 	}
@@ -74,15 +70,6 @@ func NewProgram(pkgs []*Package) *Program {
 // as one.
 func funcKey(fn *types.Func) string {
 	return fn.Origin().FullName()
-}
-
-// FuncOf returns the program's declaration of fn, or nil when fn has no
-// body in the load (stdlib, interface method, export-data-only).
-func (prog *Program) FuncOf(fn *types.Func) *FuncInfo {
-	if fn == nil {
-		return nil
-	}
-	return prog.declIdx[funcKey(fn)]
 }
 
 // staticCallee resolves the function a call statically invokes: a

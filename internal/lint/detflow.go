@@ -52,17 +52,7 @@ var detflowConfig = taintConfig{
 }
 
 func runDetflow(p *Pass) error {
-	prog := p.Prog
-	if prog == nil {
-		prog = NewProgram([]*Package{{
-			Path:  p.Pkg.Path(),
-			Fset:  p.Fset,
-			Files: p.Files,
-			Types: p.Pkg,
-			Info:  p.Info,
-		}})
-	}
-	taintEngineFor(prog, detflowConfig).report(p)
+	taintEngineFor(p.Prog, detflowConfig).report(p)
 	return nil
 }
 

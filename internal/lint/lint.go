@@ -12,9 +12,8 @@
 // Reportf) but is built on the standard library alone — go/parser for
 // syntax, go/types for semantics, and compiled export data from
 // `go list -export -deps` for imports — so the module keeps zero external
-// dependencies. cmd/symlint is the driver; it runs standalone over
-// package patterns and also speaks enough of the `go vet -vettool` config
-// protocol to run under the vet harness.
+// dependencies. cmd/symlint is the driver: it loads the named packages
+// into one whole-program view and runs every in-scope analyzer over them.
 //
 // Suppression: any finding is silenced by a `//lint:allow <name>` comment
 // on the offending line or the line above (name is the analyzer name;
@@ -77,9 +76,6 @@ func (d Diagnostic) String() string {
 // Pass is one analyzer applied to one package. Prog is the whole-program
 // view shared by every pass of a Run; the interprocedural analyzers
 // (detflow, mmaplife, atomicmix) read cross-package summaries from it.
-// It may be nil under degraded drivers (the vet harness sees one package
-// at a time), in which case those analyzers fall back to a
-// single-package program.
 type Pass struct {
 	Analyzer *Analyzer
 	Fset     *token.FileSet
@@ -151,12 +147,6 @@ func (p *Pass) directiveLines(directive, name string) map[lineKey]bool {
 		}
 	}
 	return lines
-}
-
-// RunAnalyzer applies one analyzer to one package, ignoring scope, with
-// a program horizon of just that package.
-func RunAnalyzer(a *Analyzer, pkg *Package) ([]Diagnostic, error) {
-	return RunAnalyzerProg(a, pkg, NewProgram([]*Package{pkg}))
 }
 
 // RunAnalyzerProg applies one analyzer to one package with an explicit

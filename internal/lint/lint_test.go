@@ -1,13 +1,9 @@
 package lint
 
 import (
-	"bytes"
-	"encoding/json"
 	"go/ast"
 	"go/parser"
 	"go/token"
-	"os"
-	"os/exec"
 	"path/filepath"
 	"testing"
 )
@@ -87,6 +83,32 @@ func TestDetflowCatchesWhatDetrandMisses(t *testing.T) {
 	RunFixturePkgs(t, Detflow, "detflowgap", "detflow/helper")
 }
 
+// TestDetrangeDetrandCatchWhatDetflowMisses pins the converse, and the
+// reason detrange and detrand are not subsumed by detflow: in the detctrl
+// fixture a map range and a rand draw steer which constant lands in a
+// solution field. No nondeterministic value reaches the sink, so
+// detflow reports nothing, while the one-level checks flag the map range
+// and the global draw.
+func TestDetrangeDetrandCatchWhatDetflowMisses(t *testing.T) {
+	pkgs, err := LoadPackages(".", "./testdata/src/detctrl")
+	if err != nil {
+		t.Fatalf("loading fixture: %v", err)
+	}
+	prog := NewProgram(pkgs)
+	for _, c := range []struct {
+		a    *Analyzer
+		want int
+	}{{Detflow, 0}, {Detrange, 1}, {Detrand, 1}} {
+		diags, err := RunAnalyzerProg(c.a, pkgs[0], prog)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(diags) != c.want {
+			t.Errorf("%s on detctrl: got %d findings, want %d: %v", c.a.Name, len(diags), c.want, diags)
+		}
+	}
+}
+
 // TestRepoIsLintClean runs the full suite, with scopes, over the whole
 // module — the same invocation as `make lint` — and requires zero
 // findings. This is the machine-enforced version of the determinism and
@@ -122,66 +144,6 @@ func TestRepoIsLintClean(t *testing.T) {
 	}
 	for _, d := range diags {
 		t.Errorf("%s", d)
-	}
-}
-
-// TestVetUnit exercises the `go vet -vettool` config mode end to end: it
-// builds a unitchecker config for the noslicesort fixture (whose analyzer
-// is unscoped, so it applies to the fixture's import path) from real
-// `go list -export` output and expects the findings exit code.
-func TestVetUnit(t *testing.T) {
-	out, err := exec.Command("go", "list", "-e", "-export", "-json", "-deps",
-		"./testdata/src/noslicesort").Output()
-	if err != nil {
-		t.Fatalf("go list: %v", err)
-	}
-	cfg := vetConfig{
-		Compiler:    "gc",
-		PackageFile: map[string]string{},
-	}
-	dec := json.NewDecoder(bytes.NewReader(out))
-	for dec.More() {
-		var p listPackage
-		if err := dec.Decode(&p); err != nil {
-			t.Fatal(err)
-		}
-		if p.Export != "" {
-			cfg.PackageFile[p.ImportPath] = p.Export
-		}
-		if !p.DepOnly {
-			cfg.ID = p.ImportPath
-			cfg.ImportPath = p.ImportPath
-			cfg.Dir = p.Dir
-			cfg.GoFiles = p.GoFiles
-		}
-	}
-	dir := t.TempDir()
-	cfg.VetxOutput = filepath.Join(dir, "out.vetx")
-	data, err := json.Marshal(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfgPath := filepath.Join(dir, "vet.cfg")
-	if err := os.WriteFile(cfgPath, data, 0o666); err != nil {
-		t.Fatal(err)
-	}
-
-	if code := VetUnit(cfgPath); code != 2 {
-		t.Errorf("VetUnit on violating fixture: exit code %d, want 2 (findings)", code)
-	}
-	if _, err := os.Stat(cfg.VetxOutput); err != nil {
-		t.Errorf("vetx output not written: %v", err)
-	}
-
-	// A VetxOnly (dependency) pass must succeed without analysis.
-	cfg.VetxOnly = true
-	cfg.VetxOutput = filepath.Join(dir, "deponly.vetx")
-	data, _ = json.Marshal(cfg)
-	if err := os.WriteFile(cfgPath, data, 0o666); err != nil {
-		t.Fatal(err)
-	}
-	if code := VetUnit(cfgPath); code != 0 {
-		t.Errorf("VetUnit in VetxOnly mode: exit code %d, want 0", code)
 	}
 }
 

@@ -48,18 +48,8 @@ func mmapAliasSource(p *Package, call *ast.CallExpr) (string, bool, bool) {
 }
 
 func runMmaplife(p *Pass) error {
-	prog := p.Prog
-	if prog == nil {
-		prog = NewProgram([]*Package{{
-			Path:  p.Pkg.Path(),
-			Fset:  p.Fset,
-			Files: p.Files,
-			Types: p.Pkg,
-			Info:  p.Info,
-		}})
-	}
-	eng := taintEngineFor(prog, mmaplifeAliasConfig)
-	for _, fi := range prog.decls {
+	eng := taintEngineFor(p.Prog, mmaplifeAliasConfig)
+	for _, fi := range p.Prog.decls {
 		if fi.Pkg.Path == p.Pkg.Path() {
 			checkMmapLifetimes(p, eng, fi)
 		}

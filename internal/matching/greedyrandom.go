@@ -75,10 +75,3 @@ func GreedyRandom(g *graph.Graph, seed uint64) (*Matching, Stats) {
 	st.Matched = matched.Load()
 	return m, st
 }
-
-// GreedyRandomSolver returns GreedyRandom as an Algorithm.
-func GreedyRandomSolver(seed uint64) Algorithm {
-	return func(g *graph.Graph) (*Matching, Stats) {
-		return GreedyRandom(g, seed)
-	}
-}

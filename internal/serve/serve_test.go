@@ -399,6 +399,8 @@ func TestSolveErrorCodes(t *testing.T) {
 		{"unknown graph", `{"graph":"nope","problem":"mm"}`, http.StatusNotFound},
 		{"both sources", `{"graph":"ring","edges":[[0,1]],"problem":"mm"}`, http.StatusConflict},
 		{"too many edges", `{"edges":[[0,1],[1,2],[2,3]],"problem":"mm"}`, http.StatusRequestEntityTooLarge},
+		{"too many explicit vertices", `{"edges":[[0,1]],"vertices":3,"problem":"mis"}`, http.StatusRequestEntityTooLarge},
+		{"too many inferred vertices", `{"edges":[[0,2]],"problem":"mis"}`, http.StatusRequestEntityTooLarge},
 		{"negative vertex", `{"edges":[[-1,1]],"problem":"mm"}`, http.StatusBadRequest},
 		{"endpoint out of range", `{"edges":[[0,5]],"vertices":2,"problem":"mm"}`, http.StatusBadRequest},
 	}

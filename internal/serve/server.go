@@ -36,8 +36,9 @@ type Config struct {
 	// EdgesPerUnit sets how many graph edges cost one admission unit;
 	// 0 means DefaultEdgesPerUnit.
 	EdgesPerUnit int64
-	// MaxInlineEdges bounds uploaded edge lists; 0 means
-	// DefaultMaxInlineEdges. Larger uploads get 413.
+	// MaxInlineEdges bounds uploaded edge lists and their vertex
+	// counts (explicit or inferred); 0 means DefaultMaxInlineEdges.
+	// Larger uploads get 413.
 	MaxInlineEdges int
 	// FlightRecorder sets how many completed solve requests the
 	// /debug/requests ring retains (the slowest few are pinned beyond

@@ -173,9 +173,16 @@ func (s *Service) parseSolve(req *solveRequest) (*parsedSolve, *httpError) {
 		g = e.G
 		info = graphInfoFor(e.Name, e.Class, e.G, e.Fingerprint)
 	case len(req.Edges) > 0:
-		if len(req.Edges) > s.cfg.MaxInlineEdges {
+		// The graph allocates in proportion to its vertex count as well as
+		// its edges, so one limit caps both, before anything is built.
+		limit := s.cfg.MaxInlineEdges
+		if len(req.Edges) > limit {
 			return nil, httpErrorf(http.StatusRequestEntityTooLarge,
-				"%d inline edges exceed the limit of %d", len(req.Edges), s.cfg.MaxInlineEdges)
+				"%d inline edges exceed the limit of %d", len(req.Edges), limit)
+		}
+		if req.Vertices > limit {
+			return nil, httpErrorf(http.StatusRequestEntityTooLarge,
+				"%d inline vertices exceed the limit of %d", req.Vertices, limit)
 		}
 		n := req.Vertices
 		for _, e := range req.Edges {
@@ -196,6 +203,10 @@ func (s *Service) parseSolve(req *solveRequest) (*parsedSolve, *httpError) {
 				}
 				n = int(e[1]) + 1
 			}
+		}
+		if n > limit {
+			return nil, httpErrorf(http.StatusRequestEntityTooLarge,
+				"inline edges imply %d vertices (max id + 1), exceeding the limit of %d", n, limit)
 		}
 		edges := make([]graph.Edge, len(req.Edges))
 		for i, e := range req.Edges {
