@@ -3,7 +3,7 @@ GO ?= go
 # bench-gate: max allowed slowdown (percent) before the gate fails.
 GATE_THRESHOLD ?= 2
 
-.PHONY: build test race vet lint bench-smoke bench-gate bench-par serve-demo serve-smoke convert-smoke fmt fmt-check
+.PHONY: build test race vet lint perfbench-check bench-smoke bench-gate bench-par serve-demo serve-smoke convert-smoke fmt fmt-check
 
 build:
 	$(GO) build ./...
@@ -24,6 +24,14 @@ vet:
 # Zero findings required; see DESIGN.md § Static analysis.
 lint:
 	$(GO) run ./cmd/symlint ./...
+
+# perfbench/ is the repo benchmark (BENCHMARK.json): its own module,
+# compiled against this tree through a replace directive, so `go test
+# ./...` never builds it. Vet and test it here so a signature change in
+# internal/ cannot break the benchmark unnoticed.
+perfbench-check:
+	$(GO) -C perfbench vet ./...
+	$(GO) -C perfbench test ./...
 
 # Quick end-to-end benchmark smoke: one iteration of the paper-figure
 # benchmarks plus the frontier-engine, MPX, and binary-I/O micro-benchmarks,

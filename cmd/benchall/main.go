@@ -50,7 +50,7 @@ func main() {
 	verify := flag.Bool("verify", true, "verify every solution")
 	csv := flag.Bool("csv", false, "emit CSV instead of aligned text")
 	md := flag.Bool("md", false, "emit GitHub-flavored Markdown tables")
-	parstats := flag.Bool("parstats", false, "collect and print parallel-runtime counters per experiment (pool dispatches, chunk steals, spawns avoided)")
+	parstats := flag.Bool("parstats", false, "collect and print parallel-runtime counters per experiment (pool dispatches, inline loops, chunks, chunk steals)")
 	traceOn := flag.Bool("trace", false, "collect phase/round traces and print a span table per experiment")
 	traceOut := flag.String("traceout", "", "write the traces as JSON to this file (implies -trace)")
 	chromeOut := flag.String("chrometrace", "", "write the traces as Chrome trace-event JSON for Perfetto to this file (implies -trace)")
@@ -68,16 +68,9 @@ func main() {
 	if *traceOut != "" || *chromeOut != "" {
 		*traceOn = true
 	}
-	if *traceOn {
-		trace.Enable(true)
-	}
 	if *serve != "" {
 		telemetry.Enable(true)
 		par.EnableStats(true) // feed the par_pool_* gauges
-		// Keep the span tree live for the /trace endpoint. Without
-		// -trace the tree accumulates over the whole run (never reset),
-		// which is exactly what a mid-run snapshot wants.
-		trace.Enable(true)
 		srv, err := telemetry.Serve(*serve, telemetry.Default)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "benchall:", err)
@@ -106,6 +99,12 @@ func main() {
 		Seed:    *seed,
 		Repeats: *repeats,
 		Verify:  *verify,
+	}
+	// The experiments record into the process tree, which the /trace
+	// endpoint serves live. Without -trace it accumulates over the whole
+	// run (never reset), which is exactly what a mid-run snapshot wants.
+	if *traceOn || *serve != "" {
+		cfg.Trace = trace.Default.Root()
 	}
 	if *graphs != "" {
 		cfg.Graphs = strings.Split(*graphs, ",")
@@ -214,14 +213,14 @@ func main() {
 			par.ResetStats()
 		}
 		if *traceOn {
-			trace.Reset()
+			trace.Default.Reset()
 		}
 		dispatch(id)
 		if *parstats {
 			fmt.Fprintf(os.Stderr, "benchall[%s]: %s\n", id, harness.RuntimeStatsNote())
 		}
 		if *traceOn {
-			snap := trace.Snapshot()
+			snap := trace.Default.Snapshot()
 			snap.Name = id
 			fmt.Fprintf(os.Stderr, "== trace %s ==\n%s", id, snap.Render())
 			traces = append(traces, expTrace{Exp: id, Trace: snap})

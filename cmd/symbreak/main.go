@@ -73,7 +73,6 @@ func main() {
 	var svc *serve.Service
 	if *serveAddr != "" {
 		telemetry.Enable(true)
-		trace.Enable(true)
 		mux := telemetry.NewMux(telemetry.Default)
 		if daemon || *corpus != "" || *corpusDir != "" {
 			reqlog, err := telemetry.NewRequestLog(os.Stderr, *logFormat)
@@ -105,7 +104,13 @@ func main() {
 	}
 
 	if oneShot {
-		runOnce(*file, flag.Args(), *scale, *seed, *problem, *strategy, *archFlag, *parts, *k, *beta, *digest)
+		// A served one-shot solve records into the process tree, which
+		// /trace serves while the process keeps running.
+		var tr *trace.Span
+		if srv != nil {
+			tr = trace.Default.Root()
+		}
+		runOnce(*file, flag.Args(), *scale, *seed, *problem, *strategy, *archFlag, *parts, *k, *beta, *digest, tr)
 		if srv == nil {
 			return
 		}
@@ -140,9 +145,10 @@ func buildCorpus(names, dir string, scale float64, seed uint64) *serve.Corpus {
 	return c
 }
 
-// runOnce is the classic single-solve path: load, solve, verify, report.
+// runOnce is the classic single-solve path: load, solve, verify, report,
+// with the run's spans under tr (nil: untraced).
 func runOnce(file string, args []string, scale float64, seed uint64,
-	problem, strategy, archFlag string, parts, k int, beta float64, digest bool) {
+	problem, strategy, archFlag string, parts, k int, beta float64, digest bool, tr *trace.Span) {
 	g, err := cli.LoadGraph(file, args, scale, seed)
 	if err != nil {
 		fatal(err)
@@ -161,7 +167,7 @@ func runOnce(file string, args []string, scale float64, seed uint64,
 	}
 
 	res, err := core.SolveVerified(g, p, core.Options{
-		Strategy: s, Arch: arch, RandParts: parts, DegK: k, MPXBeta: beta, Seed: seed,
+		Strategy: s, Arch: arch, RandParts: parts, DegK: k, MPXBeta: beta, Seed: seed, Trace: tr,
 	})
 	if err != nil {
 		fatal(err)

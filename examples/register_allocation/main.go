@@ -56,7 +56,7 @@ func main() {
 	if err := coloring.Verify(g, base); err != nil {
 		log.Fatal(err)
 	}
-	dec, rep := coloring.ColorDegk(g, 2, eng)
+	dec, rep := coloring.ColorDegk(g, 2, eng, nil)
 	if err := coloring.Verify(g, dec); err != nil {
 		log.Fatal(err)
 	}

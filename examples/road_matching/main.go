@@ -36,7 +36,7 @@ func main() {
 	}
 
 	// MM-Rand (Algorithm 5) with the paper's 10 partitions.
-	mr, rep := matching.MMRand(g, 10, 1, matching.GMSolver())
+	mr, rep := matching.MMRand(g, 10, 1, matching.GMSolver(), nil)
 	if err := matching.Verify(g, mr); err != nil {
 		log.Fatal(err)
 	}
@@ -53,7 +53,7 @@ func main() {
 		float64(g.NumVertices())/float64(coarse.NumVertices()), coarse.NumEdges())
 
 	// A second level, as a multilevel partitioner would do.
-	m2, _ := matching.MMRand(coarse, 10, 2, matching.GMSolver())
+	m2, _ := matching.MMRand(coarse, 10, 2, matching.GMSolver(), nil)
 	coarse2 := contract(coarse, m2)
 	fmt.Printf("level 2:   %d → %d vertices, %d edges\n",
 		coarse.NumVertices(), coarse2.NumVertices(), coarse2.NumEdges())

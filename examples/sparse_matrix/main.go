@@ -66,7 +66,7 @@ func main() {
 		time.Since(start).Round(time.Millisecond))
 
 	start = time.Now()
-	mr, rep := matching.MMRand(g, 10, 3, matching.GMSolver())
+	mr, rep := matching.MMRand(g, 10, 3, matching.GMSolver(), nil)
 	fmt.Printf("MM-Rand:        %d matched (%.1f%% of rank), %d rounds, %v\n",
 		mr.Cardinality(), 100*float64(mr.Cardinality())/float64(rank), rep.Rounds,
 		rep.Total().Round(time.Millisecond))

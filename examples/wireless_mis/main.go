@@ -37,7 +37,7 @@ func main() {
 	fmt.Printf("single MIS, LubyMIS:  %8v  %2d rounds  %d nodes\n",
 		time.Since(start).Round(time.Microsecond), lubyStats.Rounds, one.Size())
 	start = time.Now()
-	one2, rep := mis.MISDeg2(g, mis.LubySolver(4))
+	one2, rep := mis.MISDeg2(g, mis.LubySolver(4), nil)
 	fmt.Printf("single MIS, MIS-Deg2: %8v  %2d rounds  %d nodes (decomp %v)\n\n",
 		time.Since(start).Round(time.Microsecond), rep.Rounds, one2.Size(), rep.Decomp)
 
@@ -50,7 +50,7 @@ func main() {
 			return s
 		}},
 		{"MIS-Deg2", func(h *graph.Graph) *mis.IndepSet {
-			s, _ := mis.MISDeg2(h, mis.LubySolver(4))
+			s, _ := mis.MISDeg2(h, mis.LubySolver(4), nil)
 			return s
 		}},
 	} {

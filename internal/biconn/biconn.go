@@ -19,6 +19,7 @@ import (
 	"repro/internal/frontier"
 	"repro/internal/graph"
 	"repro/internal/par"
+	"repro/internal/trace"
 )
 
 // Result is a biconnected decomposition of a graph.
@@ -35,8 +36,9 @@ type Result struct {
 }
 
 // Blocks computes the biconnected decomposition with the parallel
-// fundamental-cycle algorithm.
-func Blocks(g *graph.Graph) *Result {
+// fundamental-cycle algorithm, appending its BFS's per-round frontier
+// series to sp (nil: untraced).
+func Blocks(g *graph.Graph, sp *trace.Span) *Result {
 	n := g.NumVertices()
 	edges := g.Edges()
 	m := len(edges)
@@ -45,7 +47,7 @@ func Blocks(g *graph.Graph) *Result {
 	// every edge also has its position id n + i in the canonical list.
 	// The union-find spans [0, n+m); tree edges use their child slot and
 	// alias their list slot to it, so queries by either id agree.
-	tree := (&frontier.Engine{PullDiv: frontier.NoPull}).BFSForest(g)
+	tree := (&frontier.Engine{PullDiv: frontier.NoPull, Span: sp}).BFSForest(g)
 	uf := newUnionFind(n + m)
 
 	// Alias list ids of tree edges to their child slot.

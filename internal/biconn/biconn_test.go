@@ -68,7 +68,7 @@ func sameClassification(a, b []int32) bool {
 
 func checkAgainstOracle(t *testing.T, g *graph.Graph, name string) {
 	t.Helper()
-	got := Blocks(g)
+	got := Blocks(g, nil)
 	want := BlocksSequential(g)
 	if got.NumBlocks != want.NumBlocks {
 		t.Fatalf("%s: %d blocks, oracle %d", name, got.NumBlocks, want.NumBlocks)
@@ -85,7 +85,7 @@ func checkAgainstOracle(t *testing.T, g *graph.Graph, name string) {
 
 func TestBlocksKnownShapes(t *testing.T) {
 	// Bowtie: 2 blocks, articulation = {2}.
-	r := Blocks(bowtie())
+	r := Blocks(bowtie(), nil)
 	if r.NumBlocks != 2 {
 		t.Fatalf("bowtie blocks = %d", r.NumBlocks)
 	}
@@ -95,7 +95,7 @@ func TestBlocksKnownShapes(t *testing.T) {
 		}
 	}
 	// Cycle: one block, no articulation points.
-	r = Blocks(cycleGraph(12))
+	r = Blocks(cycleGraph(12), nil)
 	if r.NumBlocks != 1 {
 		t.Fatalf("cycle blocks = %d", r.NumBlocks)
 	}
@@ -105,7 +105,7 @@ func TestBlocksKnownShapes(t *testing.T) {
 		}
 	}
 	// Path: every edge its own block, every interior vertex articulation.
-	r = Blocks(pathGraph(6))
+	r = Blocks(pathGraph(6), nil)
 	if r.NumBlocks != 5 {
 		t.Fatalf("path blocks = %d", r.NumBlocks)
 	}
@@ -149,7 +149,7 @@ func TestBlocksMatchOracleExhaustiveSmall(t *testing.T) {
 func TestBlocksBridgeConsistency(t *testing.T) {
 	// Singleton blocks are exactly the bridges.
 	g := randomGraph(200, 230, 9)
-	r := Blocks(g)
+	r := Blocks(g, nil)
 	sizes := make([]int, r.NumBlocks)
 	for _, blk := range r.EdgeBlock {
 		sizes[blk]++
@@ -173,7 +173,7 @@ func TestBlocksBridgeConsistency(t *testing.T) {
 
 func TestBlocksEmptyAndEdgeless(t *testing.T) {
 	for _, g := range []*graph.Graph{graph.NewBuilder(0).Build(), graph.NewBuilder(7).Build()} {
-		r := Blocks(g)
+		r := Blocks(g, nil)
 		if r.NumBlocks != 0 || len(r.EdgeBlock) != 0 {
 			t.Fatalf("edgeless graph produced %d blocks", r.NumBlocks)
 		}

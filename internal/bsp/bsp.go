@@ -61,30 +61,33 @@ func New() *Machine { return &Machine{} }
 
 // Launch runs kernel(tid) for every tid in [0, n) — one logical thread per
 // element — and returns after all logical threads finish (the global
-// barrier). Kernels must communicate only through memory writes that are
-// safe under concurrent execution (atomics or disjoint indices), as on a
-// real device.
-//
-// When tracing is enabled, each launch is attributed to the innermost
-// open trace span (counters gpu_launches, gpu_threads, gpu_kernel_ns) —
-// the per-superstep accounting behind the GPU columns of the rounds
-// tables.
-func (m *Machine) Launch(n int, kernel func(tid int)) {
+// barrier), reporting the launch's host wall time. Kernels must
+// communicate only through memory writes that are safe under concurrent
+// execution (atomics or disjoint indices), as on a real device.
+func (m *Machine) Launch(n int, kernel func(tid int)) time.Duration {
 	start := time.Now()
 	par.For(n, kernel)
 	elapsed := time.Since(start)
 	m.launches.Add(1)
 	m.threadsRun.Add(int64(n))
 	m.kernelTime.Add(int64(elapsed))
-	if trace.Enabled() {
-		trace.Add("gpu_launches", 1)
-		trace.Add("gpu_threads", int64(n))
-		trace.Add("gpu_kernel_ns", int64(elapsed))
-	}
 	if telemetry.Enabled() {
 		kernelSeconds.Observe(elapsed.Seconds())
 		launchesTotal.Inc()
 		threadsTotal.Add(float64(n))
+	}
+	return elapsed
+}
+
+// In returns a launcher that runs kernels with Launch and attributes each
+// launch to sp (counters gpu_launches, gpu_threads, gpu_kernel_ns) — the
+// per-superstep accounting behind the GPU columns of the rounds tables.
+func (m *Machine) In(sp *trace.Span) func(n int, kernel func(tid int)) {
+	return func(n int, kernel func(tid int)) {
+		elapsed := m.Launch(n, kernel)
+		sp.Add("gpu_launches", 1)
+		sp.Add("gpu_threads", int64(n))
+		sp.Add("gpu_kernel_ns", int64(elapsed))
 	}
 }
 

@@ -13,10 +13,10 @@ import (
 // independently with an identical palette" (non-cut vertices of different
 // blocks are never adjacent), and only the articulation points need a
 // second pass against the whole graph.
-func ColorBiconn(g *graph.Graph, eng Engine) (*Coloring, Report) {
-	rep := Report{Report: trace.Report{Strategy: "COLOR-Biconn"}}
+func ColorBiconn(g *graph.Graph, eng Engine, parent *trace.Span) (*Coloring, Report) {
+	rep := Report{Report: trace.Report{Strategy: "COLOR-Biconn", Parent: parent}}
 	dsp := rep.Decompose()
-	bc := biconn.Blocks(g)
+	bc := biconn.Blocks(g, dsp)
 	rep.Decomposed(dsp)
 
 	n := g.NumVertices()
@@ -25,14 +25,14 @@ func ColorBiconn(g *graph.Graph, eng Engine) (*Coloring, Report) {
 	sp := rep.Phase("solve/parts")
 	var in Stats
 	if len(interior) > 0 {
-		in = eng.Repair(g, c.Color, interior)
+		in = eng.Repair(g, c.Color, interior, sp)
 	}
 	rep.EndPhase(sp, in.Rounds)
 	sp = rep.Phase("solve/repair")
 	rep.Conflicted = int64(len(cut))
 	var out Stats
 	if len(cut) > 0 {
-		out = eng.Repair(g, c.Color, cut)
+		out = eng.Repair(g, c.Color, cut, sp)
 	}
 	sp.Add("conflicts", rep.Conflicted)
 	rep.EndPhase(sp, out.Rounds)

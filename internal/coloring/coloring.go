@@ -79,38 +79,38 @@ type Stats struct {
 	Rounds int
 }
 
-// Engine is a configured base coloring algorithm. Fresh colors a graph from
-// scratch; Repair extends a partial proper coloring (work lists the
-// vertices whose Color entry is Uncolored) to a complete proper coloring of
-// g without touching already-colored vertices. The decomposition-based
+// Engine is a configured base coloring algorithm. Repair extends a partial
+// proper coloring (work lists the vertices whose Color entry is Uncolored)
+// to a complete proper coloring of g without touching already-colored
+// vertices; Fresh runs it over a whole graph. The decomposition-based
 // algorithms use Repair for their recoloring phases, exactly as the paper
 // recolors conflicted vertices "along with" the cross/bridge edges.
 type Engine interface {
 	// Name identifies the engine ("VB" or "EB").
 	Name() string
-	// Fresh computes a complete proper coloring of g.
-	Fresh(g *graph.Graph) (*Coloring, Stats)
 	// Repair colors exactly the vertices in work (whose color entries must
 	// be Uncolored on entry) so that no edge touching them is
-	// monochromatic. Uncolored vertices outside work are left untouched
-	// and impose no constraints, so Repair doubles as a masked fresh
-	// coloring of the subgraph induced by work.
-	Repair(g *graph.Graph, color []int32, work []int32) Stats
-	// Exec runs body over a partition of [0, n) into contiguous ranges on
-	// the engine's execution substrate: parallel chunks on the CPU, one
-	// kernel launch of n single-index threads on the virtual GPU. Shared
+	// monochromatic, recording the run on the phase span sp (nil:
+	// untraced). Uncolored vertices outside work are left untouched and
+	// impose no constraints, so Repair doubles as a masked fresh coloring
+	// of the subgraph induced by work.
+	Repair(g *graph.Graph, color []int32, work []int32, sp *trace.Span) Stats
+	// Exec returns the engine's executor, which runs body over a
+	// partition of [0, n) into contiguous ranges on the engine's execution
+	// substrate: parallel chunks on the CPU, one kernel launch of n
+	// single-index threads on the virtual GPU, attributed to sp. Shared
 	// phases such as COLOR-Degk's bounded-palette coloring of G_L use it
 	// so their work is accounted to the right device.
-	Exec(n int, body func(lo, hi int))
+	Exec(sp *trace.Span) func(n int, body func(lo, hi int))
 }
 
-// fresh colors all of g with repair: every vertex starts Uncolored
-// and in the work list. It is the Fresh of every Engine.
-func fresh(g *graph.Graph, repair func(g *graph.Graph, color, work []int32) Stats) (*Coloring, Stats) {
+// Fresh colors all of g with eng, recording the run on sp: every vertex
+// starts Uncolored and in the work list of eng's Repair.
+func Fresh(g *graph.Graph, eng Engine, sp *trace.Span) (*Coloring, Stats) {
 	c := NewColoring(g.NumVertices())
 	work := make([]int32, g.NumVertices())
 	par.Iota(work)
-	return c, repair(g, c.Color, work)
+	return c, eng.Repair(g, c.Color, work, sp)
 }
 
 // speculate is the speculative coloring loop of VB, EB and COLOR-Degk's
@@ -118,14 +118,15 @@ func fresh(g *graph.Graph, repair func(g *graph.Graph, color, work []int32) Stat
 // picks a candidate color against the current colors, all candidates
 // commit, the lower (hashed-id) priority endpoint of every monochromatic
 // edge marks itself, and the marked vertices reset to Uncolored and form
-// the next round's work. The highest priority in any conflict
-// neighborhood always keeps its color, so every round makes progress.
+// the next round's work, whose size is appended to sp's "frontier"
+// series. The highest priority in any conflict neighborhood always keeps
+// its color, so every round makes progress.
 //
 // pick receives a FORBIDDEN buffer of window entries (nil when window is
 // 0), allocated once per exec range and reused across that range's
 // vertices; pick must not rely on its contents on entry.
 func speculate(g *graph.Graph, color, work []int32, exec func(n int, body func(lo, hi int)),
-	window int, pick func(v int32, forbidden []bool) int32) Stats {
+	window int, pick func(v int32, forbidden []bool) int32, sp *trace.Span) Stats {
 	var st Stats
 	cand := make([]int32, g.NumVertices())
 	for len(work) > 0 {
@@ -164,9 +165,7 @@ func speculate(g *graph.Graph, color, work []int32, exec func(n int, body func(l
 			}
 		})
 		work = par.Filter(work, func(v int32) bool { return color[v] == Uncolored })
-		if trace.Enabled() {
-			trace.Append("frontier", int64(len(work)))
-		}
+		sp.Append("frontier", int64(len(work)))
 	}
 	return st
 }

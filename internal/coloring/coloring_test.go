@@ -122,7 +122,7 @@ func TestVerifyCatchesBadColorings(t *testing.T) {
 func TestEnginesProperOnCorpus(t *testing.T) {
 	for ename, eng := range engines() {
 		for gname, g := range testGraphs() {
-			c, st := eng.Fresh(g)
+			c, st := Fresh(g, eng, nil)
 			if err := Verify(g, c); err != nil {
 				t.Fatalf("%s/%s: %v", ename, gname, err)
 			}
@@ -142,12 +142,12 @@ func TestEnginesProperOnCorpus(t *testing.T) {
 func TestEnginesKnownChromatic(t *testing.T) {
 	for ename, eng := range engines() {
 		// Complete graph needs exactly n colors.
-		c, _ := eng.Fresh(completeGraph(17))
+		c, _ := Fresh(completeGraph(17), eng, nil)
 		if c.NumColors() != 17 {
 			t.Fatalf("%s: K17 used %d colors", ename, c.NumColors())
 		}
 		// Star is 2-colorable and greedy achieves it.
-		c, _ = eng.Fresh(starGraph(20))
+		c, _ = Fresh(starGraph(20), eng, nil)
 		if c.NumColors() > 2 {
 			t.Fatalf("%s: star used %d colors", ename, c.NumColors())
 		}
@@ -160,8 +160,8 @@ func TestEnginesDeterministic(t *testing.T) {
 		"VB": func() Engine { return NewVB() },
 		"EB": func() Engine { return NewEB(bsp.New()) },
 	} {
-		a, _ := mk().Fresh(g)
-		b, _ := mk().Fresh(g)
+		a, _ := Fresh(g, mk(), nil)
+		b, _ := Fresh(g, mk(), nil)
 		for i := range a.Color {
 			if a.Color[i] != b.Color[i] {
 				t.Fatalf("%s: colors differ at %d across runs", ename, i)
@@ -174,7 +174,7 @@ func TestRepairKeepsExistingColors(t *testing.T) {
 	g := pathGraph(6)
 	for ename, eng := range engines() {
 		color := []int32{0, 1, Uncolored, Uncolored, 1, 0}
-		eng.Repair(g, color, []int32{2, 3})
+		eng.Repair(g, color, []int32{2, 3}, nil)
 		c := &Coloring{Color: color}
 		if err := Verify(g, c); err != nil {
 			t.Fatalf("%s: repair produced invalid coloring: %v", ename, err)
@@ -189,7 +189,7 @@ func TestVBForbiddenSizeOne(t *testing.T) {
 	// Degenerate window size must still terminate and be correct.
 	eng := &VB{ForbiddenSize: 1}
 	g := completeGraph(9)
-	c, _ := eng.Fresh(g)
+	c, _ := Fresh(g, eng, nil)
 	if err := Verify(g, c); err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +198,7 @@ func TestVBForbiddenSizeOne(t *testing.T) {
 func TestEBKernelAccounting(t *testing.T) {
 	m := bsp.New()
 	eng := NewEB(m)
-	_, st := eng.Fresh(cycleGraph(100))
+	_, st := Fresh(cycleGraph(100), eng, nil)
 	if m.Stats().Launches != int64(4*st.Rounds) {
 		t.Fatalf("launches %d, want 4 per round × %d", m.Stats().Launches, st.Rounds)
 	}
@@ -211,9 +211,9 @@ func TestDecomposedColoringsProper(t *testing.T) {
 				name string
 				run  func() (*Coloring, Report)
 			}{
-				{"COLOR-Bridge", func() (*Coloring, Report) { return ColorBridge(g, eng) }},
-				{"COLOR-Rand", func() (*Coloring, Report) { return ColorRand(g, 4, 3, eng) }},
-				{"COLOR-Degk", func() (*Coloring, Report) { return ColorDegk(g, 2, eng) }},
+				{"COLOR-Bridge", func() (*Coloring, Report) { return ColorBridge(g, eng, nil) }},
+				{"COLOR-Rand", func() (*Coloring, Report) { return ColorRand(g, 4, 3, eng, nil) }},
+				{"COLOR-Degk", func() (*Coloring, Report) { return ColorDegk(g, 2, eng, nil) }},
 			}
 			for _, r := range runs {
 				c, rep := r.run()
@@ -234,7 +234,7 @@ func TestColorDegkNoRecoloring(t *testing.T) {
 	// vertex color must sit in [maxC_H+1, maxC_H+k+1].
 	g := paperGraph() // V_H = {c,d,g}, V_L = {a,b,e,f,h}
 	eng := NewVB()
-	c, rep := ColorDegk(g, 2, eng)
+	c, rep := ColorDegk(g, 2, eng, nil)
 	if err := Verify(g, c); err != nil {
 		t.Fatal(err)
 	}
@@ -262,7 +262,7 @@ func TestColorRandConflictsReported(t *testing.T) {
 	// With a dense graph and 2 partitions there must be cross conflicts to
 	// recolor (the paper measured ~45% of vertices with two partitions).
 	g := randomGraph(500, 6000, 7)
-	_, rep := ColorRand(g, 2, 1, NewVB())
+	_, rep := ColorRand(g, 2, 1, NewVB(), nil)
 	if rep.Conflicted == 0 {
 		t.Fatal("COLOR-Rand reported no conflicts on a dense graph")
 	}
@@ -274,7 +274,7 @@ func TestColorBridgeFewColorsOnTrees(t *testing.T) {
 	// may use one color beyond the chromatic number 2, never more (degree
 	// ≤ 2 bounds the palette at 3).
 	g := pathGraph(40)
-	c, _ := ColorBridge(g, NewVB())
+	c, _ := ColorBridge(g, NewVB(), nil)
 	if err := Verify(g, c); err != nil {
 		t.Fatal(err)
 	}
@@ -292,7 +292,7 @@ func TestBoundedPaletteDefensiveWiden(t *testing.T) {
 		color[i] = Uncolored
 	}
 	work := []int32{0, 1, 2, 3, 4}
-	boundedPalette(g, color, work, 10, 2, par.Range)
+	boundedPalette(g, color, work, 10, 2, par.Range, nil)
 	c := &Coloring{Color: color}
 	if err := Verify(g, c); err != nil {
 		t.Fatal(err)

@@ -11,23 +11,24 @@ import (
 // components G_c independently (they share a palette and cannot conflict
 // with each other), then detect conflicts across the bridges and recolor
 // the conflicted vertices against G_c ∪ G_b = G.
-func ColorBridge(g *graph.Graph, eng Engine) (*Coloring, Report) {
-	rep := Report{Report: trace.Report{Strategy: "COLOR-Bridge"}}
+func ColorBridge(g *graph.Graph, eng Engine, parent *trace.Span) (*Coloring, Report) {
+	rep := Report{Report: trace.Report{Strategy: "COLOR-Bridge", Parent: parent}}
 	dsp := rep.Decompose()
-	d := decomp.Bridge(g)
+	bi := decomp.FindBridges(g, dsp)
+	gc := graph.RemoveEdges(g, func(u, v int32) bool { return !bi.IsBridge(u, v) })
 	rep.Decomposed(dsp)
 
-	// C_c ← COLOR(G_c): G_c keeps global ids, its components color in
-	// parallel inside the engine.
+	// C_c ← COLOR(G_c): G_c = G − B keeps global ids, its components
+	// color in parallel inside the engine.
 	sp := rep.Phase("solve/G_c")
-	c, st := eng.Fresh(d.Parts[0].G)
+	c, st := Fresh(gc, eng, sp)
 	rep.EndPhase(sp, st.Rounds)
 	// Only bridge edges can be monochromatic. Reset the lower endpoint of
 	// each conflicting bridge.
 	sp = rep.Phase("solve/repair")
-	work := resetConflicts(c.Color, d.Bridges)
+	work := resetConflicts(c.Color, bi.Bridges)
 	rep.Conflicted = int64(len(work))
-	st = eng.Repair(g, c.Color, work)
+	st = eng.Repair(g, c.Color, work, sp)
 	sp.Add("conflicts", rep.Conflicted)
 	rep.EndPhase(sp, st.Rounds)
 	return c, rep
@@ -38,17 +39,18 @@ func ColorBridge(g *graph.Graph, eng Engine) (*Coloring, Report) {
 // monochromatic cross edges, and recolor them along with G_{k+1} — i.e.
 // against the full graph. Each part is colored on its own relabelled
 // subgraph: the local ids feed the engine's hashed tie-break.
-func ColorRand(g *graph.Graph, k int, seed uint64, eng Engine) (*Coloring, Report) {
-	rep := Report{Report: trace.Report{Strategy: "COLOR-Rand"}}
+func ColorRand(g *graph.Graph, k int, seed uint64, eng Engine, parent *trace.Span) (*Coloring, Report) {
+	rep := Report{Report: trace.Report{Strategy: "COLOR-Rand", Parent: parent}}
 	dsp := rep.Decompose()
 	d := decomp.Rand(g, k, seed)
+	d.Trace(dsp)
 	rep.Decomposed(dsp)
 
 	c := NewColoring(g.NumVertices())
 	sp := rep.Phase("solve/parts")
 	rounds := 0
 	for _, part := range d.Parts {
-		local, st := eng.Fresh(part.G)
+		local, st := Fresh(part.G, eng, sp)
 		rounds += st.Rounds
 		mergeColors(c.Color, part, local)
 	}
@@ -57,7 +59,7 @@ func ColorRand(g *graph.Graph, k int, seed uint64, eng Engine) (*Coloring, Repor
 	sp = rep.Phase("solve/repair")
 	work := resetConflictsSub(c.Color, d.Cross)
 	rep.Conflicted = int64(len(work))
-	st := eng.Repair(g, c.Color, work)
+	st := eng.Repair(g, c.Color, work, sp)
 	sp.Add("conflicts", rep.Conflicted)
 	rep.EndPhase(sp, st.Rounds)
 	return c, rep
@@ -68,20 +70,22 @@ func ColorRand(g *graph.Graph, k int, seed uint64, eng Engine) (*Coloring, Repor
 // palette (different balls can only conflict across inter-ball edges),
 // then repair the monochromatic inter-ball endpoints against the full
 // graph.
-func ColorMPX(g *graph.Graph, beta float64, seed uint64, eng Engine) (*Coloring, Report) {
-	rep := Report{Report: trace.Report{Strategy: "COLOR-MPX"}}
+func ColorMPX(g *graph.Graph, beta float64, seed uint64, eng Engine, parent *trace.Span) (*Coloring, Report) {
+	rep := Report{Report: trace.Report{Strategy: "COLOR-MPX", Parent: parent}}
 	dsp := rep.Decompose()
-	d := decomp.MPX(g, beta, seed)
+	center := decomp.MPXGrow(g, beta, seed, dsp).Center
+	balls := graph.RemoveEdges(g, func(u, v int32) bool { return center[u] == center[v] })
+	cross := graph.EdgeInducedSubgraph(g, func(u, v int32) bool { return center[u] != center[v] })
 	rep.Decomposed(dsp)
 
 	sp := rep.Phase("solve/balls")
-	c, st := eng.Fresh(d.Parts[0].G)
+	c, st := Fresh(balls, eng, sp)
 	rep.EndPhase(sp, st.Rounds)
 	// Conflicts can only sit on inter-ball edges.
 	sp = rep.Phase("solve/repair")
-	work := resetConflictsSub(c.Color, d.Cross)
+	work := resetConflictsSub(c.Color, cross)
 	rep.Conflicted = int64(len(work))
-	st = eng.Repair(g, c.Color, work)
+	st = eng.Repair(g, c.Color, work, sp)
 	sp.Add("conflicts", rep.Conflicted)
 	rep.EndPhase(sp, st.Rounds)
 	return c, rep
@@ -100,8 +104,8 @@ func ColorMPX(g *graph.Graph, beta float64, seed uint64, eng Engine) (*Coloring,
 // vertices as the worklist — uncolored low neighbors impose no constraints,
 // so it colors exactly G_H. The G_L phase's disjoint palette likewise
 // never collides with G_H colors.
-func ColorDegk(g *graph.Graph, k int, eng Engine) (*Coloring, Report) {
-	rep := Report{Report: trace.Report{Strategy: "COLOR-Degk"}}
+func ColorDegk(g *graph.Graph, k int, eng Engine, parent *trace.Span) (*Coloring, Report) {
+	rep := Report{Report: trace.Report{Strategy: "COLOR-Degk", Parent: parent}}
 	n := g.NumVertices()
 
 	dsp := rep.Decompose()
@@ -114,14 +118,14 @@ func ColorDegk(g *graph.Graph, k int, eng Engine) (*Coloring, Report) {
 	sp := rep.Phase("solve/G_H")
 	var hi Stats
 	if len(high) > 0 {
-		hi = eng.Repair(g, c.Color, high)
+		hi = eng.Repair(g, c.Color, high, sp)
 	}
 	rep.EndPhase(sp, hi.Rounds)
 	base := c.NumColors() // palette for G_L starts above max(C_H)
 	sp = rep.Phase("solve/G_L")
 	var lo Stats
 	if len(lowList) > 0 {
-		lo = boundedPalette(g, c.Color, lowList, base, k+1, eng.Exec)
+		lo = boundedPalette(g, c.Color, lowList, base, k+1, eng.Exec(sp), sp)
 	}
 	rep.EndPhase(sp, lo.Rounds)
 	return c, rep
@@ -210,9 +214,11 @@ func resetConflictsSub(color []int32, cross *graph.Sub) []int32 {
 // below size), under the engine executor. Colors below base (the G_H
 // phase's) never land in the window, so only palette-internal conflicts
 // matter. A vertex whose neighbors fill the window moves on to the next
-// one, so the palette widens only when a vertex's degree needs it.
-func boundedPalette(g *graph.Graph, color []int32, work []int32, base int32, size int, exec func(n int, body func(lo, hi int))) Stats {
+// one, so the palette widens only when a vertex's degree needs it. Rounds
+// are recorded on sp.
+func boundedPalette(g *graph.Graph, color []int32, work []int32, base int32, size int,
+	exec func(n int, body func(lo, hi int)), sp *trace.Span) Stats {
 	return speculate(g, color, work, exec, size, func(v int32, forbidden []bool) int32 {
 		return findColor(g, color, v, forbidden, base)
-	})
+	}, sp)
 }

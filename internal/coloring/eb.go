@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/bsp"
 	"repro/internal/graph"
+	"repro/internal/trace"
 )
 
 // EB is the paper's GPU baseline (Algorithm EB, after Deveci et al.):
@@ -24,23 +25,27 @@ func NewEB(m *bsp.Machine) *EB { return &EB{machine: m} }
 func (eb *EB) Name() string { return "EB" }
 
 // Exec implements Engine's executor: one kernel launch of n threads on
-// the machine, each thread running body over its own index.
-func (eb *EB) Exec(n int, body func(lo, hi int)) {
-	eb.machine.Launch(n, func(i int) { body(i, i+1) })
+// the machine, attributed to sp, each thread running body over its own
+// index.
+func (eb *EB) Exec(sp *trace.Span) func(n int, body func(lo, hi int)) {
+	launch := eb.machine.In(sp)
+	return func(n int, body func(lo, hi int)) {
+		launch(n, func(i int) { body(i, i+1) })
+	}
 }
 
 // Machine exposes the underlying virtual device (for stats accounting).
 func (eb *EB) Machine() *bsp.Machine { return eb.machine }
 
-// Fresh implements Engine.
-func (eb *EB) Fresh(g *graph.Graph) (*Coloring, Stats) { return fresh(g, eb.Repair) }
+// Fresh colors all of g, untraced.
+func (eb *EB) Fresh(g *graph.Graph) (*Coloring, Stats) { return Fresh(g, eb, nil) }
 
 // Repair implements Engine: the speculative loop as four kernel launches
 // per round, each thread picking its color through 32-color bands.
-func (eb *EB) Repair(g *graph.Graph, color []int32, work []int32) Stats {
-	return speculate(g, color, work, eb.Exec, 0, func(v int32, _ []bool) int32 {
+func (eb *EB) Repair(g *graph.Graph, color []int32, work []int32, sp *trace.Span) Stats {
+	return speculate(g, color, work, eb.Exec(sp), 0, func(v int32, _ []bool) int32 {
 		return findColor32(g, color, v)
-	})
+	}, sp)
 }
 
 // findColor32 returns the smallest color not used by v's neighbors,

@@ -3,6 +3,7 @@ package coloring
 import (
 	"repro/internal/graph"
 	"repro/internal/par"
+	"repro/internal/trace"
 )
 
 // JP implements the Jones–Plassmann independent-set coloring heuristic that
@@ -56,7 +57,7 @@ func NewJP(o Ordering, seed uint64) *JP { return &JP{Ordering: o, Seed: seed} }
 func (jp *JP) Name() string { return "JP-" + jp.Ordering.String() }
 
 // Exec implements Engine.
-func (jp *JP) Exec(n int, body func(lo, hi int)) { par.Range(n, body) }
+func (jp *JP) Exec(*trace.Span) func(n int, body func(lo, hi int)) { return par.Range }
 
 // priority returns the JP priority of v: higher colors earlier.
 func (jp *JP) priority(g *graph.Graph, v int32) uint64 {
@@ -71,12 +72,9 @@ func (jp *JP) priority(g *graph.Graph, v int32) uint64 {
 	}
 }
 
-// Fresh implements Engine.
-func (jp *JP) Fresh(g *graph.Graph) (*Coloring, Stats) { return fresh(g, jp.Repair) }
-
 // Repair implements Engine: colors the work vertices in priority-DAG
 // order. Colored non-work vertices constrain color choices as usual.
-func (jp *JP) Repair(g *graph.Graph, color []int32, work []int32) Stats {
+func (jp *JP) Repair(g *graph.Graph, color []int32, work []int32, _ *trace.Span) Stats {
 	var st Stats
 	inWork := make([]bool, g.NumVertices())
 	par.Range(len(work), func(lo, hi int) {

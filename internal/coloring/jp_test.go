@@ -6,7 +6,7 @@ func TestJPProperOnCorpus(t *testing.T) {
 	for _, ord := range []Ordering{OrderRandom, OrderLargestFirst, OrderSmallestLast} {
 		eng := NewJP(ord, 7)
 		for gname, g := range testGraphs() {
-			c, st := eng.Fresh(g)
+			c, st := Fresh(g, eng, nil)
 			if err := Verify(g, c); err != nil {
 				t.Fatalf("%s/%s: %v", eng.Name(), gname, err)
 			}
@@ -33,7 +33,7 @@ func TestJPLFColorsHubFirst(t *testing.T) {
 	// color 0 and every leaf takes 1 — the optimal 2-coloring — in 2
 	// rounds.
 	g := starGraph(40)
-	c, st := NewJP(OrderLargestFirst, 3).Fresh(g)
+	c, st := Fresh(g, NewJP(OrderLargestFirst, 3), nil)
 	if err := Verify(g, c); err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +51,7 @@ func TestJPLFColorsHubFirst(t *testing.T) {
 func TestJPRepairKeepsFixedColors(t *testing.T) {
 	g := pathGraph(6)
 	color := []int32{0, 1, Uncolored, Uncolored, 1, 0}
-	NewJP(OrderRandom, 5).Repair(g, color, []int32{2, 3})
+	NewJP(OrderRandom, 5).Repair(g, color, []int32{2, 3}, nil)
 	if err := Verify(g, &Coloring{Color: color}); err != nil {
 		t.Fatal(err)
 	}
@@ -62,8 +62,8 @@ func TestJPRepairKeepsFixedColors(t *testing.T) {
 
 func TestJPDeterministic(t *testing.T) {
 	g := randomGraph(300, 1500, 9)
-	a, _ := NewJP(OrderSmallestLast, 4).Fresh(g)
-	b, _ := NewJP(OrderSmallestLast, 4).Fresh(g)
+	a, _ := Fresh(g, NewJP(OrderSmallestLast, 4), nil)
+	b, _ := Fresh(g, NewJP(OrderSmallestLast, 4), nil)
 	for i := range a.Color {
 		if a.Color[i] != b.Color[i] {
 			t.Fatalf("JP differs at %d under same seed", i)
@@ -76,9 +76,9 @@ func TestJPWorksAsDecompositionEngine(t *testing.T) {
 	g := randomGraph(400, 1600, 2)
 	eng := NewJP(OrderRandom, 6)
 	for _, run := range []func() (*Coloring, Report){
-		func() (*Coloring, Report) { return ColorBridge(g, eng) },
-		func() (*Coloring, Report) { return ColorRand(g, 4, 1, eng) },
-		func() (*Coloring, Report) { return ColorDegk(g, 2, eng) },
+		func() (*Coloring, Report) { return ColorBridge(g, eng, nil) },
+		func() (*Coloring, Report) { return ColorRand(g, 4, 1, eng, nil) },
+		func() (*Coloring, Report) { return ColorDegk(g, 2, eng, nil) },
 	} {
 		c, _ := run()
 		if err := Verify(g, c); err != nil {

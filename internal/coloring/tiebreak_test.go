@@ -58,7 +58,7 @@ func TestConsecutiveChainColoringConvergesFast(t *testing.T) {
 	}
 	work := make([]int32, 5000)
 	par.Iota(work)
-	st := boundedPalette(g, color, work, 10, 3, par.Range)
+	st := boundedPalette(g, color, work, 10, 3, par.Range, nil)
 	if err := Verify(g, &Coloring{Color: color}); err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func TestColorDegkMaskedKeepsPalettesDisjoint(t *testing.T) {
 	// Random graph: high vertices < base, low vertices in
 	// [base, base+k+1).
 	g := randomGraph(600, 2400, 5)
-	c, _ := ColorDegk(g, 2, NewVB())
+	c, _ := ColorDegk(g, 2, NewVB(), nil)
 	if err := Verify(g, c); err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +96,7 @@ func TestColorDegkMaskedKeepsPalettesDisjoint(t *testing.T) {
 func TestColorBiconnProper(t *testing.T) {
 	for name, g := range testGraphs() {
 		for ename, eng := range engines() {
-			c, rep := ColorBiconn(g, eng)
+			c, rep := ColorBiconn(g, eng, nil)
 			if err := Verify(g, c); err != nil {
 				t.Fatalf("%s/%s: %v", ename, name, err)
 			}
@@ -119,7 +119,7 @@ func TestColorBiconnBowtieSharesPalette(t *testing.T) {
 	b.AddEdge(3, 4)
 	b.AddEdge(2, 4)
 	g := b.Build()
-	c, rep := ColorBiconn(g, NewVB())
+	c, rep := ColorBiconn(g, NewVB(), nil)
 	if err := Verify(g, c); err != nil {
 		t.Fatal(err)
 	}

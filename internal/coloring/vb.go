@@ -3,6 +3,7 @@ package coloring
 import (
 	"repro/internal/graph"
 	"repro/internal/par"
+	"repro/internal/trace"
 )
 
 // VB is the paper's multicore CPU baseline (Algorithm VB, after Deveci et
@@ -27,14 +28,14 @@ func NewVB() *VB { return &VB{} }
 func (vb *VB) Name() string { return "VB" }
 
 // Exec implements Engine's executor: parallel chunks on the CPU.
-func (vb *VB) Exec(n int, body func(lo, hi int)) { par.Range(n, body) }
+func (vb *VB) Exec(*trace.Span) func(n int, body func(lo, hi int)) { return par.Range }
 
-// Fresh implements Engine.
-func (vb *VB) Fresh(g *graph.Graph) (*Coloring, Stats) { return fresh(g, vb.Repair) }
+// Fresh colors all of g, untraced.
+func (vb *VB) Fresh(g *graph.Graph) (*Coloring, Stats) { return Fresh(g, vb, nil) }
 
 // Repair implements Engine: the speculative loop with one FORBIDDEN array
 // per chunk, each vertex searching windows from color 0.
-func (vb *VB) Repair(g *graph.Graph, color []int32, work []int32) Stats {
+func (vb *VB) Repair(g *graph.Graph, color []int32, work []int32, sp *trace.Span) Stats {
 	f := vb.ForbiddenSize
 	if f <= 0 {
 		// The paper sizes the FORBIDDEN array at the average degree of the
@@ -49,9 +50,9 @@ func (vb *VB) Repair(g *graph.Graph, color []int32, work []int32) Stats {
 			f = 1
 		}
 	}
-	return speculate(g, color, work, vb.Exec, f, func(v int32, forbidden []bool) int32 {
+	return speculate(g, color, work, par.Range, f, func(v int32, forbidden []bool) int32 {
 		return findColor(g, color, v, forbidden, 0)
-	})
+	}, sp)
 }
 
 // findColor returns the smallest color ≥ base not used by any neighbor of

@@ -12,7 +12,6 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"time"
 
@@ -131,6 +130,10 @@ type Options struct {
 	// Machine is the virtual GPU to run on when Arch == ArchGPU; nil
 	// creates a fresh one.
 	Machine *bsp.Machine
+	// Trace is the span the run's "core <problem>/<strategy>/<arch>" span
+	// opens under, holding the decomposition and solve phase spans; nil
+	// leaves the run untraced.
+	Trace *trace.Span
 }
 
 // Normalized returns the options with the paper's defaults filled in —
@@ -243,15 +246,15 @@ func Solve(g *graph.Graph, p Problem, opt Options) (*Result, error) {
 		before = opt.Machine.Stats()
 	}
 
-	sp := trace.Beginf("core %s/%s/%s", p, strategy, opt.Arch)
+	sp := opt.Trace.Beginf("core %s/%s/%s", p, strategy, opt.Arch)
 	var rep trace.Report
 	switch p {
 	case ProblemMM:
-		res.Matching, rep = solveMM(g, strategy, opt)
+		res.Matching, rep = solveMM(g, strategy, opt, sp)
 	case ProblemColor:
-		res.Coloring, rep = solveColor(g, strategy, opt)
+		res.Coloring, rep = solveColor(g, strategy, opt, sp)
 	case ProblemMIS:
-		res.IndepSet, rep = solveMIS(g, strategy, opt)
+		res.IndepSet, rep = solveMIS(g, strategy, opt, sp)
 	default:
 		sp.End()
 		return nil, fmt.Errorf("core: unknown problem %d", p)
@@ -275,32 +278,33 @@ func Solve(g *graph.Graph, p Problem, opt Options) (*Result, error) {
 	return res, nil
 }
 
-// solveMM runs the strategy's matcher; the baseline runs as the report's
-// single phase, "solve". solveColor and solveMIS have the same shape.
-func solveMM(g *graph.Graph, strategy Strategy, opt Options) (*matching.Matching, trace.Report) {
+// solveMM runs the strategy's matcher with its spans under parent; the
+// baseline runs as the report's single phase, "solve". solveColor and
+// solveMIS have the same shape.
+func solveMM(g *graph.Graph, strategy Strategy, opt Options, parent *trace.Span) (*matching.Matching, trace.Report) {
 	alg, name := matching.GMSolver(), "GM"
 	if opt.Arch == ArchGPU {
 		alg, name = matching.LMAXSolver(opt.Machine, opt.Seed), "LMAX"
 	}
 	switch strategy {
 	case StrategyBridge:
-		return matching.MMBridge(g, alg)
+		return matching.MMBridge(g, alg, parent)
 	case StrategyRand:
-		return matching.MMRand(g, opt.RandParts, opt.Seed, alg)
+		return matching.MMRand(g, opt.RandParts, opt.Seed, alg, parent)
 	case StrategyDegk:
-		return matching.MMDegk(g, opt.DegK, alg)
+		return matching.MMDegk(g, opt.DegK, alg, parent)
 	case StrategyMPX:
-		return matching.MMMPX(g, opt.MPXBeta, opt.Seed, alg)
+		return matching.MMMPX(g, opt.MPXBeta, opt.Seed, alg, parent)
 	}
-	rep := trace.Report{Strategy: name}
+	rep := trace.Report{Strategy: name, Parent: parent}
 	sp := rep.Phase("solve")
-	m, st := alg(g)
+	m, st := alg(g, sp)
 	sp.Add("matched", st.Matched)
 	rep.EndPhase(sp, st.Rounds)
 	return m, rep
 }
 
-func solveColor(g *graph.Graph, strategy Strategy, opt Options) (*coloring.Coloring, trace.Report) {
+func solveColor(g *graph.Graph, strategy Strategy, opt Options, parent *trace.Span) (*coloring.Coloring, trace.Report) {
 	var eng coloring.Engine = coloring.NewVB()
 	if opt.Arch == ArchGPU {
 		eng = coloring.NewEB(opt.Machine)
@@ -309,24 +313,24 @@ func solveColor(g *graph.Graph, strategy Strategy, opt Options) (*coloring.Color
 	var rep coloring.Report
 	switch strategy {
 	case StrategyBridge:
-		c, rep = coloring.ColorBridge(g, eng)
+		c, rep = coloring.ColorBridge(g, eng, parent)
 	case StrategyRand:
-		c, rep = coloring.ColorRand(g, opt.RandParts, opt.Seed, eng)
+		c, rep = coloring.ColorRand(g, opt.RandParts, opt.Seed, eng, parent)
 	case StrategyDegk:
-		c, rep = coloring.ColorDegk(g, opt.DegK, eng)
+		c, rep = coloring.ColorDegk(g, opt.DegK, eng, parent)
 	case StrategyMPX:
-		c, rep = coloring.ColorMPX(g, opt.MPXBeta, opt.Seed, eng)
+		c, rep = coloring.ColorMPX(g, opt.MPXBeta, opt.Seed, eng, parent)
 	default:
-		rep.Strategy = eng.Name()
+		rep.Strategy, rep.Parent = eng.Name(), parent
 		sp := rep.Phase("solve")
 		var st coloring.Stats
-		c, st = eng.Fresh(g)
+		c, st = coloring.Fresh(g, eng, sp)
 		rep.EndPhase(sp, st.Rounds)
 	}
 	return c, rep.Report
 }
 
-func solveMIS(g *graph.Graph, strategy Strategy, opt Options) (*mis.IndepSet, trace.Report) {
+func solveMIS(g *graph.Graph, strategy Strategy, opt Options, parent *trace.Span) (*mis.IndepSet, trace.Report) {
 	alg := mis.LubySolver(opt.Seed)
 	if opt.Arch == ArchGPU {
 		alg = mis.LubyGPUSolver(opt.Machine, opt.Seed)
@@ -335,49 +339,25 @@ func solveMIS(g *graph.Graph, strategy Strategy, opt Options) (*mis.IndepSet, tr
 	var rep mis.Report
 	switch strategy {
 	case StrategyBridge:
-		s, rep = mis.MISBridge(g, alg)
+		s, rep = mis.MISBridge(g, alg, parent)
 	case StrategyRand:
-		s, rep = mis.MISRand(g, opt.RandParts, opt.Seed, alg)
+		s, rep = mis.MISRand(g, opt.RandParts, opt.Seed, alg, parent)
 	case StrategyDegk:
 		kp := mis.KPSolver()
 		if opt.Arch == ArchGPU {
-			kp = mis.KPSolverOn(opt.Machine.Launch)
+			kp = mis.KPSolverOn(opt.Machine)
 		}
-		s, rep = mis.MISDeg2With(g, alg, kp)
+		s, rep = mis.MISDeg2With(g, alg, kp, parent)
 	case StrategyMPX:
-		s, rep = mis.MISMPX(g, opt.MPXBeta, opt.Seed, alg)
+		s, rep = mis.MISMPX(g, opt.MPXBeta, opt.Seed, alg, parent)
 	default:
-		rep.Strategy = "LubyMIS"
+		rep.Strategy, rep.Parent = "LubyMIS", parent
 		sp := rep.Phase("solve")
 		var st mis.Stats
-		if opt.Arch == ArchGPU {
-			s, st = mis.LubyGPU(g, opt.Machine, opt.Seed)
-		} else {
-			s, st = mis.Luby(g, opt.Seed)
-		}
+		s, st = mis.Fresh(g, alg, sp)
 		rep.EndPhase(sp, st.Rounds)
 	}
 	return s, rep.Report
-}
-
-// SolveCtx is Solve with a context. If ctx carries a trace.Collector
-// (via trace.NewContext), the collector is attached to the calling
-// goroutine for the duration of the solve, so every phase span the
-// decomposition and solver layers open — decomp, solve/parts,
-// solve/cross, per-round series — lands on that collector instead of the
-// process-global tracer. This is how the serving layer gives each
-// concurrent request its own span tree; a context without a collector
-// behaves exactly like Solve.
-func SolveCtx(ctx context.Context, g *graph.Graph, p Problem, opt Options) (*Result, error) {
-	defer trace.FromContext(ctx).Attach()()
-	return Solve(g, p, opt)
-}
-
-// SolveVerifiedCtx is SolveVerified with a context, threading a carried
-// trace.Collector the same way SolveCtx does.
-func SolveVerifiedCtx(ctx context.Context, g *graph.Graph, p Problem, opt Options) (*Result, error) {
-	defer trace.FromContext(ctx).Attach()()
-	return SolveVerified(g, p, opt)
 }
 
 // SolveVerified runs Solve and then Verify, returning the result only if

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -18,18 +19,16 @@ import (
 // top span's rounds: a phase that records its rounds twice fails here.
 func TestTracePhaseCoverage(t *testing.T) {
 	g := randomGraph(4000, 40000, 3)
-	trace.Enable(true)
-	defer trace.Enable(false)
 
 	for _, a := range []Arch{ArchCPU, ArchGPU} {
 		for _, p := range []Problem{ProblemMM, ProblemColor, ProblemMIS} {
 			for _, s := range []Strategy{StrategyBaseline, StrategyBridge, StrategyRand, StrategyDegk, StrategyMPX} {
-				trace.Reset()
-				res, err := Solve(g, p, Options{Strategy: s, Arch: a, Seed: 7})
+				col := trace.NewCollector()
+				res, err := Solve(g, p, Options{Strategy: s, Arch: a, Seed: 7, Trace: col.Root()})
 				if err != nil {
 					t.Fatalf("%v/%v/%v: %v", p, s, a, err)
 				}
-				snap := trace.Snapshot()
+				snap := col.Snapshot()
 				if len(snap.Children) != 1 {
 					t.Fatalf("%v/%v/%v: want one top-level span, got %d", p, s, a, len(snap.Children))
 				}
@@ -70,16 +69,66 @@ func TestTracePhaseCoverage(t *testing.T) {
 }
 
 // TestTraceDisabledProducesNothing pins the zero-cost path at this layer:
-// with tracing off, a full Solve must leave the tracer empty.
+// a Solve with a nil Options.Trace records nothing, not even into the
+// process tree.
 func TestTraceDisabledProducesNothing(t *testing.T) {
-	trace.Enable(false)
-	trace.Reset()
+	trace.Default.Reset()
 	g := randomGraph(500, 2000, 4)
 	if _, err := Solve(g, ProblemMIS, Options{Strategy: StrategyDegk, Seed: 7}); err != nil {
 		t.Fatal(err)
 	}
-	snap := trace.Snapshot()
+	snap := trace.Default.Snapshot()
 	if len(snap.Children) != 0 || len(snap.Counters) != 0 {
-		t.Fatalf("disabled tracer recorded data: %+v", snap)
+		t.Fatalf("untraced solve recorded data: %+v", snap)
+	}
+}
+
+// TestTraceVocabulary pins where the explicit span tree puts the inner
+// layers, for every problem × strategy × arch: a BRIDGE run's decomp span
+// opens with find-bridges, whose bfs child carries the BFS's per-round
+// frontier series; an MPX run's decomp span holds mpx-grow with the ball
+// growing's frontier series; and on the GPU the gpu_launches counters of
+// the core span's phase children sum to Report.GPUStats.Launches, so every
+// kernel launch is attributed to exactly one phase.
+func TestTraceVocabulary(t *testing.T) {
+	g := randomGraph(3000, 9000, 5)
+	for _, a := range []Arch{ArchCPU, ArchGPU} {
+		for _, p := range []Problem{ProblemMM, ProblemColor, ProblemMIS} {
+			for _, s := range []Strategy{StrategyBaseline, StrategyBridge, StrategyRand, StrategyDegk, StrategyMPX} {
+				cell := fmt.Sprintf("%v/%v/%v", p, s, a)
+				col := trace.NewCollector()
+				res, err := Solve(g, p, Options{Strategy: s, Arch: a, Seed: 3, Trace: col.Root()})
+				if err != nil {
+					t.Fatalf("%s: %v", cell, err)
+				}
+				top := col.Snapshot().Children[0]
+				d := top.Find("decomp")
+				switch s {
+				case StrategyBridge:
+					if d == nil || len(d.Children) == 0 || d.Children[0].Name != "find-bridges" {
+						t.Errorf("%s: decomp span does not open with find-bridges: %+v", cell, d)
+					} else if bfs := d.Children[0].Find("bfs"); bfs == nil || len(bfs.Series["frontier"]) == 0 {
+						t.Errorf("%s: find-bridges has no bfs span with a frontier series: %+v", cell, d.Children[0])
+					}
+				case StrategyMPX:
+					if d == nil || len(d.Children) == 0 || d.Children[0].Name != "mpx-grow" {
+						t.Errorf("%s: decomp span does not open with mpx-grow: %+v", cell, d)
+					} else if len(d.Children[0].Series["frontier"]) == 0 {
+						t.Errorf("%s: mpx-grow carries no frontier series", cell)
+					}
+				}
+				if a != ArchGPU {
+					continue
+				}
+				var launches int64
+				for _, c := range top.Children {
+					launches += c.Counter("gpu_launches")
+				}
+				if launches == 0 || launches != res.Report.GPUStats.Launches {
+					t.Errorf("%s: phase spans count %d gpu_launches, Report.GPUStats.Launches %d",
+						cell, launches, res.Report.GPUStats.Launches)
+				}
+			}
+		}
 	}
 }

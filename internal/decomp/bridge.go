@@ -41,9 +41,13 @@ func (bi *BridgeInfo) IsBridge(a, b int32) bool {
 // ancestor, marking every tree edge on the way. A tree edge can never be
 // part of a cycle if no such walk crosses it, so the unmarked tree edges
 // are exactly the bridges of G.
-func FindBridges(g *graph.Graph) *BridgeInfo {
+//
+// The run is traced as a "find-bridges" span under parent, with "bfs"
+// (carrying the per-round frontier series) and "lca-mark" children (nil:
+// untraced).
+func FindBridges(g *graph.Graph, parent *trace.Span) *BridgeInfo {
 	bi := &BridgeInfo{}
-	sp := trace.Begin("find-bridges")
+	sp := parent.Begin("find-bridges")
 	n := g.NumVertices()
 
 	// STEP 1: parallel BFS forest (multi-source so disconnected inputs
@@ -52,8 +56,8 @@ func FindBridges(g *graph.Graph) *BridgeInfo {
 	// a bridge is fixed by the (direction-independent) level array, so
 	// the bridge set and its listing order do not depend on which
 	// forest the hybrid traversal finds.
-	bfsSpan := trace.Begin("bfs")
-	tree := new(frontier.Engine).BFSForest(g)
+	bfsSpan := sp.Begin("bfs")
+	tree := (&frontier.Engine{Span: bfsSpan}).BFSForest(g)
 	bi.Rounds = tree.Depth
 	bfsSpan.Add("rounds", int64(tree.Depth))
 	bfsSpan.End()
@@ -64,7 +68,7 @@ func FindBridges(g *graph.Graph) *BridgeInfo {
 	// STEP 2: for every non-tree edge {x, y}, climb to the LCA marking
 	// tree edges. Climbing alternates on the deeper endpoint so both
 	// walks meet exactly at the LCA.
-	markSpan := trace.Begin("lca-mark")
+	markSpan := sp.Begin("lca-mark")
 	g.ForEachEdgePar(func(u, v int32) {
 		if tree.IsTreeEdge(u, v) {
 			return
@@ -109,19 +113,12 @@ func FindBridges(g *graph.Graph) *BridgeInfo {
 // subgraph G_b of the bridge set B.
 func Bridge(g *graph.Graph) *Result {
 	r := &Result{Technique: TechBridge}
-	sp := trace.Begin("decomp/BRIDGE")
-	bi := FindBridges(g)
+	bi := FindBridges(g, nil)
 	r.Rounds = bi.Rounds
 	r.Bridges = bi.Bridges
-	mat := trace.Begin("materialize")
 	gc := graph.RemoveEdges(g, func(a, b int32) bool { return !bi.IsBridge(a, b) })
 	r.Parts = []*graph.Sub{graph.IdentitySub(gc)}
 	r.Cross = graph.EdgeInducedSubgraph(g, bi.IsBridge)
 	r.Label = make([]int32, g.NumVertices()) // all zero: the single G_c part
-	mat.End()
-	if trace.Enabled() {
-		traceResult(sp, r)
-	}
-	sp.End()
 	return r
 }

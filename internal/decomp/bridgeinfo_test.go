@@ -8,7 +8,7 @@ import (
 
 func TestFindBridgesIsBridgePredicate(t *testing.T) {
 	g := paperGraph()
-	bi := FindBridges(g)
+	bi := FindBridges(g, nil)
 	if len(bi.Bridges) != 2 {
 		t.Fatalf("bridges = %v", bi.Bridges)
 	}
@@ -34,7 +34,7 @@ func TestFindBridgesIsBridgePredicate(t *testing.T) {
 func TestFindBridgesMatchesOracleRandom(t *testing.T) {
 	for seed := uint64(0); seed < 5; seed++ {
 		g := randomGraph(150, 200, seed+50)
-		bi := FindBridges(g)
+		bi := FindBridges(g, nil)
 		want := graph.Bridges(g)
 		if len(bi.Bridges) != len(want) {
 			t.Fatalf("seed %d: %d bridges, oracle %d", seed, len(bi.Bridges), len(want))
@@ -52,7 +52,7 @@ func TestFindBridgesMatchesOracleRandom(t *testing.T) {
 }
 
 func TestFindBridgesRounds(t *testing.T) {
-	bi := FindBridges(pathGraph(100))
+	bi := FindBridges(pathGraph(100), nil)
 	if bi.Rounds != 100 {
 		t.Fatalf("Rounds = %d, want BFS depth 100", bi.Rounds)
 	}

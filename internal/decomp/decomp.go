@@ -113,11 +113,15 @@ func (r *Result) CrossEdges() int64 {
 	return r.Cross.NumEdges()
 }
 
-// traceResult records a finished decomposition's shape counters on its
-// span: part/cross edge split, part count, and the parallel round count —
-// the quantities Figure 2 and the decomp-stats experiment report. Called
-// only when tracing is enabled.
-func traceResult(sp *trace.Span, r *Result) {
+// Trace records the decomposition's shape counters on sp: part/cross
+// edge split, part count, and the parallel round count — the quantities
+// Figure 2 and the decomp-stats experiment report. The decompositions
+// open no spans themselves; a caller that times one records its shape
+// here. Safe on a nil sp.
+func (r *Result) Trace(sp *trace.Span) {
+	if sp == nil {
+		return
+	}
 	sp.Add("parts", int64(len(r.Parts)))
 	sp.Add("part_edges", r.PartEdges())
 	sp.Add("cross_edges", r.CrossEdges())

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/par"
-	"repro/internal/trace"
 )
 
 // Indices of the two DEGk parts in Result.Parts.
@@ -28,7 +27,6 @@ func Degk(g *graph.Graph, k int) *Result {
 		panic(fmt.Sprintf("decomp: Degk with k=%d", k))
 	}
 	r := &Result{Technique: TechDegk}
-	sp := trace.Begin("decomp/DEGk")
 	n := g.NumVertices()
 	label := make([]int32, n)
 	par.For(n, func(i int) {
@@ -41,9 +39,5 @@ func Degk(g *graph.Graph, k int) *Result {
 	r.Parts, r.Cross = graph.PartitionByLabel(g, label, 2)
 	r.Label = label
 	r.Rounds = 1
-	if trace.Enabled() {
-		traceResult(sp, r)
-	}
-	sp.End()
 	return r
 }

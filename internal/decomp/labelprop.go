@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/par"
-	"repro/internal/trace"
 )
 
 // LabelProp is a cheap locality-aware partitioner used as the METIS
@@ -25,7 +24,6 @@ func LabelProp(g *graph.Graph, k, iters int, seed uint64) *Result {
 		panic(fmt.Sprintf("decomp: LabelProp with k=%d", k))
 	}
 	r := &Result{Technique: TechLabelProp}
-	sp := trace.Begin("decomp/LABELPROP")
 	n := g.NumVertices()
 	label := make([]int32, n)
 	par.For(n, func(i int) {
@@ -86,9 +84,5 @@ func LabelProp(g *graph.Graph, k, iters int, seed uint64) *Result {
 	}
 	r.Parts, r.Cross = graph.PartitionByLabel(g, label, kk)
 	r.Label = label
-	if trace.Enabled() {
-		traceResult(sp, r)
-	}
-	sp.End()
 	return r
 }

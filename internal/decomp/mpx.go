@@ -50,13 +50,14 @@ type MPXInfo struct {
 // MPXGrow runs the ball-growing phase. Shifts are pure hashes of
 // (seed, v), claims take the minimum center id, and the per-round frontier
 // comes from the frontier engine, so the assignment is bit-identical under
-// any worker count.
-func MPXGrow(g *graph.Graph, beta float64, seed uint64) *MPXInfo {
+// any worker count. The phase is traced as an "mpx-grow" span under
+// parent, carrying the per-round frontier series (nil: untraced).
+func MPXGrow(g *graph.Graph, beta float64, seed uint64, parent *trace.Span) *MPXInfo {
 	if beta <= 0 {
 		panic(fmt.Sprintf("decomp: MPX with beta=%v", beta))
 	}
 	info := &MPXInfo{}
-	sp := trace.Begin("mpx-grow")
+	sp := parent.Begin("mpx-grow")
 	n := g.NumVertices()
 	delta := make([]float64, n)
 	par.For(n, func(i int) {
@@ -92,7 +93,7 @@ func MPXGrow(g *graph.Graph, beta float64, seed uint64) *MPXInfo {
 	par.Fill(round, int32(-1))
 	visited := par.NewBitset(n)
 
-	eng := &frontier.Engine{}
+	eng := &frontier.Engine{Span: sp}
 	f := frontier.Empty(n)
 	remaining := n
 	cursor := 0
@@ -186,14 +187,12 @@ func claimMinCenter(addr *int32, id int32) bool {
 // Label is the dense ball index, ordered by center vertex id.
 func MPX(g *graph.Graph, beta float64, seed uint64) *Result {
 	r := &Result{Technique: TechMPX}
-	sp := trace.Begin("decomp/MPX")
-	info := MPXGrow(g, beta, seed)
+	info := MPXGrow(g, beta, seed, nil)
 	r.Rounds = info.Rounds
 	r.Balls = info.Balls
 	n := g.NumVertices()
 	center := info.Center
 
-	mat := trace.Begin("materialize")
 	sameBall := func(a, b int32) bool { return center[a] == center[b] }
 	gb := graph.RemoveEdges(g, sameBall)
 	r.Parts = []*graph.Sub{graph.IdentitySub(gb)}
@@ -215,10 +214,5 @@ func MPX(g *graph.Graph, beta float64, seed uint64) *Result {
 		label[i] = int32(rank[center[i]])
 	})
 	r.Label = label
-	mat.End()
-	if trace.Enabled() {
-		traceResult(sp, r)
-	}
-	sp.End()
 	return r
 }

@@ -12,7 +12,7 @@ import (
 // point at a real center).
 func TestMPXEveryVertexInExactlyOneBall(t *testing.T) {
 	for _, g := range []*graph.Graph{paperGraph(), pathGraph(500), cycleGraph(64), randomGraph(2000, 8000, 4)} {
-		info := MPXGrow(g, DefaultMPXBeta, 1)
+		info := MPXGrow(g, DefaultMPXBeta, 1, nil)
 		n := g.NumVertices()
 		balls := 0
 		for v := 0; v < n; v++ {
@@ -48,7 +48,7 @@ func TestMPXEveryVertexInExactlyOneBall(t *testing.T) {
 // every ball radius at ⌊maxDelta⌋ for the fixed beta.
 func TestMPXLayeredGrowthAndRadiusBound(t *testing.T) {
 	g := randomGraph(3000, 12000, 9)
-	info := MPXGrow(g, DefaultMPXBeta, 2)
+	info := MPXGrow(g, DefaultMPXBeta, 2, nil)
 	n := g.NumVertices()
 	for v := 0; v < n; v++ {
 		start := int32(info.MaxDelta - info.Delta[v])
@@ -86,10 +86,10 @@ func TestMPXDeterministicAcrossWorkers(t *testing.T) {
 	defer par.SetWorkers(0)
 	g := randomGraph(2500, 10000, 11)
 	par.SetWorkers(1)
-	ref := MPXGrow(g, DefaultMPXBeta, 3)
+	ref := MPXGrow(g, DefaultMPXBeta, 3, nil)
 	for _, w := range []int{2, 4, 8} {
 		par.SetWorkers(w)
-		got := MPXGrow(g, DefaultMPXBeta, 3)
+		got := MPXGrow(g, DefaultMPXBeta, 3, nil)
 		if got.Balls != ref.Balls || got.Rounds != ref.Rounds {
 			t.Fatalf("%d workers: %d balls/%d rounds, 1 worker: %d/%d",
 				w, got.Balls, got.Rounds, ref.Balls, ref.Rounds)
@@ -135,7 +135,7 @@ func TestMPXResultShape(t *testing.T) {
 		t.Fatalf("labels cover %d balls, want %d", len(seen), r.Balls)
 	}
 	// No part edge crosses balls, every cross edge does.
-	info := MPXGrow(g, DefaultMPXBeta, 1)
+	info := MPXGrow(g, DefaultMPXBeta, 1, nil)
 	part := r.Parts[0].G
 	for v := int32(0); v < int32(part.NumVertices()); v++ {
 		for _, w := range part.Neighbors(v) {
@@ -178,7 +178,7 @@ func TestMPXPanicsOnBadBeta(t *testing.T) {
 			t.Fatal("beta = 0 accepted")
 		}
 	}()
-	MPXGrow(pathGraph(4), 0, 1)
+	MPXGrow(pathGraph(4), 0, 1, nil)
 }
 
 // TestParseTechniqueRoundTrip: every Technique's String() parses back to

@@ -3,7 +3,6 @@ package decomp
 import (
 	"repro/internal/graph"
 	"repro/internal/multilevel"
-	"repro/internal/trace"
 )
 
 // TechMultilevel identifies the matching-based multilevel partitioner
@@ -17,14 +16,9 @@ const TechMultilevel Technique = 100
 // measures exactly that with this decomposition.
 func Multilevel(g *graph.Graph, k int, seed uint64) *Result {
 	r := &Result{Technique: TechMultilevel}
-	sp := trace.Begin("decomp/MULTILEVEL")
 	label, st := multilevel.Partition(g, k, seed, multilevel.Options{})
 	r.Parts, r.Cross = graph.PartitionByLabel(g, label, k)
 	r.Label = label
 	r.Rounds = st.Levels
-	if trace.Enabled() {
-		traceResult(sp, r)
-	}
-	sp.End()
 	return r
 }

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/par"
-	"repro/internal/trace"
 )
 
 // Rand runs the paper's Algorithm 2 (Dcmp_Rand): every vertex independently
@@ -22,7 +21,6 @@ func Rand(g *graph.Graph, k int, seed uint64) *Result {
 		panic(fmt.Sprintf("decomp: Rand with k=%d", k))
 	}
 	r := &Result{Technique: TechRand}
-	sp := trace.Begin("decomp/RAND")
 	n := g.NumVertices()
 	label := make([]int32, n)
 	par.For(n, func(i int) {
@@ -31,9 +29,5 @@ func Rand(g *graph.Graph, k int, seed uint64) *Result {
 	r.Parts, r.Cross = graph.PartitionByLabel(g, label, k)
 	r.Label = label
 	r.Rounds = 1
-	if trace.Enabled() {
-		traceResult(sp, r)
-	}
-	sp.End()
 	return r
 }

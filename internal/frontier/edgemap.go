@@ -48,6 +48,9 @@ type Engine struct {
 	// bottom-up while frontier size exceeds n/PullDiv. Zero uses
 	// DefaultPullDiv; NoPull disables bottom-up.
 	PullDiv int
+	// Span receives each round's input frontier size as its "frontier"
+	// series; nil records nothing.
+	Span *trace.Span
 
 	started  bool
 	lastPull bool
@@ -102,7 +105,7 @@ func (e *Engine) EdgeMap(g *graph.Graph, f *Subset, ops Ops) *Subset {
 			emSwitches.Inc()
 		}
 	}
-	trace.Append("frontier", int64(size))
+	e.Span.Append("frontier", int64(size))
 	if pull {
 		return edgeMapPull(g, f, ops)
 	}

@@ -63,7 +63,7 @@ func matchingBaselines(cfg Config) *Table {
 			matching.LMAX(g, machine, cfg.Seed)
 		})
 		mmrand := timeRun(cfg, func() {
-			matching.MMRand(g, spec.MMRandPartsCPU, cfg.Seed, matching.GMSolver())
+			matching.MMRand(g, spec.MMRandPartsCPU, cfg.Seed, matching.GMSolver(), cfg.Trace)
 		})
 		t.Rows = append(t.Rows, []string{
 			spec.Name, fmtDur(gm), fmtDur(gr), fmtDur(ii), fmtDur(lmax), fmtDur(mmrand),
@@ -92,14 +92,14 @@ func coloringBaselines(cfg Config) *Table {
 		for _, eng := range engines {
 			var colors int32
 			d := timeRun(cfg, func() {
-				c, _ := eng.Fresh(g)
+				c, _ := coloring.Fresh(g, eng, nil)
 				colors = c.NumColors()
 			})
 			row = append(row, fmt.Sprintf("%s|%dc", fmtDur(d), colors))
 		}
 		var colors int32
 		d := timeRun(cfg, func() {
-			c, _ := coloring.ColorDegk(g, 2, coloring.NewVB())
+			c, _ := coloring.ColorDegk(g, 2, coloring.NewVB(), cfg.Trace)
 			colors = c.NumColors()
 		})
 		row = append(row, fmt.Sprintf("%s|%dc", fmtDur(d), colors))
@@ -121,7 +121,7 @@ func misBaselines(cfg Config) *Table {
 		for _, run := range []func() *mis.IndepSet{
 			func() *mis.IndepSet { s, _ := mis.Luby(g, cfg.Seed); return s },
 			func() *mis.IndepSet { s, _ := mis.Greedy(g, cfg.Seed); return s },
-			func() *mis.IndepSet { s, _ := mis.MISDeg2(g, mis.LubySolver(cfg.Seed)); return s },
+			func() *mis.IndepSet { s, _ := mis.MISDeg2(g, mis.LubySolver(cfg.Seed), cfg.Trace); return s },
 		} {
 			var size int64
 			d := timeRun(cfg, func() { size = run().Size() })

@@ -60,21 +60,34 @@ func Table2(cfg Config) *Table {
 }
 
 // Fig2 reproduces Figure 2: time per decomposition technique per graph
-// (RAND with 10 subgraphs, DEGk with k=2).
+// (RAND with 10 subgraphs, DEGk with k=2). Each timed call is traced as
+// a "decomp/<TECH>" span under cfg.Trace carrying the result's shape
+// counters.
 func Fig2(cfg Config) *Table {
 	cfg = cfg.withDefaults()
 	t := &Table{
 		Title:  "Figure 2: decomposition time per technique",
 		Header: []string{"graph", "BRIDGE", "RAND(10)", "DEG2", "MPX(0.2)", "LABELPROP(8)", "BFS rounds"},
 	}
+	timed := func(tech decomp.Technique, run func() *decomp.Result) time.Duration {
+		return timeRun(cfg, func() {
+			sp := cfg.Trace.Beginf("decomp/%s", tech)
+			run().Trace(sp)
+			sp.End()
+		})
+	}
 	for _, spec := range cfg.specs() {
 		g := dataset.Load(spec, cfg.Scale, cfg.Seed)
 		var rounds int
-		bridge := timeRun(cfg, func() { rounds = decomp.Bridge(g).Rounds })
-		rand := timeRun(cfg, func() { decomp.Rand(g, 10, cfg.Seed) })
-		degk := timeRun(cfg, func() { decomp.Degk(g, 2) })
-		mpx := timeRun(cfg, func() { decomp.MPX(g, decomp.DefaultMPXBeta, cfg.Seed) })
-		lp := timeRun(cfg, func() { decomp.LabelProp(g, 8, 5, cfg.Seed) })
+		bridge := timed(decomp.TechBridge, func() *decomp.Result {
+			r := decomp.Bridge(g)
+			rounds = r.Rounds
+			return r
+		})
+		rand := timed(decomp.TechRand, func() *decomp.Result { return decomp.Rand(g, 10, cfg.Seed) })
+		degk := timed(decomp.TechDegk, func() *decomp.Result { return decomp.Degk(g, 2) })
+		mpx := timed(decomp.TechMPX, func() *decomp.Result { return decomp.MPX(g, decomp.DefaultMPXBeta, cfg.Seed) })
+		lp := timed(decomp.TechLabelProp, func() *decomp.Result { return decomp.LabelProp(g, 8, 5, cfg.Seed) })
 		t.Rows = append(t.Rows, []string{
 			spec.Name, fmtDur(bridge), fmtDur(rand), fmtDur(degk), fmtDur(mpx), fmtDur(lp),
 			fmt.Sprintf("%d", rounds),
@@ -272,10 +285,10 @@ func AblationParts(cfg Config) *Table {
 		colRow := []string{spec.Name, "COLOR-Rand"}
 		for _, k := range parts {
 			start := time.Now()
-			matching.MMRand(g, k, cfg.Seed, matching.GMSolver())
+			matching.MMRand(g, k, cfg.Seed, matching.GMSolver(), cfg.Trace)
 			mmRow = append(mmRow, fmtDur(time.Since(start)))
 			start = time.Now()
-			coloring.ColorRand(g, k, cfg.Seed, coloring.NewVB())
+			coloring.ColorRand(g, k, cfg.Seed, coloring.NewVB(), cfg.Trace)
 			colRow = append(colRow, fmtDur(time.Since(start)))
 		}
 		t.Rows = append(t.Rows, mmRow, colRow)
@@ -301,10 +314,10 @@ func AblationDegk(cfg Config) *Table {
 		colRow := []string{spec.Name, "COLOR-Degk"}
 		for _, k := range ks {
 			start := time.Now()
-			matching.MMDegk(g, k, matching.GMSolver())
+			matching.MMDegk(g, k, matching.GMSolver(), cfg.Trace)
 			mmRow = append(mmRow, fmtDur(time.Since(start)))
 			start = time.Now()
-			coloring.ColorDegk(g, k, coloring.NewVB())
+			coloring.ColorDegk(g, k, coloring.NewVB(), cfg.Trace)
 			colRow = append(colRow, fmtDur(time.Since(start)))
 		}
 		t.Rows = append(t.Rows, mmRow, colRow)
@@ -325,11 +338,11 @@ func AblationOrder(cfg Config) *Table {
 	for _, spec := range cfg.specs() {
 		g := dataset.Load(spec, cfg.Scale, cfg.Seed)
 		bridgeCell := func(ord mis.Order) string {
-			_, rep := mis.MISBridgeOrdered(g, alg, ord)
+			_, rep := mis.MISBridgeOrdered(g, alg, ord, cfg.Trace)
 			return fmtDur(rep.Total())
 		}
 		randCell := func(ord mis.Order) string {
-			_, rep := mis.MISRandOrdered(g, 10, cfg.Seed, alg, ord)
+			_, rep := mis.MISRandOrdered(g, 10, cfg.Seed, alg, ord, cfg.Trace)
 			return fmtDur(rep.Total())
 		}
 		t.Rows = append(t.Rows,

@@ -28,23 +28,23 @@ func ExtBiconn(cfg Config) *Table {
 		g := dataset.Load(spec, cfg.Scale, cfg.Seed)
 		mm := func() []string {
 			base := timeRun(cfg, func() { matching.GM(g) })
-			bic := timeRun(cfg, func() { matching.MMBiconn(g, matching.GMSolver()) })
+			bic := timeRun(cfg, func() { matching.MMBiconn(g, matching.GMSolver(), cfg.Trace) })
 			win := timeRun(cfg, func() {
-				matching.MMRand(g, spec.MMRandPartsCPU, cfg.Seed, matching.GMSolver())
+				matching.MMRand(g, spec.MMRandPartsCPU, cfg.Seed, matching.GMSolver(), cfg.Trace)
 			})
 			return []string{spec.Name, "MM", fmtDur(base), fmtDur(bic), fmtDur(win)}
 		}
 		col := func() []string {
 			eng := coloring.NewVB()
 			base := timeRun(cfg, func() { eng.Fresh(g) })
-			bic := timeRun(cfg, func() { coloring.ColorBiconn(g, eng) })
-			win := timeRun(cfg, func() { coloring.ColorDegk(g, 2, eng) })
+			bic := timeRun(cfg, func() { coloring.ColorBiconn(g, eng, cfg.Trace) })
+			win := timeRun(cfg, func() { coloring.ColorDegk(g, 2, eng, cfg.Trace) })
 			return []string{spec.Name, "COLOR", fmtDur(base), fmtDur(bic), fmtDur(win)}
 		}
 		ms := func() []string {
 			base := timeRun(cfg, func() { mis.Luby(g, cfg.Seed) })
-			bic := timeRun(cfg, func() { mis.MISBiconn(g, mis.LubySolver(cfg.Seed)) })
-			win := timeRun(cfg, func() { mis.MISDeg2(g, mis.LubySolver(cfg.Seed)) })
+			bic := timeRun(cfg, func() { mis.MISBiconn(g, mis.LubySolver(cfg.Seed), cfg.Trace) })
+			win := timeRun(cfg, func() { mis.MISDeg2(g, mis.LubySolver(cfg.Seed), cfg.Trace) })
 			return []string{spec.Name, "MIS", fmtDur(base), fmtDur(bic), fmtDur(win)}
 		}
 		t.Rows = append(t.Rows, mm(), col(), ms())

@@ -38,6 +38,10 @@ type Config struct {
 	Graphs []string
 	// Verify re-checks every solution (costs an extra O(m) pass per cell).
 	Verify bool
+	// Trace is the span the experiment records under: the grid's "cell"
+	// spans and the runs of experiments that call solvers and
+	// decompositions directly. nil leaves the experiment untraced.
+	Trace *trace.Span
 }
 
 // withDefaults normalizes a Config.
@@ -179,7 +183,8 @@ func measure(cfg Config, g *graph.Graph, spec dataset.Spec, p core.Problem, s co
 
 	runs := make([]Cell, 0, cfg.Repeats)
 	for r := 0; r < cfg.Repeats; r++ {
-		sp := trace.Beginf("cell %s/%s/%s/%s", spec.Name, p, s, arch)
+		sp := cfg.Trace.Beginf("cell %s/%s/%s/%s", spec.Name, p, s, arch)
+		opt.Trace = sp
 		start := time.Now()
 		res, err := core.Solve(g, p, opt)
 		wall := time.Since(start)
@@ -187,13 +192,11 @@ func measure(cfg Config, g *graph.Graph, spec dataset.Spec, p core.Problem, s co
 			sp.End()
 			panic(fmt.Sprintf("harness: %s/%v/%v/%v: %v", spec.Name, p, s, arch, err))
 		}
-		if trace.Enabled() {
-			sp.Add("rounds", int64(res.Report.Rounds))
-			sp.Add("decomp_ns", int64(res.Report.Decomp))
-			sp.Add("solve_ns", int64(res.Report.Solve))
-			if arch == core.ArchGPU {
-				sp.Add("sim_ns", int64(res.Report.GPUStats.SimTime))
-			}
+		sp.Add("rounds", int64(res.Report.Rounds))
+		sp.Add("decomp_ns", int64(res.Report.Decomp))
+		sp.Add("solve_ns", int64(res.Report.Solve))
+		if arch == core.ArchGPU {
+			sp.Add("sim_ns", int64(res.Report.GPUStats.SimTime))
 		}
 		sp.End()
 		if cfg.Verify {

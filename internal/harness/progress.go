@@ -82,8 +82,8 @@ func RelabelAblation(cfg Config) *Table {
 		shuffled := graph.RelabelRandom(g, cfg.Seed+77)
 		_, gmOrig := matching.GM(g)
 		_, gmShuf := matching.GM(shuffled)
-		_, randOrig := matching.MMRand(g, spec.MMRandPartsCPU, cfg.Seed, matching.GMSolver())
-		_, randShuf := matching.MMRand(shuffled, spec.MMRandPartsCPU, cfg.Seed, matching.GMSolver())
+		_, randOrig := matching.MMRand(g, spec.MMRandPartsCPU, cfg.Seed, matching.GMSolver(), cfg.Trace)
+		_, randShuf := matching.MMRand(shuffled, spec.MMRandPartsCPU, cfg.Seed, matching.GMSolver(), cfg.Trace)
 		t.Rows = append(t.Rows, []string{
 			spec.Name,
 			fmt.Sprintf("%d", gmOrig.Rounds), fmt.Sprintf("%d", gmShuf.Rounds),

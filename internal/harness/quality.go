@@ -31,13 +31,13 @@ func Quality(cfg Config) *Table {
 		g := dataset.Load(spec, cfg.Scale, cfg.Seed)
 		mSeq := seq.Matching(g).Cardinality()
 		mGM, _ := matching.GM(g)
-		mRand, _ := matching.MMRand(g, spec.MMRandPartsCPU, cfg.Seed, matching.GMSolver())
+		mRand, _ := matching.MMRand(g, spec.MMRandPartsCPU, cfg.Seed, matching.GMSolver(), cfg.Trace)
 		cSeq := seq.Color(g).NumColors()
 		cVB, _ := coloring.NewVB().Fresh(g)
-		cDegk, _ := coloring.ColorDegk(g, 2, coloring.NewVB())
+		cDegk, _ := coloring.ColorDegk(g, 2, coloring.NewVB(), cfg.Trace)
 		sSeq := seq.MIS(g).Size()
 		sLuby, _ := mis.Luby(g, cfg.Seed)
-		sDeg2, _ := mis.MISDeg2(g, mis.LubySolver(cfg.Seed))
+		sDeg2, _ := mis.MISDeg2(g, mis.LubySolver(cfg.Seed), cfg.Trace)
 		t.Rows = append(t.Rows, []string{
 			spec.Name,
 			fmt.Sprintf("%d", mSeq), fmt.Sprintf("%d", mGM.Cardinality()), fmt.Sprintf("%d", mRand.Cardinality()),

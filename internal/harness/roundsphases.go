@@ -23,10 +23,9 @@ import (
 // analytically (Behnezhad et al., arXiv:1807.06701; Barenboim et al.,
 // arXiv:1202.1983).
 //
-// The experiment force-enables tracing for its own runs (restoring the
-// previous setting), so it works without benchall -trace. It resets the
-// tracer per cell to keep each snapshot attributable, so under -trace the
-// experiment's exported tree holds only its final cell.
+// Each cell records into its own collector, so the experiment works
+// without benchall -trace and every snapshot is attributable to its cell;
+// the cells do not appear in the experiment's -trace tree.
 func RoundsPhases(cfg Config) *Table {
 	cfg = cfg.withDefaults()
 	t := &Table{
@@ -34,28 +33,20 @@ func RoundsPhases(cfg Config) *Table {
 		Header: []string{"graph", "problem", "arch", "strategy", "total", "decomp%", "rounds", "phase rounds"},
 	}
 
-	wasOn := trace.Enabled()
-	trace.Enable(true)
-	defer trace.Enable(wasOn)
-
 	for _, spec := range cfg.specs() {
 		g := dataset.Load(spec, cfg.Scale, cfg.Seed)
 		for _, p := range []core.Problem{core.ProblemMM, core.ProblemColor, core.ProblemMIS} {
 			for _, arch := range []core.Arch{core.ArchCPU, core.ArchGPU} {
-				opt := core.Options{Strategy: core.StrategyAuto, Arch: arch, Seed: cfg.Seed}
+				col := trace.NewCollector()
+				opt := core.Options{Strategy: core.StrategyAuto, Arch: arch, Seed: cfg.Seed, Trace: col.Root()}
 				if arch == core.ArchGPU {
 					opt.Machine = bsp.New()
 				}
-				trace.Reset()
 				res, err := core.Solve(g, p, opt)
 				if err != nil {
 					panic(fmt.Sprintf("harness: rounds-phases %s/%v/%v: %v", spec.Name, p, arch, err))
 				}
-				snap := trace.Snapshot()
-				if len(snap.Children) == 0 {
-					continue // tracing externally disabled mid-run; nothing to report
-				}
-				solveSpan := snap.Children[0] // the "core .../..." span
+				solveSpan := col.Snapshot().Children[0] // the "core .../..." span
 				t.Rows = append(t.Rows, []string{
 					spec.Name, p.String(), arch.String(), res.Report.StrategyName,
 					fmtDur(solveSpan.Dur()),

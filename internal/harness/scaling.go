@@ -58,6 +58,6 @@ func Scaling(cfg Config) *Table {
 func RuntimeStatsNote() string {
 	st := par.SnapshotStats()
 	return fmt.Sprintf(
-		"par runtime: %d pooled dispatches, %d inline loops, %d chunks (%d stolen by pool workers), %d goroutine spawns avoided",
-		st.Tasks, st.SeqLoops, st.Chunks, st.Steals, st.SpawnsAvoided)
+		"par runtime: %d pooled dispatches, %d inline loops, %d chunks (%d stolen by pool workers)",
+		st.Tasks, st.SeqLoops, st.Chunks, st.Steals)
 }

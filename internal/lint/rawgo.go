@@ -6,7 +6,7 @@ import (
 
 // Rawgo flags ad-hoc goroutine fan-out in solver packages: `go`
 // statements and sync.WaitGroup declarations. Solvers must dispatch
-// through internal/par's persistent pool (For/ForN/Do) so the harness's
+// through internal/par's persistent pool (For/Range/Do) so the harness's
 // worker-count sweeps actually bound parallelism and the pool's steal/
 // chunk statistics stay truthful; a bare `go func` escapes both.
 var Rawgo = &Analyzer{
@@ -21,7 +21,7 @@ func runRawgo(p *Pass) error {
 			switch n := n.(type) {
 			case *ast.GoStmt:
 				p.Reportf(n.Pos(),
-					"goroutine spawned directly in solver code: route fan-out through internal/par (For/ForN/Do) so worker-count sweeps and pool stats stay truthful")
+					"goroutine spawned directly in solver code: route fan-out through internal/par (For/Range/Do) so worker-count sweeps and pool stats stay truthful")
 			case *ast.ValueSpec:
 				if n.Type != nil && p.typeIsWaitGroup(n.Type) {
 					p.Reportf(n.Pos(),

@@ -6,36 +6,35 @@ import (
 	"go/types"
 )
 
-// Spanpair checks that every span opened with trace.Begin / trace.Beginf
-// is closed: the result must not be discarded, and a span bound to a
-// local variable must have End called on it somewhere in the enclosing
+// Spanpair checks that every span opened with (*trace.Span).Begin /
+// Beginf is closed: the result must not be discarded, and a span bound to
+// a local variable must have End called on it somewhere in the enclosing
 // function (typically `defer sp.End()`). A span that escapes the
 // function — returned, passed as an argument, stored — is assumed closed
-// by its new owner. An unclosed span wedges the tracer's current-span
-// stack, attributing every later phase to the wrong parent.
+// by its new owner. An unended span exports a wrong duration: its
+// elapsed-so-far time at snapshot, not the phase's wall time.
 var Spanpair = &Analyzer{
 	Name: "spanpair",
-	Doc:  "every trace.Begin/Beginf result must be ended (defer sp.End()) or escape",
+	Doc:  "every (*trace.Span).Begin/Beginf result must be ended (defer sp.End()) or escape",
 	Run:  runSpanpair,
 }
 
+// isTraceBegin matches a call of a trace method named Begin or Beginf —
+// (*trace.Span).Begin/Beginf, the package's only span openers.
 func isTraceBegin(info *types.Info, call *ast.CallExpr) (string, bool) {
-	pkg, name, ok := calleePkgFunc(info, call)
-	if !ok || !isInternalPkg(pkg, "trace") {
+	pkg, name, ok := calleeMethod(info, call)
+	if !ok || !isInternalPkg(pkg, "trace") || (name != "Begin" && name != "Beginf") {
 		return "", false
 	}
-	if name == "Begin" || name == "Beginf" {
-		return name, true
-	}
-	return "", false
+	return "Span." + name, true
 }
 
-// spanBinding is one `sp := trace.Begin(...)` (or `=`, or `var sp = ...`)
+// spanBinding is one `sp := parent.Begin(...)` (or `=`, or `var sp = ...`)
 // inside a function, keyed for the later End/escape scan.
 type spanBinding struct {
 	obj  types.Object
 	pos  token.Pos
-	name string // Begin or Beginf, for the message
+	name string // Span.Begin or Span.Beginf, for the message
 }
 
 func runSpanpair(p *Pass) error {

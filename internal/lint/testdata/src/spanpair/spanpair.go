@@ -1,62 +1,81 @@
 // Package spanpair exercises the spanpair analyzer: every span opened by
-// trace.Begin/Beginf must be ended in the opening function or escape to a
-// new owner.
+// (*trace.Span).Begin/Beginf must be ended in the opening function or
+// escape to a new owner.
 package spanpair
 
 import "repro/internal/trace"
 
-func discarded() {
-	trace.Begin("phase") // want `discarded`
+func discarded(parent *trace.Span) {
+	parent.Begin("phase") // want `discarded`
 }
 
-func discardedBeginf(n int) {
-	trace.Beginf("phase %d", n) // want `discarded`
+func discardedBeginf(parent *trace.Span, n int) {
+	parent.Beginf("phase %d", n) // want `discarded`
 }
 
-func blankAssigned() {
-	_ = trace.Begin("phase") // want `discarded`
+func blankAssigned(parent *trace.Span) {
+	_ = parent.Begin("phase") // want `discarded`
 }
 
-func leaked(n int) int {
-	sp := trace.Begin("phase") // want `never ended`
+func leaked(parent *trace.Span, n int) int {
+	sp := parent.Begin("phase") // want `never ended`
 	sp.Add("n", int64(n))
 	return n
 }
 
-func deferred() {
-	sp := trace.Begin("phase")
+func leakedChild(parent *trace.Span) {
+	sp := parent.Begin("phase")
+	defer sp.End()
+	child := sp.Begin("round") // want `never ended`
+	child.Append("frontier", 1)
+}
+
+func deferred(parent *trace.Span) {
+	sp := parent.Begin("phase")
 	defer sp.End()
 }
 
-func plainEnd() {
-	sp := trace.Begin("phase")
+func plainEnd(parent *trace.Span) {
+	sp := parent.Begin("phase")
 	sp.Add("work", 1)
 	sp.End()
 }
 
-func sequentialReuse() {
-	sp := trace.Begin("first")
+func sequentialReuse(parent *trace.Span) {
+	sp := parent.Begin("first")
 	sp.End()
-	sp = trace.Begin("second")
+	sp = parent.Begin("second")
 	sp.End()
 }
 
-func returned() *trace.Span {
-	return trace.Begin("phase") // escapes: the caller owns it
+func fromRoot(c *trace.Collector) {
+	sp := c.Root().Begin("phase") // want `never ended`
+	sp.Add("n", 1)
 }
 
-func passedAlong() {
-	sp := trace.Begin("phase")
+func returned(parent *trace.Span) *trace.Span {
+	return parent.Begin("phase") // escapes: the caller owns it
+}
+
+func passedAlong(parent *trace.Span) {
+	sp := parent.Begin("phase")
 	finish(sp) // escapes: finish owns it
 }
 
 func finish(sp *trace.Span) { sp.End() }
 
-func endedInClosure() {
-	sp := trace.Begin("phase")
+func endedInClosure(parent *trace.Span) {
+	sp := parent.Begin("phase")
 	defer func() { sp.End() }()
 }
 
-func allowed() {
-	trace.Begin("phase") //lint:allow spanpair
+// reportPhase opens its span through Report, which the analyzer does not
+// match: Report's phase spans are closed by EndPhase.
+func reportPhase(rep *trace.Report) {
+	sp := rep.Phase("solve")
+	rep.EndPhase(sp, 1)
+}
+
+func allowed(parent *trace.Span) {
+	parent.Begin("phase") //lint:allow spanpair
 }

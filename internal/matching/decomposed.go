@@ -19,10 +19,10 @@ func mergeSub(global []int32, sub *graph.Sub, local *Matching) {
 }
 
 // solveOnUnmatched induces sub on its vertices still unmatched in global,
-// runs mm there, and merges the result back. Returns the inner run's stats.
-// This realizes the recurring pseudocode step "V' ← unmatched vertices in
-// G_x using M; M' ← MM(G_x[V'])".
-func solveOnUnmatched(global []int32, sub *graph.Sub, mm Algorithm) Stats {
+// runs mm there under the phase span sp, and merges the result back.
+// Returns the inner run's stats. This realizes the recurring pseudocode
+// step "V' ← unmatched vertices in G_x using M; M' ← MM(G_x[V'])".
+func solveOnUnmatched(global []int32, sub *graph.Sub, mm Algorithm, sp *trace.Span) Stats {
 	member := make([]bool, sub.NumVertices())
 	par.For(len(member), func(j int) {
 		member[j] = global[sub.ToGlobal[j]] == Unmatched
@@ -33,39 +33,38 @@ func solveOnUnmatched(global []int32, sub *graph.Sub, mm Algorithm) Stats {
 	par.For(restricted.NumVertices(), func(j int) {
 		composed.ToGlobal[j] = sub.ToGlobal[restricted.ToGlobal[j]]
 	})
-	local, st := mm(composed.G)
+	local, st := mm(composed.G, sp)
 	mergeSub(global, composed, local)
 	return st
 }
 
 // twoPhase is the body MM-Bridge, MM-Rand, MM-Degk and MM-MPX share. The
-// timed decomposition runs split, which returns the edge split — keep
-// selects the first phase's edges, cross the rest — and the part count
-// for the decomp span. The first phase matches the graph of kept edges,
-// which keeps global vertex ids; the second matches the edge-induced
-// subgraph of the cross edges, restricted to the vertices still
-// unmatched. first and second name the two phase spans.
-func twoPhase(g *graph.Graph, strategy, first, second string, mm Algorithm,
-	split func() (keep, cross func(u, v int32) bool, parts int)) (*Matching, Report) {
-	rep := Report{Strategy: strategy}
+// timed decomposition runs split under the decomp span, which returns the
+// edge split — keep selects the first phase's edges, cross the rest — and
+// the part count for the decomp span. The first phase matches the graph of
+// kept edges, which keeps global vertex ids; the second matches the
+// edge-induced subgraph of the cross edges, restricted to the vertices
+// still unmatched. first and second name the two phase spans, opened
+// under parent.
+func twoPhase(g *graph.Graph, strategy, first, second string, mm Algorithm, parent *trace.Span,
+	split func(dsp *trace.Span) (keep, cross func(u, v int32) bool, parts int)) (*Matching, Report) {
+	rep := Report{Strategy: strategy, Parent: parent}
 	dsp := rep.Decompose()
-	keep, crossEdge, parts := split()
+	keep, crossEdge, parts := split(dsp)
 	g1 := graph.RemoveEdges(g, keep)
 	cross := graph.EdgeInducedSubgraph(g, crossEdge)
-	if trace.Enabled() {
-		dsp.Add("parts", int64(parts))
-		dsp.Add("cross_edges", int64(cross.G.NumEdges()))
-	}
+	dsp.Add("parts", int64(parts))
+	dsp.Add("cross_edges", int64(cross.G.NumEdges()))
 	rep.Decomposed(dsp)
 
 	m := NewMatching(g.NumVertices())
 	sp := rep.Phase(first)
-	m1, st := mm(g1)
+	m1, st := mm(g1, sp)
 	par.Copy(m.Mate, m1.Mate)
 	sp.Add("matched", st.Matched)
 	rep.EndPhase(sp, st.Rounds)
 	sp = rep.Phase(second)
-	st = solveOnUnmatched(m.Mate, cross, mm)
+	st = solveOnUnmatched(m.Mate, cross, mm, sp)
 	sp.Add("matched", st.Matched)
 	rep.EndPhase(sp, st.Rounds)
 	return m, rep
@@ -76,10 +75,10 @@ func twoPhase(g *graph.Graph, strategy, first, second string, mm Algorithm,
 // the parallel subroutine solves simultaneously), then augment with a
 // matching on the subgraph of the bridges induced by still-unmatched
 // bridge vertices.
-func MMBridge(g *graph.Graph, mm Algorithm) (*Matching, Report) {
-	return twoPhase(g, "MM-Bridge", "solve/parts", "solve/cross", mm,
-		func() (func(u, v int32) bool, func(u, v int32) bool, int) {
-			bi := decomp.FindBridges(g)
+func MMBridge(g *graph.Graph, mm Algorithm, parent *trace.Span) (*Matching, Report) {
+	return twoPhase(g, "MM-Bridge", "solve/parts", "solve/cross", mm, parent,
+		func(dsp *trace.Span) (func(u, v int32) bool, func(u, v int32) bool, int) {
+			bi := decomp.FindBridges(g, dsp)
 			return func(u, v int32) bool { return !bi.IsBridge(u, v) }, bi.IsBridge, 1
 		})
 }
@@ -90,9 +89,9 @@ func MMBridge(g *graph.Graph, mm Algorithm) (*Matching, Report) {
 // simultaneously), then the cross-edge graph G_{k+1} restricted to
 // unmatched vertices. The paper uses k = 10 on the CPU and k = 4 on the
 // GPU, raising k toward the average degree on very dense instances.
-func MMRand(g *graph.Graph, k int, seed uint64, mm Algorithm) (*Matching, Report) {
-	return twoPhase(g, "MM-Rand", "solve/parts", "solve/cross", mm,
-		func() (func(u, v int32) bool, func(u, v int32) bool, int) {
+func MMRand(g *graph.Graph, k int, seed uint64, mm Algorithm, parent *trace.Span) (*Matching, Report) {
+	return twoPhase(g, "MM-Rand", "solve/parts", "solve/cross", mm, parent,
+		func(*trace.Span) (func(u, v int32) bool, func(u, v int32) bool, int) {
 			label := make([]int32, g.NumVertices())
 			par.For(len(label), func(i int) {
 				label[i] = int32(par.HashRange(seed, int64(i), k))
@@ -107,10 +106,10 @@ func MMRand(g *graph.Graph, k int, seed uint64, mm Algorithm) (*Matching, Report
 // G_IS = ∪ᵢ G[Bᵢ], then the inter-ball graph restricted to still-unmatched
 // vertices. Where RAND fixes the part count k, MPX fixes the rate beta and
 // the ball count falls out of the shifts.
-func MMMPX(g *graph.Graph, beta float64, seed uint64, mm Algorithm) (*Matching, Report) {
-	return twoPhase(g, "MM-MPX", "solve/parts", "solve/cross", mm,
-		func() (func(u, v int32) bool, func(u, v int32) bool, int) {
-			info := decomp.MPXGrow(g, beta, seed)
+func MMMPX(g *graph.Graph, beta float64, seed uint64, mm Algorithm, parent *trace.Span) (*Matching, Report) {
+	return twoPhase(g, "MM-MPX", "solve/parts", "solve/cross", mm, parent,
+		func(dsp *trace.Span) (func(u, v int32) bool, func(u, v int32) bool, int) {
+			info := decomp.MPXGrow(g, beta, seed, dsp)
 			center := info.Center
 			return func(u, v int32) bool { return center[u] == center[v] },
 				func(u, v int32) bool { return center[u] != center[v] }, info.Balls
@@ -121,9 +120,9 @@ func MMMPX(g *graph.Graph, beta float64, seed uint64, mm Algorithm) (*Matching, 
 // paper), match the high-degree subgraph G_H first, then G_L ∪ G_C (every
 // edge with at least one low-degree endpoint) restricted to unmatched
 // vertices.
-func MMDegk(g *graph.Graph, k int, mm Algorithm) (*Matching, Report) {
-	return twoPhase(g, "MM-Degk", "solve/G_H", "solve/G_LC", mm,
-		func() (func(u, v int32) bool, func(u, v int32) bool, int) {
+func MMDegk(g *graph.Graph, k int, mm Algorithm, parent *trace.Span) (*Matching, Report) {
+	return twoPhase(g, "MM-Degk", "solve/G_H", "solve/G_LC", mm, parent,
+		func(*trace.Span) (func(u, v int32) bool, func(u, v int32) bool, int) {
 			low := make([]bool, g.NumVertices())
 			par.For(len(low), func(i int) { low[i] = g.Degree(int32(i)) <= int32(k) })
 			return func(u, v int32) bool { return !low[u] && !low[v] },

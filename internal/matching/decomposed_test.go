@@ -9,8 +9,8 @@ import (
 
 func TestMMRandDeterministicUnderSeed(t *testing.T) {
 	g := randomGraph(500, 2500, 6)
-	a, _ := MMRand(g, 10, 9, GMSolver())
-	b, _ := MMRand(g, 10, 9, GMSolver())
+	a, _ := MMRand(g, 10, 9, GMSolver(), nil)
+	b, _ := MMRand(g, 10, 9, GMSolver(), nil)
 	for i := range a.Mate {
 		if a.Mate[i] != b.Mate[i] {
 			t.Fatalf("MM-Rand differs at %d under same seed", i)
@@ -20,7 +20,7 @@ func TestMMRandDeterministicUnderSeed(t *testing.T) {
 
 func TestMMRandDecompAccounted(t *testing.T) {
 	g := randomGraph(2000, 10000, 2)
-	_, rep := MMRand(g, 10, 1, GMSolver())
+	_, rep := MMRand(g, 10, 1, GMSolver(), nil)
 	if rep.Decomp <= 0 || rep.Solve <= 0 {
 		t.Fatalf("report %+v", rep)
 	}
@@ -32,7 +32,7 @@ func TestMMRandDecompAccounted(t *testing.T) {
 func TestMMRandSinglePartDegeneratesToBaseline(t *testing.T) {
 	// k=1: G_IS = G, no cross edges; cardinality must match plain GM.
 	g := randomGraph(300, 1500, 3)
-	m1, _ := MMRand(g, 1, 5, GMSolver())
+	m1, _ := MMRand(g, 1, 5, GMSolver(), nil)
 	m2, _ := GM(g)
 	if m1.Cardinality() != m2.Cardinality() {
 		t.Fatalf("k=1 cardinality %d, GM %d", m1.Cardinality(), m2.Cardinality())
@@ -46,7 +46,7 @@ func TestMMDegkHighPhaseOnlyMatchesHighPairs(t *testing.T) {
 	// Star: center deg n-1 (high), leaves deg 1 (low). G_H has no edges →
 	// M_H empty; the entire matching must come from the G_LC phase.
 	g := starGraph(20)
-	m, rep := MMDegk(g, 2, GMSolver())
+	m, rep := MMDegk(g, 2, GMSolver(), nil)
 	if err := Verify(g, m); err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func TestGMInterleavedStarsStress(t *testing.T) {
 
 func TestMMBiconnMaximal(t *testing.T) {
 	for name, g := range testGraphs() {
-		m, rep := MMBiconn(g, GMSolver())
+		m, rep := MMBiconn(g, GMSolver(), nil)
 		if err := Verify(g, m); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}

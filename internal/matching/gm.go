@@ -19,7 +19,10 @@ import (
 // Each vertex keeps a cursor into its sorted adjacency list that only moves
 // forward (matched-ness is monotone), so the total scan work is O(m) plus
 // O(active) per round.
-func GM(g *graph.Graph) (*Matching, Stats) {
+func GM(g *graph.Graph) (*Matching, Stats) { return gm(g, nil) }
+
+// gm is GM appending its per-round matched and frontier series to sp.
+func gm(g *graph.Graph, sp *trace.Span) (*Matching, Stats) {
 	n := g.NumVertices()
 	m := NewMatching(n)
 	var st Stats
@@ -73,14 +76,12 @@ func GM(g *graph.Graph) (*Matching, Stats) {
 			return mate[v] == Unmatched && prop[v] != Unmatched
 		})
 		st.PerRound = append(st.PerRound, matched.Load())
-		if trace.Enabled() {
-			trace.Append("matched", matched.Load())
-			trace.Append("frontier", int64(len(active)))
-		}
+		sp.Append("matched", matched.Load())
+		sp.Append("frontier", int64(len(active)))
 	}
 	st.Matched = matched.Load()
 	return m, st
 }
 
 // GMSolver returns GM as an Algorithm value.
-func GMSolver() Algorithm { return GM }
+func GMSolver() Algorithm { return gm }

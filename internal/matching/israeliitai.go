@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/par"
+	"repro/internal/trace"
 )
 
 // IsraeliItai computes a maximal matching with the randomized two-phase
@@ -113,7 +114,7 @@ func IsraeliItai(g *graph.Graph, seed uint64) (*Matching, Stats) {
 
 // IsraeliItaiSolver returns IsraeliItai as an Algorithm.
 func IsraeliItaiSolver(seed uint64) Algorithm {
-	return func(g *graph.Graph) (*Matching, Stats) {
+	return func(g *graph.Graph, _ *trace.Span) (*Matching, Stats) {
 		return IsraeliItai(g, seed)
 	}
 }

@@ -39,9 +39,9 @@ func TestIsraeliItaiDeterministicUnderSeed(t *testing.T) {
 func TestIsraeliItaiAsDecompositionSubroutine(t *testing.T) {
 	g := randomGraph(500, 2500, 7)
 	for _, run := range []func() (*Matching, Report){
-		func() (*Matching, Report) { return MMBridge(g, IsraeliItaiSolver(2)) },
-		func() (*Matching, Report) { return MMRand(g, 5, 2, IsraeliItaiSolver(2)) },
-		func() (*Matching, Report) { return MMDegk(g, 2, IsraeliItaiSolver(2)) },
+		func() (*Matching, Report) { return MMBridge(g, IsraeliItaiSolver(2), nil) },
+		func() (*Matching, Report) { return MMRand(g, 5, 2, IsraeliItaiSolver(2), nil) },
+		func() (*Matching, Report) { return MMDegk(g, 2, IsraeliItaiSolver(2), nil) },
 	} {
 		m, _ := run()
 		if err := Verify(g, m); err != nil {

@@ -26,6 +26,13 @@ import (
 // handshake, retire), mirroring the kernel structure of the CUDA
 // implementation.
 func LMAX(g *graph.Graph, machine *bsp.Machine, seed uint64) (*Matching, Stats) {
+	return lmax(g, machine, seed, nil)
+}
+
+// lmax is LMAX attributing its launches and per-round matched and
+// frontier series to sp.
+func lmax(g *graph.Graph, machine *bsp.Machine, seed uint64, sp *trace.Span) (*Matching, Stats) {
+	launch := machine.In(sp)
 	n := g.NumVertices()
 	m := NewMatching(n)
 	var st Stats
@@ -57,7 +64,7 @@ func LMAX(g *graph.Graph, machine *bsp.Machine, seed uint64) (*Matching, Stats) 
 	for remaining > 0 {
 		st.Rounds++
 		// Kernel 1: each live vertex picks its heaviest live edge.
-		machine.Launch(n, func(tid int) {
+		launch(n, func(tid int) {
 			v := int32(tid)
 			if retired[v] {
 				return
@@ -74,7 +81,7 @@ func LMAX(g *graph.Graph, machine *bsp.Machine, seed uint64) (*Matching, Stats) 
 			cand[v] = best
 		})
 		// Kernel 2: handshake on mutual local maxima.
-		machine.Launch(n, func(tid int) {
+		launch(n, func(tid int) {
 			v := int32(tid)
 			if retired[v] {
 				return
@@ -89,7 +96,7 @@ func LMAX(g *graph.Graph, machine *bsp.Machine, seed uint64) (*Matching, Stats) 
 		// Kernel 3: retirement (vertices that matched or ran out of live
 		// neighbors leave the graph).
 		droppedOut.Store(0)
-		machine.Launch(n, func(tid int) {
+		launch(n, func(tid int) {
 			v := int32(tid)
 			if retired[v] {
 				return
@@ -101,10 +108,8 @@ func LMAX(g *graph.Graph, machine *bsp.Machine, seed uint64) (*Matching, Stats) 
 		})
 		remaining -= droppedOut.Load()
 		st.PerRound = append(st.PerRound, matched.Load())
-		if trace.Enabled() {
-			trace.Append("matched", matched.Load())
-			trace.Append("frontier", remaining)
-		}
+		sp.Append("matched", matched.Load())
+		sp.Append("frontier", remaining)
 	}
 	st.Matched = matched.Load()
 	return m, st
@@ -112,7 +117,7 @@ func LMAX(g *graph.Graph, machine *bsp.Machine, seed uint64) (*Matching, Stats) 
 
 // LMAXSolver returns LMAX with the machine and seed bound, as an Algorithm.
 func LMAXSolver(machine *bsp.Machine, seed uint64) Algorithm {
-	return func(g *graph.Graph) (*Matching, Stats) {
-		return LMAX(g, machine, seed)
+	return func(g *graph.Graph, sp *trace.Span) (*Matching, Stats) {
+		return lmax(g, machine, seed, sp)
 	}
 }

@@ -88,10 +88,11 @@ type Stats struct {
 }
 
 // Algorithm is a configured maximal matching subroutine: it computes a
-// maximal matching on any graph handed to it. The decomposition-based
-// algorithms take one as the inner solver, exactly as the paper uses GM on
-// the CPU and LMAX on the GPU as subroutines.
-type Algorithm func(g *graph.Graph) (*Matching, Stats)
+// maximal matching on any graph handed to it, recording its per-round
+// series on sp (nil: untraced). The decomposition-based algorithms take
+// one as the inner solver, exactly as the paper uses GM on the CPU and
+// LMAX on the GPU as subroutines, and hand it their phase span.
+type Algorithm func(g *graph.Graph, sp *trace.Span) (*Matching, Stats)
 
 // Report describes a full decomposition-based run. It is the run report
 // every solver package shares.

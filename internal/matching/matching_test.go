@@ -227,9 +227,9 @@ func TestDecomposedMatchingsMaximal(t *testing.T) {
 				name string
 				run  func() (*Matching, Report)
 			}{
-				{"MM-Bridge", func() (*Matching, Report) { return MMBridge(g, mm) }},
-				{"MM-Rand", func() (*Matching, Report) { return MMRand(g, 4, 3, mm) }},
-				{"MM-Degk", func() (*Matching, Report) { return MMDegk(g, 2, mm) }},
+				{"MM-Bridge", func() (*Matching, Report) { return MMBridge(g, mm, nil) }},
+				{"MM-Rand", func() (*Matching, Report) { return MMRand(g, 4, 3, mm, nil) }},
+				{"MM-Degk", func() (*Matching, Report) { return MMDegk(g, 2, mm, nil) }},
 			}
 			for _, r := range runs {
 				m, rep := r.run()
@@ -249,7 +249,7 @@ func TestMMRandAvoidsVainTendency(t *testing.T) {
 	// decomposition needs far fewer total rounds than plain GM.
 	g := pathGraph(4096)
 	_, gmStats := GM(g)
-	_, rep := MMRand(g, 10, 1, GMSolver())
+	_, rep := MMRand(g, 10, 1, GMSolver(), nil)
 	if rep.Rounds >= gmStats.Rounds {
 		t.Fatalf("MM-Rand rounds %d not below GM rounds %d", rep.Rounds, gmStats.Rounds)
 	}
@@ -257,7 +257,7 @@ func TestMMRandAvoidsVainTendency(t *testing.T) {
 
 func TestReportTotal(t *testing.T) {
 	g := randomGraph(500, 2500, 4)
-	_, rep := MMRand(g, 4, 9, GMSolver())
+	_, rep := MMRand(g, 4, 9, GMSolver(), nil)
 	if rep.Total() != rep.Decomp+rep.Solve {
 		t.Fatal("Total != Decomp + Solve")
 	}

@@ -74,7 +74,7 @@ func TestMaximalIsHalfApprox(t *testing.T) {
 		g := b.Build()
 		opt := maxMatchingBrute(g)
 		for name, alg := range algs {
-			m, _ := alg(g)
+			m, _ := alg(g, nil)
 			if err := Verify(g, m); err != nil {
 				t.Logf("%s: %v", name, err)
 				return false
@@ -86,10 +86,10 @@ func TestMaximalIsHalfApprox(t *testing.T) {
 		}
 		// The decomposed algorithms inherit the guarantee.
 		for _, m := range []*Matching{
-			first(MMRand(g, 3, 2, GMSolver())),
-			first(MMDegk(g, 2, GMSolver())),
-			first(MMBridge(g, GMSolver())),
-			first(MMBiconn(g, GMSolver())),
+			first(MMRand(g, 3, 2, GMSolver(), nil)),
+			first(MMDegk(g, 2, GMSolver(), nil)),
+			first(MMBridge(g, GMSolver(), nil)),
+			first(MMBiconn(g, GMSolver(), nil)),
 		} {
 			if 2*m.Cardinality() < int64(opt) {
 				t.Logf("decomposed |M|=%d below half of ν=%d", m.Cardinality(), opt)

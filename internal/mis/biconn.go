@@ -12,10 +12,10 @@ import (
 // MIS of the subgraph induced by non-articulation vertices — the blocks
 // minus their cut vertices, which are mutually non-adjacent across blocks
 // — followed by the general solver on the reduced remainder.
-func MISBiconn(g *graph.Graph, solver Solver) (*IndepSet, Report) {
-	rep := Report{Report: trace.Report{Strategy: "MIS-Biconn"}}
+func MISBiconn(g *graph.Graph, solver Solver, parent *trace.Span) (*IndepSet, Report) {
+	rep := Report{Report: trace.Report{Strategy: "MIS-Biconn", Parent: parent}}
 	dsp := rep.Decompose()
-	bc := biconn.Blocks(g)
+	bc := biconn.Blocks(g, dsp)
 	rep.Decomposed(dsp)
 
 	n := g.NumVertices()

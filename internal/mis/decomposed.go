@@ -43,8 +43,9 @@ func avgDeg(edges int64, verts int64) float64 {
 
 // maskedPhase runs solver on the subgraph of g induced by the member
 // vertices, through the status mask: members start undecided, everyone
-// else is temporarily out. The solver sees exactly the induced subgraph.
-func maskedPhase(g *graph.Graph, set *IndepSet, member []bool, solver Solver) Stats {
+// else is temporarily out. The solver sees exactly the induced subgraph
+// and records on the phase span sp.
+func maskedPhase(g *graph.Graph, set *IndepSet, member []bool, solver Solver, sp *trace.Span) Stats {
 	n := g.NumVertices()
 	status := make([]State, n)
 	nc := par.NumChunks(n)
@@ -64,13 +65,14 @@ func maskedPhase(g *graph.Graph, set *IndepSet, member []bool, solver Solver) St
 	for _, b := range bufs {
 		active = append(active, b...)
 	}
-	return solver(g, status, set, active)
+	return solver(g, status, set, active, sp)
 }
 
 // remainderPhase reduces G by the current set (the pseudocode's "remove
 // vertices that are in I or have a neighbor in I"), then runs solver on
-// what remains. Works purely on a fresh status mask.
-func remainderPhase(g *graph.Graph, set *IndepSet, solver Solver) Stats {
+// what remains under the phase span sp. Works purely on a fresh status
+// mask.
+func remainderPhase(g *graph.Graph, set *IndepSet, solver Solver, sp *trace.Span) Stats {
 	n := g.NumVertices()
 	status := make([]State, n)
 	par.For(n, func(i int) {
@@ -100,7 +102,7 @@ func remainderPhase(g *graph.Graph, set *IndepSet, solver Solver) Stats {
 	for _, b := range bufs {
 		active = append(active, b...)
 	}
-	return solver(g, status, set, active)
+	return solver(g, status, set, active, sp)
 }
 
 // twoPhases runs the phases every decomposed MIS shares: first on the
@@ -109,9 +111,9 @@ func remainderPhase(g *graph.Graph, set *IndepSet, solver Solver) Stats {
 func twoPhases(rep *Report, g *graph.Graph, member []bool, name string, first, rest Solver) *IndepSet {
 	set := NewIndepSet(g.NumVertices())
 	sp := rep.Phase(name)
-	rep.EndPhase(sp, maskedPhase(g, set, member, first).Rounds)
+	rep.EndPhase(sp, maskedPhase(g, set, member, first, sp).Rounds)
 	sp = rep.Phase("solve/remainder")
-	rep.EndPhase(sp, remainderPhase(g, set, rest).Rounds)
+	rep.EndPhase(sp, remainderPhase(g, set, rest, sp).Rounds)
 	return set
 }
 
@@ -119,15 +121,15 @@ func twoPhases(rep *Report, g *graph.Graph, member []bool, name string, first, r
 // on ∪ᵢ Hᵢ (the 2-edge-connected components minus bridge endpoints) and on
 // the reduced remainder. The order heuristic from §V-B1 computes the
 // sparser of ∪ᵢ Hᵢ and the bridge graph G_B first.
-func MISBridge(g *graph.Graph, solver Solver) (*IndepSet, Report) {
-	return MISBridgeOrdered(g, solver, OrderAuto)
+func MISBridge(g *graph.Graph, solver Solver, parent *trace.Span) (*IndepSet, Report) {
+	return MISBridgeOrdered(g, solver, OrderAuto, parent)
 }
 
 // MISBridgeOrdered is MISBridge with an explicit phase order (ablation).
-func MISBridgeOrdered(g *graph.Graph, solver Solver, ord Order) (*IndepSet, Report) {
-	rep := Report{Report: trace.Report{Strategy: "MIS-Bridge"}}
+func MISBridgeOrdered(g *graph.Graph, solver Solver, ord Order, parent *trace.Span) (*IndepSet, Report) {
+	rep := Report{Report: trace.Report{Strategy: "MIS-Bridge", Parent: parent}}
 	dsp := rep.Decompose()
-	bi := decomp.FindBridges(g)
+	bi := decomp.FindBridges(g, dsp)
 	rep.Decomposed(dsp)
 
 	n := g.NumVertices()
@@ -167,13 +169,13 @@ func MISBridgeOrdered(g *graph.Graph, solver Solver, ord Order) (*IndepSet, Repo
 // MISRand is the paper's Algorithm 11: random k-way labeling, MIS on
 // H = ∪ᵢ Hᵢ (vertices with no cross edge) or on the cross side first —
 // whichever is sparser — then on the reduced remainder.
-func MISRand(g *graph.Graph, k int, seed uint64, solver Solver) (*IndepSet, Report) {
-	return MISRandOrdered(g, k, seed, solver, OrderAuto)
+func MISRand(g *graph.Graph, k int, seed uint64, solver Solver, parent *trace.Span) (*IndepSet, Report) {
+	return MISRandOrdered(g, k, seed, solver, OrderAuto, parent)
 }
 
 // MISRandOrdered is MISRand with an explicit phase order (ablation).
-func MISRandOrdered(g *graph.Graph, k int, seed uint64, solver Solver, ord Order) (*IndepSet, Report) {
-	rep := Report{Report: trace.Report{Strategy: "MIS-Rand"}}
+func MISRandOrdered(g *graph.Graph, k int, seed uint64, solver Solver, ord Order, parent *trace.Span) (*IndepSet, Report) {
+	rep := Report{Report: trace.Report{Strategy: "MIS-Rand", Parent: parent}}
 	n := g.NumVertices()
 
 	// Decomposition: the random labels plus the cross-edge classification.
@@ -193,16 +195,16 @@ func MISRandOrdered(g *graph.Graph, k int, seed uint64, solver Solver, ord Order
 // paper): grow exponential-shift balls, then run the two masked phases
 // over the ball labels — the vertices with no inter-ball edge and the
 // reduced remainder, sparser side first.
-func MISMPX(g *graph.Graph, beta float64, seed uint64, solver Solver) (*IndepSet, Report) {
-	return MISMPXOrdered(g, beta, seed, solver, OrderAuto)
+func MISMPX(g *graph.Graph, beta float64, seed uint64, solver Solver, parent *trace.Span) (*IndepSet, Report) {
+	return MISMPXOrdered(g, beta, seed, solver, OrderAuto, parent)
 }
 
 // MISMPXOrdered is MISMPX with an explicit phase order (ablation).
-func MISMPXOrdered(g *graph.Graph, beta float64, seed uint64, solver Solver, ord Order) (*IndepSet, Report) {
-	rep := Report{Report: trace.Report{Strategy: "MIS-MPX"}}
+func MISMPXOrdered(g *graph.Graph, beta float64, seed uint64, solver Solver, ord Order, parent *trace.Span) (*IndepSet, Report) {
+	rep := Report{Report: trace.Report{Strategy: "MIS-MPX", Parent: parent}}
 
 	dsp := rep.Decompose()
-	info := decomp.MPXGrow(g, beta, seed)
+	info := decomp.MPXGrow(g, beta, seed, dsp)
 	hasCross, partEdges := crossClassify(g, info.Center)
 	rep.Decomposed(dsp)
 
@@ -259,15 +261,15 @@ func labeledTwoPhase(rep *Report, g *graph.Graph, hasCross []bool, partEdges int
 // G_L, the induced subgraph on degree ≤ 2 vertices — G_C's high-degree
 // endpoints can have arbitrarily many cross edges. We follow the intent and
 // run the bounded-degree solver on G_L (see DESIGN.md).
-func MISDeg2(g *graph.Graph, solver Solver) (*IndepSet, Report) {
-	return MISDeg2With(g, solver, KPSolver())
+func MISDeg2(g *graph.Graph, solver Solver, parent *trace.Span) (*IndepSet, Report) {
+	return MISDeg2With(g, solver, KPSolver(), parent)
 }
 
 // MISDeg2With is MISDeg2 with an explicit bounded-degree solver for the
-// G_L phase (GPU runs pass KPSolverOn(machine.Launch) so the phase's work
-// is charged to the device).
-func MISDeg2With(g *graph.Graph, solver, kp Solver) (*IndepSet, Report) {
-	rep := Report{Report: trace.Report{Strategy: "MIS-Deg2"}}
+// G_L phase (GPU runs pass KPSolverOn(machine) so the phase's work is
+// charged to the device).
+func MISDeg2With(g *graph.Graph, solver, kp Solver, parent *trace.Span) (*IndepSet, Report) {
+	rep := Report{Report: trace.Report{Strategy: "MIS-Deg2", Parent: parent}}
 	n := g.NumVertices()
 
 	// The decomposition is one classification pass — "a simple

@@ -1,10 +1,15 @@
 package mis
 
 import (
-	"repro/internal/frontier"
+	"repro/internal/bsp"
 	"repro/internal/graph"
 	"repro/internal/par"
+	"repro/internal/trace"
 )
+
+// kpSeed fixes the id-scrambled priority that orients every edge of the
+// bounded-degree graph.
+const kpSeed = 0x927d5f3a
 
 // KPSolver returns the bounded-degree MIS solver used for the G_L part of
 // the DEG2 decomposition (degree ≤ 2: disjoint paths and cycles). It stands
@@ -24,14 +29,16 @@ import (
 // *undecided* neighbors; KPDeg2 enforces the whole-graph degree bound for
 // standalone use.
 func KPSolver() Solver {
-	return KPSolverOn(par.For)
+	return func(g *graph.Graph, status []State, set *IndepSet, active []int32, sp *trace.Span) Stats {
+		return localMinRun(g, kpSeed, par.For, status, set, active, sp)
+	}
 }
 
-// KPSolverOn is KPSolver with an explicit executor, so GPU runs charge the
-// phase's sweeps to the virtual machine (pass machine.Launch).
-func KPSolverOn(exec func(n int, kernel func(i int))) Solver {
-	return func(g *graph.Graph, status []State, set *IndepSet, active []int32) Stats {
-		return kpRun(g, exec, status, set, active)
+// KPSolverOn is KPSolver running its sweeps as kernels on machine, so GPU
+// runs charge the phase's work to the device and its phase span.
+func KPSolverOn(machine *bsp.Machine) Solver {
+	return func(g *graph.Graph, status []State, set *IndepSet, active []int32, sp *trace.Span) Stats {
+		return localMinRun(g, kpSeed, machine.In(sp), status, set, active, sp)
 	}
 }
 
@@ -41,55 +48,5 @@ func KPDeg2(g *graph.Graph) (*IndepSet, Stats) {
 	if d := g.MaxDegree(); d > 2 {
 		panic("mis: KPDeg2 requires maximum degree ≤ 2")
 	}
-	return freshRun(g, KPSolver())
-}
-
-// kpRun is the masked fixed-priority local-minima loop. The active set
-// lives in a frontier.Subset and compacts with frontier.Filter each round
-// (host-side, as thrust would do it); the per-round sweeps stay on the
-// injected executor so GPU runs charge them to the virtual machine.
-func kpRun(g *graph.Graph, exec func(n int, kernel func(i int)),
-	status []State, set *IndepSet, active []int32) Stats {
-	var st Stats
-	// The orientation: id-scrambled priority, fixed for the whole run.
-	prio := func(v int32) uint64 { return par.Hash64(0x927d5f3a, int64(v)) }
-
-	act := frontier.New(g.NumVertices(), active)
-	for !act.IsEmpty() {
-		st.Rounds++
-		vs := act.Vertices()
-		exec(len(vs), func(i int) {
-			v := vs[i]
-			pv := prio(v)
-			win := true
-			for _, w := range g.Neighbors(v) {
-				if status[w] != StateUndecided {
-					continue
-				}
-				pw := prio(w)
-				if pw < pv || (pw == pv && w < v) {
-					win = false
-					break
-				}
-			}
-			if win {
-				set.In[v] = true
-			}
-		})
-		exec(len(vs), func(i int) {
-			v := vs[i]
-			if set.In[v] {
-				status[v] = StateIn
-				return
-			}
-			for _, w := range g.Neighbors(v) {
-				if set.In[w] {
-					status[v] = StateOut
-					return
-				}
-			}
-		})
-		act = frontier.Filter(act, func(v int32) bool { return status[v] == StateUndecided })
-	}
-	return st
+	return Fresh(g, KPSolver(), nil)
 }

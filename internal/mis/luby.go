@@ -23,28 +23,28 @@ import (
 // Coin flips are hashes of (seed, round, v), so runs are deterministic
 // under a seed for any worker count.
 func Luby(g *graph.Graph, seed uint64) (*IndepSet, Stats) {
-	return freshRun(g, LubySolver(seed))
+	return Fresh(g, LubySolver(seed), nil)
 }
 
 // LubyGPU is Luby's algorithm with every round's three phases executed as
 // kernel launches on the bsp virtual manycore, mirroring the paper's GPU
 // baseline.
 func LubyGPU(g *graph.Graph, machine *bsp.Machine, seed uint64) (*IndepSet, Stats) {
-	return freshRun(g, LubyGPUSolver(machine, seed))
+	return Fresh(g, LubyGPUSolver(machine, seed), nil)
 }
 
 // LubySolver returns Luby's algorithm as a masked Solver.
 func LubySolver(seed uint64) Solver {
-	return func(g *graph.Graph, status []State, set *IndepSet, active []int32) Stats {
-		return lubyRun(g, seed, par.For, status, set, active)
+	return func(g *graph.Graph, status []State, set *IndepSet, active []int32, sp *trace.Span) Stats {
+		return lubyRun(g, seed, par.For, status, set, active, sp)
 	}
 }
 
 // LubyGPUSolver returns Luby's algorithm running its per-round phases as
-// kernels on machine.
+// kernels on machine, attributed to the phase span.
 func LubyGPUSolver(machine *bsp.Machine, seed uint64) Solver {
-	return func(g *graph.Graph, status []State, set *IndepSet, active []int32) Stats {
-		return lubyRun(g, seed, machine.Launch, status, set, active)
+	return func(g *graph.Graph, status []State, set *IndepSet, active []int32, sp *trace.Span) Stats {
+		return lubyRun(g, seed, machine.In(sp), status, set, active, sp)
 	}
 }
 
@@ -55,14 +55,14 @@ func LubyGPUSolver(machine *bsp.Machine, seed uint64) Solver {
 // greedy sequential algorithm, O(log² n) w.h.p., and no per-round degree
 // recomputation is needed.
 func GreedySolver(seed uint64) Solver {
-	return func(g *graph.Graph, status []State, set *IndepSet, active []int32) Stats {
-		return greedyRun(g, seed, status, set, active)
+	return func(g *graph.Graph, status []State, set *IndepSet, active []int32, sp *trace.Span) Stats {
+		return localMinRun(g, seed, par.For, status, set, active, sp)
 	}
 }
 
 // Greedy computes an MIS with GreedySolver over the whole graph.
 func Greedy(g *graph.Graph, seed uint64) (*IndepSet, Stats) {
-	return freshRun(g, GreedySolver(seed))
+	return Fresh(g, GreedySolver(seed), nil)
 }
 
 // lubyRun is the classic Luby loop. As in the standard implementations the
@@ -72,7 +72,7 @@ func Greedy(g *graph.Graph, seed uint64) (*IndepSet, Stats) {
 //
 //lint:hotpath
 func lubyRun(g *graph.Graph, seed uint64, exec func(n int, kernel func(i int)),
-	status []State, set *IndepSet, members []int32) Stats {
+	status []State, set *IndepSet, members []int32, sp *trace.Span) Stats {
 
 	var st Stats
 	n := g.NumVertices()
@@ -146,24 +146,31 @@ func lubyRun(g *graph.Graph, seed uint64, exec func(n int, kernel func(i int)),
 			}
 		})
 		remaining -= decided.Load()
-		if trace.Enabled() {
-			trace.Append("frontier", remaining)
-		}
+		sp.Append("frontier", remaining)
 	}
 	return st
 }
 
-// greedyRun is the fixed-priority local-minima loop (Blelloch et al.). The
-// active set lives in a frontier.Subset; each round vertex-maps the two
-// phases over it and compacts with frontier.Filter, so the greedy
-// algorithm's work is naturally proportional to the shrinking residual.
-func greedyRun(g *graph.Graph, seed uint64, status []State, set *IndepSet, active []int32) Stats {
+// localMinRun is the fixed-priority local-minimum loop of GreedySolver
+// and KPSolver: priorities are hashes of (seed, v), fixed for the whole
+// run, and each round the undecided vertices that are priority minima
+// among their undecided neighbors join the set and their neighbors leave.
+// The active set lives in a frontier.Subset and compacts with
+// frontier.Filter each round (host-side, as thrust would do it), so the
+// work is proportional to the shrinking residual; the two per-round
+// sweeps run on exec, so GPU runs charge them to the virtual machine.
+// Each round's remaining active count is appended to sp's "frontier"
+// series.
+func localMinRun(g *graph.Graph, seed uint64, exec func(n int, kernel func(i int)),
+	status []State, set *IndepSet, active []int32, sp *trace.Span) Stats {
 	var st Stats
 	prio := func(v int32) uint64 { return par.Hash64(seed, int64(v)) }
 	act := frontier.New(g.NumVertices(), active)
 	for !act.IsEmpty() {
 		st.Rounds++
-		frontier.Map(act, func(v int32) {
+		vs := act.Vertices()
+		exec(len(vs), func(i int) {
+			v := vs[i]
 			pv := prio(v)
 			for _, w := range g.Neighbors(v) {
 				if status[w] != StateUndecided {
@@ -176,7 +183,8 @@ func greedyRun(g *graph.Graph, seed uint64, status []State, set *IndepSet, activ
 			}
 			set.In[v] = true
 		})
-		frontier.Map(act, func(v int32) {
+		exec(len(vs), func(i int) {
+			v := vs[i]
 			if set.In[v] {
 				status[v] = StateIn
 				return
@@ -189,9 +197,7 @@ func greedyRun(g *graph.Graph, seed uint64, status []State, set *IndepSet, activ
 			}
 		})
 		act = frontier.Filter(act, func(v int32) bool { return status[v] == StateUndecided })
-		if trace.Enabled() {
-			trace.Append("frontier", int64(act.Size()))
-		}
+		sp.Append("frontier", int64(act.Size()))
 	}
 	return st
 }

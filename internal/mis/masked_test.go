@@ -19,7 +19,7 @@ func TestMaskedPhaseSeesOnlyInducedSubgraph(t *testing.T) {
 	g := b.Build()
 	set := NewIndepSet(4)
 	member := []bool{false, true, true, true}
-	maskedPhase(g, set, member, LubySolver(3))
+	maskedPhase(g, set, member, LubySolver(3), nil)
 	if set.In[0] {
 		t.Fatal("non-member selected")
 	}
@@ -35,7 +35,7 @@ func TestRemainderPhaseCompletesMaximality(t *testing.T) {
 	g := pathGraph(9)
 	set := NewIndepSet(9)
 	set.In[0] = true // seed a partial independent set
-	remainderPhase(g, set, LubySolver(1))
+	remainderPhase(g, set, LubySolver(1), nil)
 	if err := Verify(g, set); err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +48,7 @@ func TestMISDeg2WithGPUAccounting(t *testing.T) {
 	machine := bsp.New()
 	g := pathGraph(2000) // everything degree ≤ 2: the KP phase does all work
 	before := machine.Stats().Launches
-	s, _ := MISDeg2With(g, LubyGPUSolver(machine, 1), KPSolverOn(machine.Launch))
+	s, _ := MISDeg2With(g, LubyGPUSolver(machine, 1), KPSolverOn(machine), nil)
 	if err := Verify(g, s); err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +76,7 @@ func TestGreedyFewerRoundsThanPathLength(t *testing.T) {
 func TestMISRandOrderedForcedOrders(t *testing.T) {
 	g := randomGraph(400, 1600, 4)
 	for _, ord := range []Order{OrderAuto, OrderPartsFirst, OrderCrossFirst} {
-		s, rep := MISRandOrdered(g, 5, 2, LubySolver(7), ord)
+		s, rep := MISRandOrdered(g, 5, 2, LubySolver(7), ord, nil)
 		if err := Verify(g, s); err != nil {
 			t.Fatalf("order %d: %v", ord, err)
 		}
@@ -96,7 +96,7 @@ func TestMISRandOrderedForcedOrders(t *testing.T) {
 func TestMISBridgeOrderedForcedOrders(t *testing.T) {
 	g := randomGraph(300, 400, 8)
 	for _, ord := range []Order{OrderPartsFirst, OrderCrossFirst} {
-		s, _ := MISBridgeOrdered(g, LubySolver(7), ord)
+		s, _ := MISBridgeOrdered(g, LubySolver(7), ord, nil)
 		if err := Verify(g, s); err != nil {
 			t.Fatalf("order %d: %v", ord, err)
 		}
@@ -105,7 +105,7 @@ func TestMISBridgeOrderedForcedOrders(t *testing.T) {
 
 func TestMISBiconnMaximal(t *testing.T) {
 	for name, g := range testGraphs() {
-		s, rep := MISBiconn(g, LubySolver(13))
+		s, rep := MISBiconn(g, LubySolver(13), nil)
 		if err := Verify(g, s); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}

@@ -90,21 +90,22 @@ type Stats struct {
 
 // Solver is a masked MIS subroutine: it decides every vertex of active
 // (whose status entries must be StateUndecided on entry), adding members to
-// set and updating status to StateIn/StateOut. Vertices whose status is not
-// StateUndecided are invisible — the run behaves as if the graph were
-// induced on the undecided vertices. The decomposition-based algorithms
-// hand their phases to a Solver exactly as the paper plugs LubyMIS in as
-// the inner algorithm.
-type Solver func(g *graph.Graph, status []State, set *IndepSet, active []int32) Stats
+// set and updating status to StateIn/StateOut, and appends its per-round
+// frontier series to the phase span sp (nil: untraced). Vertices whose
+// status is not StateUndecided are invisible — the run behaves as if the
+// graph were induced on the undecided vertices. The decomposition-based
+// algorithms hand their phases to a Solver exactly as the paper plugs
+// LubyMIS in as the inner algorithm.
+type Solver func(g *graph.Graph, status []State, set *IndepSet, active []int32, sp *trace.Span) Stats
 
-// freshRun applies a solver to the whole graph.
-func freshRun(g *graph.Graph, solver Solver) (*IndepSet, Stats) {
+// Fresh applies a solver to the whole graph, recording the run on sp.
+func Fresh(g *graph.Graph, solver Solver, sp *trace.Span) (*IndepSet, Stats) {
 	n := g.NumVertices()
 	set := NewIndepSet(n)
 	status := make([]State, n)
 	active := make([]int32, n)
 	par.Iota(active)
-	st := solver(g, status, set, active)
+	st := solver(g, status, set, active, sp)
 	return set, st
 }
 

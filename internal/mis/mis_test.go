@@ -6,6 +6,7 @@ import (
 	"repro/internal/bsp"
 	"repro/internal/graph"
 	"repro/internal/par"
+	"repro/internal/trace"
 )
 
 func pathGraph(n int) *graph.Graph {
@@ -234,9 +235,9 @@ func TestDecomposedMISMaximal(t *testing.T) {
 				name string
 				run  func() (*IndepSet, Report)
 			}{
-				{"MIS-Bridge", func() (*IndepSet, Report) { return MISBridge(g, alg) }},
-				{"MIS-Rand", func() (*IndepSet, Report) { return MISRand(g, 4, 3, alg) }},
-				{"MIS-Deg2", func() (*IndepSet, Report) { return MISDeg2(g, alg) }},
+				{"MIS-Bridge", func() (*IndepSet, Report) { return MISBridge(g, alg, nil) }},
+				{"MIS-Rand", func() (*IndepSet, Report) { return MISRand(g, 4, 3, alg, nil) }},
+				{"MIS-Deg2", func() (*IndepSet, Report) { return MISDeg2(g, alg, nil) }},
 			}
 			for _, r := range runs {
 				s, rep := r.run()
@@ -256,7 +257,7 @@ func TestMISBridgeOrderHeuristic(t *testing.T) {
 	// H is empty (every vertex is a bridge endpoint). H (avg degree 0) runs
 	// first.
 	g := pathGraph(50)
-	_, rep := MISBridge(g, LubySolver(1))
+	_, rep := MISBridge(g, LubySolver(1), nil)
 	if !rep.SparserFirst {
 		t.Fatal("expected the empty H side to be chosen first on a path")
 	}
@@ -268,12 +269,12 @@ func TestMISDeg2DelegatesLowDegreePart(t *testing.T) {
 	// decided by the bounded-degree phase.
 	work := 0
 	inner := LubySolver(1)
-	spy := func(g *graph.Graph, status []State, set *IndepSet, active []int32) Stats {
+	spy := func(g *graph.Graph, status []State, set *IndepSet, active []int32, sp *trace.Span) Stats {
 		work += len(active)
-		return inner(g, status, set, active)
+		return inner(g, status, set, active, sp)
 	}
 	g := pathGraph(200)
-	s, _ := MISDeg2(g, spy)
+	s, _ := MISDeg2(g, spy, nil)
 	if err := Verify(g, s); err != nil {
 		t.Fatal(err)
 	}
@@ -284,7 +285,7 @@ func TestMISDeg2DelegatesLowDegreePart(t *testing.T) {
 
 func TestReportTotalMIS(t *testing.T) {
 	g := randomGraph(400, 2000, 8)
-	_, rep := MISDeg2(g, LubySolver(2))
+	_, rep := MISDeg2(g, LubySolver(2), nil)
 	if rep.Total() != rep.Decomp+rep.Solve {
 		t.Fatal("Total != Decomp + Solve")
 	}

@@ -48,12 +48,7 @@ func Workers() int {
 
 // For runs fn(i) for every i in [0, n) in parallel.
 func For(n int, fn func(i int)) {
-	ForN(n, Workers(), fn)
-}
-
-// ForN is For with an explicit worker count.
-func ForN(n, workers int, fn func(i int)) {
-	runN(n, workers, func(_, lo, hi int) {
+	runN(n, Workers(), func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			fn(i)
 		}
@@ -64,12 +59,7 @@ func ForN(n, workers int, fn func(i int)) {
 // chunk in parallel. It is the workhorse primitive: algorithms that keep
 // per-chunk scratch state use Range directly to amortize it.
 func Range(n int, fn func(lo, hi int)) {
-	RangeN(n, Workers(), fn)
-}
-
-// RangeN is Range with an explicit worker count.
-func RangeN(n, workers int, fn func(lo, hi int)) {
-	runN(n, workers, func(_, lo, hi int) {
+	runN(n, Workers(), func(_, lo, hi int) {
 		fn(lo, hi)
 	})
 }

@@ -19,11 +19,13 @@ func TestForVisitsEveryIndexOnce(t *testing.T) {
 	}
 }
 
-func TestForNHonorsSmallWorkerCounts(t *testing.T) {
+func TestForHonorsSmallWorkerCounts(t *testing.T) {
+	defer SetWorkers(0)
 	n := 50000
 	for _, w := range []int{1, 2, 3, 7} {
+		SetWorkers(w)
 		var total int64
-		ForN(n, w, func(i int) { atomic.AddInt64(&total, int64(i)) })
+		For(n, func(i int) { atomic.AddInt64(&total, int64(i)) })
 		want := int64(n) * int64(n-1) / 2
 		if total != want {
 			t.Fatalf("workers=%d: sum=%d want %d", w, total, want)

@@ -219,17 +219,10 @@ wake:
 // substantial and k is small; For's grain policy would run such loops
 // sequentially because k is far below the cutoff.
 func Do(k int, fn func(i int)) {
-	DoN(k, Workers(), fn)
-}
-
-// DoN is Do with an explicit parallelism bound.
-func DoN(k, workers int, fn func(i int)) {
 	if k <= 0 {
 		return
 	}
-	if workers <= 0 {
-		workers = Workers()
-	}
+	workers := Workers()
 	if workers > k {
 		workers = k
 	}

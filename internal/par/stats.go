@@ -23,10 +23,6 @@ type Stats struct {
 	// the goroutine that submitted the loop — work the dynamic claiming
 	// moved off the caller.
 	Steals uint64
-	// SpawnsAvoided counts the goroutine launches a spawn-per-call
-	// runtime would have performed for the same loops (one per chunk);
-	// the pool serves them with already-running workers instead.
-	SpawnsAvoided uint64
 }
 
 var statsEnabled atomic.Bool
@@ -36,7 +32,6 @@ var (
 	statSeqLoops atomic.Uint64
 	statChunks   atomic.Uint64
 	statSteals   atomic.Uint64
-	statSpawns   atomic.Uint64
 )
 
 // EnableStats switches runtime counter collection on or off. Collection
@@ -53,17 +48,15 @@ func ResetStats() {
 	statSeqLoops.Store(0)
 	statChunks.Store(0)
 	statSteals.Store(0)
-	statSpawns.Store(0)
 }
 
 // SnapshotStats returns the current counter values.
 func SnapshotStats() Stats {
 	return Stats{
-		Tasks:         statTasks.Load(),
-		SeqLoops:      statSeqLoops.Load(),
-		Chunks:        statChunks.Load(),
-		Steals:        statSteals.Load(),
-		SpawnsAvoided: statSpawns.Load(),
+		Tasks:    statTasks.Load(),
+		SeqLoops: statSeqLoops.Load(),
+		Chunks:   statChunks.Load(),
+		Steals:   statSteals.Load(),
 	}
 }
 
@@ -74,7 +67,6 @@ func recordTask(nchunks, mine int) {
 	statTasks.Add(1)
 	statChunks.Add(uint64(nchunks))
 	statSteals.Add(uint64(nchunks - mine))
-	statSpawns.Add(uint64(nchunks))
 }
 
 // recordSeq accounts one loop that ran inline.

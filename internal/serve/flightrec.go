@@ -201,7 +201,7 @@ func (s *Service) handleRequestByID(w http.ResponseWriter, r *http.Request) {
 	case "chrome":
 		if rec.Trace == nil {
 			writeError(w, http.StatusNotFound,
-				"request %s recorded no span tree (cached/coalesced response, or tracing disabled)", id)
+				"request %s recorded no span tree (cached/coalesced response, or no finished solve)", id)
 			return
 		}
 		w.Header().Set("Content-Type", "application/json")

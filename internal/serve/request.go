@@ -69,8 +69,8 @@ type RequestRecord struct {
 	Report  *reportInfo `json:"report,omitempty"`
 	Error   string      `json:"error,omitempty"`
 
-	// Trace is the request's span tree (singleflight leaders only, and
-	// only while tracing is enabled). Omitted from the list view; the
+	// Trace is the request's span tree, carried by every singleflight
+	// leader that finished its solve. Omitted from the list view; the
 	// detail view serves it, and ?format=chrome renders it for Perfetto.
 	Trace *trace.Export `json:"trace,omitempty"`
 

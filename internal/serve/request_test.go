@@ -67,10 +67,6 @@ func spanNames(e *trace.Export, out map[string]int) {
 // record with phases that sum to its wall time; and each record's span
 // tree holds only that request's spans.
 func TestRequestObservabilityE2E(t *testing.T) {
-	wasTrace := trace.Enabled()
-	trace.Enable(true)
-	t.Cleanup(func() { trace.Enable(wasTrace) })
-
 	var logBuf syncBuffer
 	log, err := telemetry.NewRequestLog(&logBuf, "json")
 	if err != nil {

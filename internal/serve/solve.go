@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -294,7 +293,7 @@ func (s *Service) handleSolve(w http.ResponseWriter, r *http.Request) {
 	// record. Followers spend the same interval blocked in do; their
 	// records call it "coalesced".
 	out, err, shared := s.flight.do(ps.key, func() (*solveOutcome, error) {
-		return s.runSolve(r.Context(), ps, rt)
+		return s.runSolve(ps, rt)
 	})
 	if shared && telemetry.Enabled() {
 		s.m.coalesced.Inc()
@@ -323,19 +322,15 @@ func (s *Service) handleSolve(w http.ResponseWriter, r *http.Request) {
 
 // runSolve is the singleflight leader body: admission, the solver run,
 // response marshaling, cache fill. It records onto the leader's own
-// track: queue wait, the solver phase split, and — when tracing is on —
-// a per-request span tree collected by a Collector carried through ctx
-// into core, so concurrent requests never interleave spans.
-func (s *Service) runSolve(ctx context.Context, ps *parsedSolve, rt *requestTrack) (*solveOutcome, error) {
-	var col *trace.Collector
-	if trace.Enabled() {
-		col = trace.NewCollector()
-		ctx = trace.NewContext(ctx, col)
-	}
-	reqSpan := col.Beginf("request %s", rt.id)
+// track: queue wait, the solver phase split, and a per-request span tree
+// in its own Collector, whose request span core's spans open under, so
+// concurrent requests never interleave spans.
+func (s *Service) runSolve(ps *parsedSolve, rt *requestTrack) (*solveOutcome, error) {
+	col := trace.NewCollector()
+	reqSpan := col.Root().Beginf("request %s", rt.id)
 
 	qstart := time.Now()
-	qspan := col.Begin("queue")
+	qspan := reqSpan.Begin("queue")
 	release, err := s.adm.acquire(s.cost(ps.g))
 	qspan.End()
 	rt.rec.QueueNs = time.Since(qstart).Nanoseconds()
@@ -354,7 +349,9 @@ func (s *Service) runSolve(ctx context.Context, ps *parsedSolve, rt *requestTrac
 		s.m.runs.Inc()
 	}
 	start := time.Now()
-	res, err := core.SolveVerifiedCtx(ctx, ps.g, ps.problem, ps.opt)
+	opt := ps.opt
+	opt.Trace = reqSpan
+	res, err := core.SolveVerified(ps.g, ps.problem, opt)
 	if err != nil {
 		reqSpan.End()
 		rt.phase("run")
@@ -372,7 +369,7 @@ func (s *Service) runSolve(ctx context.Context, ps *parsedSolve, rt *requestTrac
 	}
 	rt.splitRun(rep)
 
-	fspan := col.Begin("finalize")
+	fspan := reqSpan.Begin("finalize")
 	norm := ps.opt.Normalized()
 	resp := solveResponse{
 		Graph:    ps.info,
@@ -399,14 +396,7 @@ func (s *Service) runSolve(ctx context.Context, ps *parsedSolve, rt *requestTrac
 	fspan.End()
 	reqSpan.End()
 	rt.phase("finalize")
-	if col != nil {
-		snap := col.Snapshot()
-		if len(snap.Children) == 1 {
-			rt.rec.Trace = &snap.Children[0]
-		} else {
-			rt.rec.Trace = &snap
-		}
-	}
+	rt.rec.Trace = &col.Snapshot().Children[0]
 	return &solveOutcome{body: body, report: rep}, nil
 }
 

@@ -73,7 +73,6 @@ type gaugeSet struct {
 	parSeqLoops  *Gauge
 	parChunks    *Gauge
 	parSteals    *Gauge
-	parSpawns    *Gauge
 }
 
 func runtimeGauges(r *Registry) *gaugeSet {
@@ -90,7 +89,6 @@ func runtimeGauges(r *Registry) *gaugeSet {
 		parSeqLoops:  r.Gauge("par_pool_seq_loops_total", "Parallel loops that ran inline on the caller (requires par.EnableStats)."),
 		parChunks:    r.Gauge("par_pool_chunks_total", "Chunks executed across pooled tasks (requires par.EnableStats)."),
 		parSteals:    r.Gauge("par_pool_steals_total", "Chunks executed by parked pool workers rather than the submitter (requires par.EnableStats)."),
-		parSpawns:    r.Gauge("par_pool_spawns_avoided_total", "Goroutine launches a spawn-per-call runtime would have performed (requires par.EnableStats)."),
 	}
 }
 
@@ -111,5 +109,4 @@ func (g *gaugeSet) sample() {
 	g.parSeqLoops.Set(float64(ps.SeqLoops))
 	g.parChunks.Set(float64(ps.Chunks))
 	g.parSteals.Set(float64(ps.Steals))
-	g.parSpawns.Set(float64(ps.SpawnsAvoided))
 }

@@ -20,7 +20,7 @@ func Handler(r *Registry) http.Handler { return NewMux(r) }
 //
 //	/metrics        Prometheus text exposition of r
 //	/healthz        liveness probe ("ok")
-//	/trace          live JSON snapshot of the internal/trace span tree
+//	/trace          live JSON snapshot of the trace.Default span tree
 //	/debug/pprof/*  the standard Go profiling endpoints
 //
 // The /trace snapshot uses the same schema as benchall -traceout (one
@@ -40,7 +40,7 @@ func NewMux(r *Registry) *http.ServeMux {
 	})
 	mux.HandleFunc("/trace", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
-		snap := trace.Snapshot()
+		snap := trace.Default.Snapshot()
 		if err := snap.WriteJSON(w); err != nil {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 		}

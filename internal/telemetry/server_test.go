@@ -73,14 +73,9 @@ func TestServerMetrics(t *testing.T) {
 }
 
 func TestServerTraceSnapshot(t *testing.T) {
-	was := trace.Enabled()
-	trace.Enable(true)
-	trace.Reset()
-	defer func() {
-		trace.Enable(was)
-		trace.Reset()
-	}()
-	sp := trace.Begin("live-phase")
+	trace.Default.Reset()
+	defer trace.Default.Reset()
+	sp := trace.Default.Root().Begin("live-phase")
 	sp.Add("rounds", 4)
 
 	srv := startTestServer(t, NewRegistry())

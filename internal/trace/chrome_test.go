@@ -132,42 +132,41 @@ func TestChromeTraceSchema(t *testing.T) {
 // timestamps) through the exporter and checks that children inherit the
 // epoch normalization: all ts ≥ 0 and nested ts within the parent window.
 func TestChromeTraceFromLiveSpans(t *testing.T) {
-	withTracing(t, func() {
-		outer := Begin("outer")
-		inner := Begin("inner")
-		Append("frontier", 7)
-		inner.End()
-		outer.End()
+	c := NewCollector()
+	outer := c.Root().Begin("outer")
+	inner := outer.Begin("inner")
+	inner.Append("frontier", 7)
+	inner.End()
+	outer.End()
 
-		snap := Snapshot()
-		var buf bytes.Buffer
-		if err := ExportChromeTrace(&buf, snap); err != nil {
-			t.Fatal(err)
+	snap := c.Snapshot()
+	var buf bytes.Buffer
+	if err := ExportChromeTrace(&buf, snap); err != nil {
+		t.Fatal(err)
+	}
+	var file struct {
+		TraceEvents []chromeEvent `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &file); err != nil {
+		t.Fatal(err)
+	}
+	var outerEv, innerEv *chromeEvent
+	for i := range file.TraceEvents {
+		switch file.TraceEvents[i].Name {
+		case "outer":
+			outerEv = &file.TraceEvents[i]
+		case "inner":
+			innerEv = &file.TraceEvents[i]
 		}
-		var file struct {
-			TraceEvents []chromeEvent `json:"traceEvents"`
-		}
-		if err := json.Unmarshal(buf.Bytes(), &file); err != nil {
-			t.Fatal(err)
-		}
-		var outerEv, innerEv *chromeEvent
-		for i := range file.TraceEvents {
-			switch file.TraceEvents[i].Name {
-			case "outer":
-				outerEv = &file.TraceEvents[i]
-			case "inner":
-				innerEv = &file.TraceEvents[i]
-			}
-		}
-		if outerEv == nil || innerEv == nil {
-			t.Fatalf("missing span events: %s", buf.String())
-		}
-		if outerEv.Ts < 0 || innerEv.Ts < outerEv.Ts {
-			t.Fatalf("timestamps not normalized: outer=%v inner=%v", outerEv.Ts, innerEv.Ts)
-		}
-		if innerEv.Ts+innerEv.Dur > outerEv.Ts+outerEv.Dur+1 { // +1µs slack
-			t.Fatalf("inner extends past outer: inner=[%v,%v] outer=[%v,%v]",
-				innerEv.Ts, innerEv.Ts+innerEv.Dur, outerEv.Ts, outerEv.Ts+outerEv.Dur)
-		}
-	})
+	}
+	if outerEv == nil || innerEv == nil {
+		t.Fatalf("missing span events: %s", buf.String())
+	}
+	if outerEv.Ts < 0 || innerEv.Ts < outerEv.Ts {
+		t.Fatalf("timestamps not normalized: outer=%v inner=%v", outerEv.Ts, innerEv.Ts)
+	}
+	if innerEv.Ts+innerEv.Dur > outerEv.Ts+outerEv.Dur+1 { // +1µs slack
+		t.Fatalf("inner extends past outer: inner=[%v,%v] outer=[%v,%v]",
+			innerEv.Ts, innerEv.Ts+innerEv.Dur, outerEv.Ts, outerEv.Ts+outerEv.Dur)
+	}
 }

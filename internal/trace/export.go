@@ -60,12 +60,6 @@ func (e Export) Find(name string) *Export {
 	return nil
 }
 
-// Snapshot deep-copies the global collector's tree as the root Export.
-// The root's children are the top-level spans; counters added outside any
-// span sit on the root itself. Its duration is the sum of its children
-// (the root is never timed).
-func Snapshot() Export { return global.Snapshot() }
-
 // export copies a span subtree. Caller holds the owning collector's mu.
 func export(s *Span) Export {
 	e := Export{Name: s.name, DurNs: int64(s.dur)}

@@ -9,10 +9,11 @@ import "time"
 // A run is a sequence of contiguous phases — an optional decomposition,
 // then one or more solve phases — and each phase boundary reads the clock
 // exactly once. That one reading sets the report's times and, when
-// tracing is on, ends the phase's span and starts the next, so the
-// report and the span tree never disagree. Likewise EndPhase adds a
-// phase's rounds to both Report.Rounds and the span's "rounds" counter,
-// which is therefore the only place a solver records them.
+// tracing is on (Parent is non-nil), ends the phase's span and starts the
+// next, so the report and the span tree never disagree. Likewise
+// EndPhase adds a phase's rounds to both Report.Rounds and the span's
+// "rounds" counter, which is therefore the only place a solver records
+// them.
 type Report struct {
 	// Strategy names the algorithm ("MM-Rand", "VB", ...).
 	Strategy string
@@ -24,6 +25,9 @@ type Report struct {
 	Solve time.Duration
 	// Rounds accumulates the inner solver's rounds across phases.
 	Rounds int
+	// Parent is the span the decomposition and phase spans open under;
+	// nil leaves the run untraced.
+	Parent *Span
 
 	// start is where Solve is measured from. Phases are contiguous, so
 	// the latest reading — where the next span starts — is start+Solve.
@@ -33,10 +37,11 @@ type Report struct {
 // Total is the end-to-end wall time (decomposition + solving).
 func (r Report) Total() time.Duration { return r.Decomp + r.Solve }
 
-// Decompose reads the clock and opens the "decomp" span there.
+// Decompose reads the clock and opens the "decomp" span there, under
+// Parent.
 func (r *Report) Decompose() *Span {
 	r.start = time.Now()
-	return beginAt("decomp", r.start)
+	return r.Parent.beginAt("decomp", r.start)
 }
 
 // Decomposed closes the decomposition opened by Decompose: one reading
@@ -48,13 +53,14 @@ func (r *Report) Decomposed(sp *Span) {
 	sp.endAt(now)
 }
 
-// Phase opens the span of the solve phase named name, starting where the
-// previous phase ended. A run with no decomposition reads the clock here.
+// Phase opens the span of the solve phase named name under Parent,
+// starting where the previous phase ended. A run with no decomposition
+// reads the clock here.
 func (r *Report) Phase(name string) *Span {
 	if r.start.IsZero() {
 		r.start = time.Now()
 	}
-	return beginAt(name, r.start.Add(r.Solve))
+	return r.Parent.beginAt(name, r.start.Add(r.Solve))
 }
 
 // EndPhase closes a phase opened by Phase: rounds go to Report.Rounds and
