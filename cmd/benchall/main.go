@@ -71,14 +71,13 @@ func main() {
 	if *serve != "" {
 		telemetry.Enable(true)
 		par.EnableStats(true) // feed the par_pool_* gauges
-		srv, err := telemetry.Serve(*serve, telemetry.Default)
+		telemetry.RegisterRuntime(telemetry.Default)
+		srv, err := telemetry.ServeHandler(*serve, telemetry.NewMux(telemetry.Default))
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "benchall:", err)
 			os.Exit(1)
 		}
 		defer srv.Close()
-		sampler := telemetry.StartRuntimeSampler(telemetry.Default, time.Second)
-		defer sampler.Stop()
 		fmt.Fprintf(os.Stderr, "benchall: telemetry on %s/metrics\n", srv.URL())
 	}
 	if *cpuprofile != "" {

@@ -73,6 +73,7 @@ func main() {
 	var svc *serve.Service
 	if *serveAddr != "" {
 		telemetry.Enable(true)
+		telemetry.RegisterRuntime(telemetry.Default)
 		mux := telemetry.NewMux(telemetry.Default)
 		if daemon || *corpus != "" || *corpusDir != "" {
 			reqlog, err := telemetry.NewRequestLog(os.Stderr, *logFormat)
@@ -98,8 +99,6 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		sampler := telemetry.StartRuntimeSampler(telemetry.Default, time.Second)
-		defer sampler.Stop()
 		fmt.Fprintf(os.Stderr, "symbreak: telemetry on %s/metrics\n", srv.URL())
 	}
 

@@ -28,7 +28,7 @@
 //	internal/seq        sequential greedy references
 //	internal/harness    experiment grid runner and table/figure formatters
 //	internal/trace      phase/round span tracing (zero-cost when disabled) + Perfetto export
-//	internal/telemetry  live metrics registry, samplers, /metrics + pprof HTTP server
+//	internal/telemetry  live metrics registry, runtime gauges, /metrics + pprof HTTP server
 //	internal/serve      HTTP solve service: corpus, coalescing, solution cache, admission control
 //	internal/benchfmt   go test -bench output parsing + regression compare
 //	internal/lint       symlint analyzers: determinism / trace / runtime invariants

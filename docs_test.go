@@ -104,6 +104,55 @@ func TestOpsMetricsExist(t *testing.T) {
 	}
 }
 
+// TestOpsGraphMetricsExist checks the graph-load metric table against
+// internal/graph/scsr.go: every symbreak_graph_* name both ways, and every
+// label name and label value a row lists must be a quoted literal there.
+func TestOpsGraphMetricsExist(t *testing.T) {
+	src := mustRead(t, "internal/graph/scsr.go")
+	ops := mustRead(t, "docs/OPS.md")
+
+	registered := map[string]bool{}
+	for _, m := range regexp.MustCompile(`"(symbreak_graph_[a-z_]+)"`).FindAllStringSubmatch(src, -1) {
+		registered[m[1]] = true
+	}
+	if len(registered) == 0 {
+		t.Fatal("no symbreak_graph_* metrics found in internal/graph/scsr.go")
+	}
+	for name := range registered {
+		if !strings.Contains(ops, name) {
+			t.Errorf("metric %s is registered but not documented in docs/OPS.md", name)
+		}
+	}
+	for _, tok := range regexp.MustCompile(`symbreak_graph_[a-z_]+`).FindAllString(ops, -1) {
+		if !registered[tok] {
+			t.Errorf("docs/OPS.md mentions %s, which internal/graph/scsr.go does not register", tok)
+		}
+	}
+
+	rowRe := regexp.MustCompile("(?m)^\\| `(symbreak_graph_[a-z_]+)` \\| ([^|]*) \\| (.*) \\|$")
+	valRe := regexp.MustCompile("`([^`]+)`")
+	rows := rowRe.FindAllStringSubmatch(ops, -1)
+	if len(rows) != len(registered) {
+		t.Errorf("docs/OPS.md has %d graph-metric rows, want one per registered metric (%d)", len(rows), len(registered))
+	}
+	for _, row := range rows {
+		name, labels, meaning := row[1], strings.TrimSpace(row[2]), row[3]
+		if labels == "—" {
+			continue
+		}
+		for _, l := range strings.Split(labels, ",") {
+			if l = strings.TrimSpace(l); !strings.Contains(src, `"`+l+`"`) {
+				t.Errorf("docs/OPS.md gives %s the label %q, which internal/graph/scsr.go never declares", name, l)
+			}
+		}
+		for _, v := range valRe.FindAllStringSubmatch(meaning, -1) {
+			if !strings.Contains(src, `"`+v[1]+`"`) {
+				t.Errorf("docs/OPS.md lists %s value %q, which internal/graph/scsr.go never emits", name, v[1])
+			}
+		}
+	}
+}
+
 // TestDocEndpointsExist checks that every endpoint path the docs name is
 // actually registered by the serving or telemetry mux.
 func TestDocEndpointsExist(t *testing.T) {

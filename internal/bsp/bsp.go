@@ -24,10 +24,10 @@ import (
 	"repro/internal/trace"
 )
 
-// Live telemetry published per kernel launch when telemetry.Enable(true)
-// (the -serve wiring): the per-superstep timing distribution plus launch
-// and logical-thread totals. Handles are hoisted so the Launch hot path
-// pays one atomic load plus lock-free metric updates.
+// Live telemetry published per kernel launch, recorded once
+// telemetry.Enable(true) (the -serve wiring): the per-superstep timing
+// distribution plus launch and logical-thread totals. Handles are hoisted
+// so the Launch hot path pays one atomic load per update.
 var (
 	kernelSeconds = telemetry.Default.Histogram(
 		"bsp_kernel_seconds",
@@ -71,11 +71,9 @@ func (m *Machine) Launch(n int, kernel func(tid int)) time.Duration {
 	m.launches.Add(1)
 	m.threadsRun.Add(int64(n))
 	m.kernelTime.Add(int64(elapsed))
-	if telemetry.Enabled() {
-		kernelSeconds.Observe(elapsed.Seconds())
-		launchesTotal.Inc()
-		threadsTotal.Add(float64(n))
-	}
+	kernelSeconds.Observe(elapsed.Seconds())
+	launchesTotal.Inc()
+	threadsTotal.Add(float64(n))
 	return elapsed
 }
 

@@ -59,9 +59,9 @@ type Engine struct {
 	Pushes, Pulls, Switches int
 }
 
-// Frontier size and direction counters, published per EdgeMap round
-// through the gated telemetry registry (zero cost while telemetry is
-// off). Direction is "push" or "pull".
+// Frontier size and direction counters, published per EdgeMap round to
+// telemetry.Default (one atomic load each while it is off). Direction is
+// "push" or "pull".
 var (
 	emRounds = telemetry.Default.CounterVec(
 		"frontier_edgemap_rounds_total",
@@ -86,25 +86,19 @@ func (e *Engine) EdgeMap(g *graph.Graph, f *Subset, ops Ops) *Subset {
 	pull := e.pullRound(size, n)
 	switched := e.started && pull != e.lastPull
 	e.started, e.lastPull = true, pull
+	dir := "push"
 	if pull {
 		e.Pulls++
+		dir = "pull"
 	} else {
 		e.Pushes++
 	}
 	if switched {
 		e.Switches++
+		emSwitches.Inc()
 	}
-	if telemetry.Enabled() {
-		dir := "push"
-		if pull {
-			dir = "pull"
-		}
-		emRounds.With(dir).Inc()
-		emFrontier.With(dir).Add(float64(size))
-		if switched {
-			emSwitches.Inc()
-		}
-	}
+	emRounds.With(dir).Inc()
+	emFrontier.With(dir).Add(float64(size))
 	e.Span.Append("frontier", int64(size))
 	if pull {
 		return edgeMapPull(g, f, ops)

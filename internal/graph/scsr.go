@@ -790,22 +790,19 @@ func LoadFile(path string) (*Graph, error) {
 	if err != nil {
 		return nil, err
 	}
-	if telemetry.Enabled() {
-		format := "text"
-		if ext := filepath.Ext(path); ext == ".graph" || ext == ".metis" {
-			format = "metis"
-		}
-		if fi, serr := f.Stat(); serr == nil {
-			mLoadBytes.With(format).Add(float64(fi.Size()))
-		}
-		mDecodeSeconds.Observe(time.Since(start).Seconds())
+	format := "text"
+	if ext := filepath.Ext(path); ext == ".graph" || ext == ".metis" {
+		format = "metis"
 	}
+	if fi, serr := f.Stat(); serr == nil {
+		mLoadBytes.With(format).Add(float64(fi.Size()))
+	}
+	mDecodeSeconds.Observe(time.Since(start).Seconds())
 	return g, nil
 }
 
-// Gated I/O-path telemetry: bytes loaded per on-disk format, binary opens
-// by disposition, and materialization latency (zero cost while telemetry
-// is off; see symlint's gatedmetrics analyzer).
+// I/O-path telemetry on telemetry.Default: bytes loaded per on-disk
+// format, binary opens by disposition, and materialization latency.
 var (
 	mLoadBytes = telemetry.Default.CounterVec(
 		"symbreak_graph_load_bytes_total",
@@ -820,9 +817,6 @@ var (
 
 // observeBinaryOpen publishes the disposition and size of one binary open.
 func observeBinaryOpen(disposition string, bytes int64, d time.Duration) {
-	if !telemetry.Enabled() {
-		return
-	}
 	mOpens.With(disposition).Inc()
 	mLoadBytes.With("scsr").Add(float64(bytes))
 	if disposition != "mmap" {

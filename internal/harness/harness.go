@@ -21,7 +21,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/graph"
-	"repro/internal/telemetry"
 	"repro/internal/trace"
 )
 
@@ -210,10 +209,8 @@ func measure(cfg Config, g *graph.Graph, spec dataset.Spec, p core.Problem, s co
 			// Device time: decomposition on the host + simulated kernels.
 			t = res.Report.Decomp + res.Report.GPUStats.SimTime
 		}
-		if telemetry.Enabled() {
-			publishCell(p.String(), res.Report.StrategyName, arch.String(),
-				spec.Name, res.Report.Decomp, res.Report.Solve, t)
-		}
+		publishCell(p.String(), res.Report.StrategyName, arch.String(),
+			spec.Name, res.Report.Decomp, res.Report.Solve, t)
 		c := Cell{Graph: spec.Name, Strategy: res.Report.StrategyName,
 			Time: t, Rounds: res.Report.Rounds}
 		if res.Coloring != nil {

@@ -6,11 +6,12 @@ import (
 	"repro/internal/telemetry"
 )
 
-// Live telemetry published by measure when telemetry.Enable(true) — the
-// -serve wiring of cmd/benchall. Every timed repetition of every cell
-// lands one observation per histogram, keyed by the full grid coordinate,
-// so a scrape during a long run shows the latency distribution per
-// {problem, algo, arch, graph} exactly as the paper's figures slice it.
+// Live telemetry published by measure, recorded once
+// telemetry.Enable(true) — the -serve wiring of cmd/benchall. Every timed
+// repetition of every cell lands one observation per histogram, keyed by
+// the full grid coordinate, so a scrape during a long run shows the
+// latency distribution per {problem, algo, arch, graph} exactly as the
+// paper's figures slice it.
 var (
 	cellDecompSeconds = telemetry.Default.HistogramVec(
 		"symbreak_decomp_seconds",

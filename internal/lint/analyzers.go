@@ -46,10 +46,9 @@ func Analyzers() []*Analyzer {
 	Rawgo.Scope = kernelScope
 	Rawgo.Exclude = []string{"repro/internal/par"}
 	Spanpair.Exclude = []string{"repro/internal/trace"}
-	Gatedmetrics.Exclude = []string{"repro/internal/telemetry"}
 	Mmaplife.Exclude = []string{"repro/internal/graph"}
 	all := []*Analyzer{
-		Detrange, Detrand, Rawgo, Spanpair, Gatedmetrics, Noslicesort,
+		Detrange, Detrand, Rawgo, Spanpair, Noslicesort,
 		Detflow, Mmaplife, Atomicmix, Allocgate,
 	}
 	slices.SortFunc(all, func(a, b *Analyzer) int {

@@ -13,12 +13,11 @@ import (
 // `// want` expectations, clean idioms that must not be flagged, and a
 // //lint:allow (and, for detrange, //lint:commutative) suppression case.
 
-func TestDetrangeFixture(t *testing.T)     { RunFixture(t, Detrange, "detrange") }
-func TestDetrandFixture(t *testing.T)      { RunFixture(t, Detrand, "detrand") }
-func TestRawgoFixture(t *testing.T)        { RunFixture(t, Rawgo, "rawgo") }
-func TestSpanpairFixture(t *testing.T)     { RunFixture(t, Spanpair, "spanpair") }
-func TestGatedmetricsFixture(t *testing.T) { RunFixture(t, Gatedmetrics, "gatedmetrics") }
-func TestNoslicesortFixture(t *testing.T)  { RunFixture(t, Noslicesort, "noslicesort") }
+func TestDetrangeFixture(t *testing.T)    { RunFixture(t, Detrange, "detrange") }
+func TestDetrandFixture(t *testing.T)     { RunFixture(t, Detrand, "detrand") }
+func TestRawgoFixture(t *testing.T)       { RunFixture(t, Rawgo, "rawgo") }
+func TestSpanpairFixture(t *testing.T)    { RunFixture(t, Spanpair, "spanpair") }
+func TestNoslicesortFixture(t *testing.T) { RunFixture(t, Noslicesort, "noslicesort") }
 
 func TestDetflowFixture(t *testing.T) {
 	RunFixturePkgs(t, Detflow, "detflow", "detflow/helper")
@@ -113,8 +112,8 @@ func TestDetrangeDetrandCatchWhatDetflowMisses(t *testing.T) {
 // module — the same invocation as `make lint` — and requires zero
 // findings. This is the machine-enforced version of the determinism and
 // observability invariants: a PR that introduces a map range on a solver
-// path, an unseeded rand draw, a bare goroutine, an unclosed span or an
-// ungated metric fails `go test ./...` here.
+// path, an unseeded rand draw, a bare goroutine or an unclosed span fails
+// `go test ./...` here.
 func TestRepoIsLintClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("compiles the whole module; skipped in -short")
@@ -205,15 +204,15 @@ func f() int {
 	if !spanLines[lineKey{"p.go", 6}] {
 		t.Errorf("preceding-line allow should cover line 6: %v", spanLines)
 	}
-	if none := pass.directiveLines("lint:allow", "gatedmetrics"); len(none) != 0 {
+	if none := pass.directiveLines("lint:allow", "noslicesort"); len(none) != 0 {
 		t.Errorf("unrelated analyzer should see no allow lines, got %v", none)
 	}
 }
 
 func TestAnalyzersSuiteShape(t *testing.T) {
 	as := Analyzers()
-	if len(as) != 10 {
-		t.Fatalf("suite has %d analyzers, want 10", len(as))
+	if len(as) != 9 {
+		t.Fatalf("suite has %d analyzers, want 9", len(as))
 	}
 	seen := map[string]bool{}
 	for i, a := range as {
@@ -229,7 +228,7 @@ func TestAnalyzersSuiteShape(t *testing.T) {
 		}
 	}
 	for _, name := range []string{
-		"detrange", "detrand", "rawgo", "spanpair", "gatedmetrics", "noslicesort",
+		"detrange", "detrand", "rawgo", "spanpair", "noslicesort",
 		"detflow", "mmaplife", "atomicmix", "allocgate",
 	} {
 		if !seen[name] {
@@ -291,14 +290,13 @@ func TestFrontierEngineInScope(t *testing.T) {
 }
 
 // TestServeLayerCovered pins the serving layer into the unscoped
-// invariants: every metric publication in internal/serve and the command
-// wiring must stay behind telemetry.Enabled() (gatedmetrics), spans must
-// pair, and sorts must go through par — none of these packages may ride
+// invariants: spans must pair and sorts must go through par in
+// internal/serve and the command wiring — none of these packages may ride
 // on an exclusion.
 func TestServeLayerCovered(t *testing.T) {
 	Analyzers() // assigns the scopes
 	for _, path := range []string{"repro/internal/serve", "repro/cmd/symbreak", "repro/cmd/symload"} {
-		for _, a := range []*Analyzer{Gatedmetrics, Spanpair, Noslicesort} {
+		for _, a := range []*Analyzer{Spanpair, Noslicesort} {
 			if !a.AppliesTo(path) {
 				t.Errorf("%s does not cover %s", a.Name, path)
 			}

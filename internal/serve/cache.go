@@ -57,14 +57,14 @@ func (c *lruCache) get(key string) ([]byte, bool) {
 }
 
 // put stores body under key, evicting least-recently-used entries until
-// the byte budget holds, and returns how many entries were evicted.
-// Re-putting an existing key refreshes its body and recency.
-func (c *lruCache) put(key string, body []byte) (evicted int) {
+// the byte budget holds. Re-putting an existing key refreshes its body
+// and recency.
+func (c *lruCache) put(key string, body []byte) {
 	size := itemSize(key, body)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if size > c.budget {
-		return 0
+		return
 	}
 	if el, ok := c.items[key]; ok {
 		it := el.Value.(*cacheItem)
@@ -85,9 +85,7 @@ func (c *lruCache) put(key string, body []byte) (evicted int) {
 		delete(c.items, it.key)
 		c.bytes -= itemSize(it.key, it.body)
 		c.evictions++
-		evicted++
 	}
-	return evicted
 }
 
 // stats returns (hits, misses, evictions, residentBytes, entries).

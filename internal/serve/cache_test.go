@@ -12,16 +12,14 @@ func TestCacheGetPut(t *testing.T) {
 		t.Fatal("empty cache returned a hit")
 	}
 	body := []byte(`{"x":1}`)
-	if ev := c.put("a", body); ev != 0 {
-		t.Fatalf("put evicted %d entries from an empty cache", ev)
-	}
+	c.put("a", body)
 	got, ok := c.get("a")
 	if !ok || !bytes.Equal(got, body) {
 		t.Fatalf("get = %q, %v; want %q, true", got, ok, body)
 	}
-	hits, misses, _, bytes_, entries := c.stats()
-	if hits != 1 || misses != 1 {
-		t.Fatalf("hits=%d misses=%d; want 1, 1", hits, misses)
+	hits, misses, evictions, bytes_, entries := c.stats()
+	if hits != 1 || misses != 1 || evictions != 0 {
+		t.Fatalf("hits=%d misses=%d evictions=%d; want 1, 1, 0", hits, misses, evictions)
 	}
 	if entries != 1 || bytes_ != itemSize("a", body) {
 		t.Fatalf("entries=%d bytes=%d; want 1, %d", entries, bytes_, itemSize("a", body))
@@ -39,9 +37,7 @@ func TestCacheEvictsLRU(t *testing.T) {
 	if _, ok := c.get("k1"); !ok {
 		t.Fatal("k1 missing before eviction")
 	}
-	if ev := c.put("k4", body); ev != 1 {
-		t.Fatalf("put(k4) evicted %d entries; want 1", ev)
-	}
+	c.put("k4", body)
 	if _, ok := c.get("k2"); ok {
 		t.Fatal("k2 survived eviction but was least recently used")
 	}
@@ -58,15 +54,13 @@ func TestCacheEvictsLRU(t *testing.T) {
 
 func TestCacheOversizedEntrySkipped(t *testing.T) {
 	c := newLRUCache(64)
-	if ev := c.put("big", make([]byte, 1024)); ev != 0 {
-		t.Fatalf("oversized put evicted %d entries; want 0", ev)
-	}
+	c.put("big", make([]byte, 1024))
 	if _, ok := c.get("big"); ok {
 		t.Fatal("entry larger than the whole budget was stored")
 	}
-	_, _, _, bytes_, entries := c.stats()
-	if bytes_ != 0 || entries != 0 {
-		t.Fatalf("bytes=%d entries=%d after oversized put; want 0, 0", bytes_, entries)
+	_, _, evictions, bytes_, entries := c.stats()
+	if evictions != 0 || bytes_ != 0 || entries != 0 {
+		t.Fatalf("evictions=%d bytes=%d entries=%d after oversized put; want 0, 0, 0", evictions, bytes_, entries)
 	}
 }
 

@@ -33,8 +33,10 @@
 //
 // Responses carry the solution's size and FNV-1a digest
 // (core.Result.SolutionDigest) rather than defaulting to the full
-// assignment; include_solution opts into the complete vector. All
-// symbreak_serve_* metric publications are gated on telemetry.Enabled(),
-// like every other instrumented path in the repository. See docs/API.md
-// for the wire format and docs/OPS.md for operating the daemon.
+// assignment; include_solution opts into the complete vector. The
+// symbreak_serve_* counts the Service keeps itself (runs, coalesced,
+// cache and admission state) are read from Snapshot at each scrape; the
+// per-event metrics record while the registry's switch is on. See
+// docs/API.md for the wire format and docs/OPS.md for operating the
+// daemon.
 package serve

@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/telemetry"
 	"repro/internal/trace"
 )
 
@@ -146,7 +145,7 @@ func (s *Service) finish(rt *requestTrack, status int) {
 	rec.Status = status
 	rec.WallNs = rt.last.Sub(rt.start).Nanoseconds()
 	s.rec.add(rec)
-	if telemetry.Enabled() && s.cfg.Log != nil && rec.WallNs >= s.cfg.SlowLog.Nanoseconds() {
+	if s.cfg.Log != nil && rec.WallNs >= s.cfg.SlowLog.Nanoseconds() {
 		s.emitLog(rec)
 	}
 }
@@ -163,9 +162,6 @@ func (s *Service) finishError(w http.ResponseWriter, rt *requestTrack, code int,
 // text lines diff cleanly and json lines are byte-deterministic for a
 // given record.
 func (s *Service) emitLog(rec *RequestRecord) {
-	if !telemetry.Enabled() {
-		return
-	}
 	kv := make([]any, 0, 24+2*len(rec.Phases))
 	kv = append(kv,
 		"ts", rec.Start,

@@ -27,14 +27,10 @@ func ringGraph(n int) *graph.Graph {
 }
 
 // newTestServer boots a Service on a random localhost port with a
-// one-graph corpus and telemetry enabled, returning the service, its base
-// URL, and the registry behind /metrics.
+// one-graph corpus and its own recording registry, returning the service,
+// its base URL, and the registry behind /metrics.
 func newTestServer(t *testing.T, cfg Config) (*Service, string, *telemetry.Registry) {
 	t.Helper()
-	was := telemetry.Enabled()
-	telemetry.Enable(true)
-	t.Cleanup(func() { telemetry.Enable(was) })
-
 	corpus := NewCorpus()
 	if err := corpus.Add("ring", "test", ringGraph(64)); err != nil {
 		t.Fatal(err)
@@ -267,6 +263,58 @@ func TestSolveQueueTimeout503(t *testing.T) {
 	}
 	close(proceed)
 	<-done
+}
+
+// TestAdmissionGaugesLive: the admission gauges are read at scrape time,
+// so a scrape taken while one solve runs and a second waits for budget
+// shows both, not the state at the last completed request.
+func TestAdmissionGaugesLive(t *testing.T) {
+	entered := make(chan struct{}, 4)
+	proceed := make(chan struct{})
+	svc, url, _ := newTestServer(t, Config{WorkerBudget: 1, QueueDepth: 4})
+	svc.testHookBeforeRun = func() {
+		entered <- struct{}{}
+		<-proceed
+	}
+
+	done := make(chan int, 2)
+	post := func(seed int) {
+		resp, err := http.Post(url+"/solve", "application/json",
+			strings.NewReader(fmt.Sprintf(`{"graph":"ring","problem":"mm","seed":%d}`, seed)))
+		if err != nil {
+			done <- -1
+			return
+		}
+		resp.Body.Close()
+		done <- resp.StatusCode
+	}
+	go post(1)
+	<-entered // the first solve holds the whole budget
+	go post(2)
+	deadline := time.Now().Add(10 * time.Second)
+	for svc.Snapshot().AdmissionQueued != 1 {
+		if time.Now().After(deadline) {
+			close(proceed)
+			t.Fatalf("second request never queued: %+v", svc.Snapshot())
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	m := scrapeMetrics(t, url)
+	close(proceed)
+	for _, want := range []string{
+		"symbreak_serve_admission_in_use 1\n",
+		"symbreak_serve_admission_queued 1\n",
+	} {
+		if !strings.Contains(m, want) {
+			t.Errorf("/metrics missing %q while one solve runs and one waits:\n%s", want, m)
+		}
+	}
+	for i := 0; i < 2; i++ {
+		if code := <-done; code != http.StatusOK {
+			t.Errorf("request status %d; want 200", code)
+		}
+	}
 }
 
 // TestSolvePanicReleasesKey pins the singleflight's panic path: when the

@@ -18,7 +18,8 @@ type Config struct {
 	// corpus (inline edge lists still work).
 	Corpus *Corpus
 	// Registry receives the symbreak_serve_* metrics; nil uses
-	// telemetry.Default.
+	// telemetry.Default. The counts the Service keeps itself are
+	// registered as funcs and replace any earlier Service's on r.
 	Registry *telemetry.Registry
 	// WorkerBudget is the admission budget in abstract worker units;
 	// 0 uses par.Workers(). A request costs 1 + edges/EdgesPerUnit units.
@@ -45,7 +46,7 @@ type Config struct {
 	// it); 0 means DefaultFlightRecorder, negative disables recording.
 	FlightRecorder int
 	// Log, when non-nil, receives one structured line per completed
-	// solve request (telemetry-gated).
+	// solve request; nil logs nothing.
 	Log *telemetry.RequestLog
 	// SlowLog suppresses request-log lines for requests faster than
 	// this threshold; 0 logs every request.
@@ -74,7 +75,7 @@ type Service struct {
 	m      metrics
 
 	// runCount counts underlying solver runs — what
-	// symbreak_serve_runs_total exposes and the coalescing test asserts
+	// symbreak_serve_runs_total reads and the coalescing test asserts
 	// equals 1 for N concurrent duplicates.
 	runCount atomic.Int64
 
@@ -84,20 +85,13 @@ type Service struct {
 	testHookBeforeRun func()
 }
 
-// metrics holds the symbreak_serve_* handles. Vec children are looked up
-// at the (telemetry-gated) publication sites, never pre-materialized.
+// metrics holds the per-event symbreak_serve_* handles. Vec children are
+// looked up at the publication sites, never pre-materialized. Counts the
+// Service keeps itself are read from Snapshot at scrape time instead
+// (registerCounts).
 type metrics struct {
 	requests   *telemetry.CounterVec   // {endpoint, code}
 	reqSeconds *telemetry.HistogramVec // {endpoint}
-	runs       *telemetry.Counter
-	coalesced  *telemetry.Counter
-	hits       *telemetry.Counter
-	misses     *telemetry.Counter
-	evictions  *telemetry.Counter
-	cacheBytes *telemetry.Gauge
-	cacheEnts  *telemetry.Gauge
-	admInUse   *telemetry.Gauge
-	admQueued  *telemetry.Gauge
 	rejected   *telemetry.CounterVec   // {reason}
 	solveSecs  *telemetry.HistogramVec // {problem, algo, arch}
 }
@@ -136,7 +130,7 @@ func New(cfg Config) *Service {
 		cfg.FlightRecorder = 0
 	}
 	r := cfg.Registry
-	return &Service{
+	s := &Service{
 		corpus: cfg.Corpus,
 		cache:  newLRUCache(cfg.CacheBytes),
 		adm:    newAdmission(cfg.WorkerBudget, cfg.QueueDepth, cfg.QueueTimeout),
@@ -148,30 +142,49 @@ func New(cfg Config) *Service {
 				"Requests served, by endpoint and HTTP status code.", "endpoint", "code"),
 			reqSeconds: r.HistogramVec("symbreak_serve_request_seconds",
 				"End-to-end request latency, by endpoint.", nil, "endpoint"),
-			runs: r.Counter("symbreak_serve_runs_total",
-				"Underlying solver runs started (coalesced and cached requests do not run)."),
-			coalesced: r.Counter("symbreak_serve_coalesced_total",
-				"Requests that joined an identical in-flight solve instead of running."),
-			hits: r.Counter("symbreak_serve_cache_hits_total",
-				"Solve requests answered from the solution cache."),
-			misses: r.Counter("symbreak_serve_cache_misses_total",
-				"Solve requests that missed the solution cache."),
-			evictions: r.Counter("symbreak_serve_cache_evictions_total",
-				"Cache entries evicted to hold the byte budget."),
-			cacheBytes: r.Gauge("symbreak_serve_cache_bytes",
-				"Resident bytes in the solution cache."),
-			cacheEnts: r.Gauge("symbreak_serve_cache_entries",
-				"Entries in the solution cache."),
-			admInUse: r.Gauge("symbreak_serve_admission_in_use",
-				"Worker-budget units currently held by running solves."),
-			admQueued: r.Gauge("symbreak_serve_admission_queued",
-				"Requests waiting in the admission queue."),
 			rejected: r.CounterVec("symbreak_serve_rejected_total",
 				"Requests rejected by admission control, by reason.", "reason"),
 			solveSecs: r.HistogramVec("symbreak_serve_solve_seconds",
 				"Wall time of underlying solver runs.", nil, "problem", "algo", "arch"),
 		},
 	}
+	s.registerCounts(r)
+	return s
+}
+
+// registerCounts exposes the counts the Service keeps itself as funcs
+// over Snapshot, so every scrape reads them live instead of a copy.
+func (s *Service) registerCounts(r *telemetry.Registry) {
+	read := func(field func(Stats) float64) func() float64 {
+		return func() float64 { return field(s.Snapshot()) }
+	}
+	r.CounterFunc("symbreak_serve_runs_total",
+		"Underlying solver runs started (coalesced and cached requests do not run).",
+		read(func(st Stats) float64 { return float64(st.Runs) }))
+	r.CounterFunc("symbreak_serve_coalesced_total",
+		"Requests that joined an identical in-flight solve instead of running.",
+		read(func(st Stats) float64 { return float64(st.Coalesced) }))
+	r.CounterFunc("symbreak_serve_cache_hits_total",
+		"Solve requests answered from the solution cache.",
+		read(func(st Stats) float64 { return float64(st.CacheHits) }))
+	r.CounterFunc("symbreak_serve_cache_misses_total",
+		"Solve requests that missed the solution cache.",
+		read(func(st Stats) float64 { return float64(st.CacheMisses) }))
+	r.CounterFunc("symbreak_serve_cache_evictions_total",
+		"Cache entries evicted to hold the byte budget.",
+		read(func(st Stats) float64 { return float64(st.Evicted) }))
+	r.GaugeFunc("symbreak_serve_cache_bytes",
+		"Resident bytes in the solution cache.",
+		read(func(st Stats) float64 { return float64(st.CacheBytes) }))
+	r.GaugeFunc("symbreak_serve_cache_entries",
+		"Entries in the solution cache.",
+		read(func(st Stats) float64 { return float64(st.CacheEntries) }))
+	r.GaugeFunc("symbreak_serve_admission_in_use",
+		"Worker-budget units currently held by running solves.",
+		read(func(st Stats) float64 { return float64(st.AdmissionInUse) }))
+	r.GaugeFunc("symbreak_serve_admission_queued",
+		"Requests waiting in the admission queue.",
+		read(func(st Stats) float64 { return float64(st.AdmissionQueued) }))
 }
 
 // Mount registers the service endpoints on mux — typically the telemetry
@@ -187,8 +200,8 @@ func (s *Service) Mount(mux *http.ServeMux) {
 // CorpusLen reports how many graphs the service answers by name.
 func (s *Service) CorpusLen() int { return s.corpus.Len() }
 
-// Stats is a point-in-time snapshot of the service counters, for tests
-// and the daemon's shutdown log line.
+// Stats is a point-in-time snapshot of the service counters, for
+// /metrics, tests and the daemon's shutdown log line.
 type Stats struct {
 	Runs, Coalesced                 int64
 	CacheHits, CacheMisses, Evicted uint64
@@ -232,25 +245,9 @@ func (s *Service) instrument(endpoint string, h http.HandlerFunc) http.HandlerFu
 		start := time.Now()
 		sw := &statusWriter{ResponseWriter: w, code: http.StatusOK}
 		h(sw, r)
-		if telemetry.Enabled() {
-			s.m.requests.With(endpoint, strconv.Itoa(sw.code)).Inc()
-			s.m.reqSeconds.With(endpoint).Observe(time.Since(start).Seconds())
-			s.publishGauges()
-		}
+		s.m.requests.With(endpoint, strconv.Itoa(sw.code)).Inc()
+		s.m.reqSeconds.With(endpoint).Observe(time.Since(start).Seconds())
 	}
-}
-
-// publishGauges refreshes the cache and admission gauges.
-func (s *Service) publishGauges() {
-	if !telemetry.Enabled() {
-		return
-	}
-	_, _, _, bytes, ents := s.cache.stats()
-	inUse, _, queued := s.adm.stats()
-	s.m.cacheBytes.Set(float64(bytes))
-	s.m.cacheEnts.Set(float64(ents))
-	s.m.admInUse.Set(float64(inUse))
-	s.m.admQueued.Set(float64(queued))
 }
 
 type errorResponse struct {

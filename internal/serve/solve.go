@@ -10,7 +10,6 @@ import (
 	"repro/internal/cli"
 	"repro/internal/core"
 	"repro/internal/graph"
-	"repro/internal/telemetry"
 	"repro/internal/trace"
 )
 
@@ -273,17 +272,11 @@ func (s *Service) handleSolve(w http.ResponseWriter, r *http.Request) {
 	rt.phase("parse")
 
 	if body, ok := s.cache.get(ps.key); ok {
-		if telemetry.Enabled() {
-			s.m.hits.Inc()
-		}
 		rt.rec.Cache = "hit"
 		rt.phase("lookup")
 		writeSolveBody(w, body, "hit")
 		s.finish(rt, http.StatusOK)
 		return
-	}
-	if telemetry.Enabled() {
-		s.m.misses.Inc()
 	}
 	rt.phase("lookup")
 
@@ -295,9 +288,6 @@ func (s *Service) handleSolve(w http.ResponseWriter, r *http.Request) {
 	out, err, shared := s.flight.do(ps.key, func() (*solveOutcome, error) {
 		return s.runSolve(ps, rt)
 	})
-	if shared && telemetry.Enabled() {
-		s.m.coalesced.Inc()
-	}
 	if err != nil {
 		// The leader already stamped its phases inside runSolve; only a
 		// follower needs the blocked interval accounted for.
@@ -345,9 +335,6 @@ func (s *Service) runSolve(ps *parsedSolve, rt *requestTrack) (*solveOutcome, er
 	}
 
 	s.runCount.Add(1)
-	if telemetry.Enabled() {
-		s.m.runs.Inc()
-	}
 	start := time.Now()
 	opt := ps.opt
 	opt.Trace = reqSpan
@@ -357,10 +344,8 @@ func (s *Service) runSolve(ps *parsedSolve, rt *requestTrack) (*solveOutcome, er
 		rt.phase("run")
 		return nil, err
 	}
-	if telemetry.Enabled() {
-		s.m.solveSecs.With(ps.problem.String(), res.Report.StrategyName, ps.arch.String()).
-			Observe(time.Since(start).Seconds())
-	}
+	s.m.solveSecs.With(ps.problem.String(), res.Report.StrategyName, ps.arch.String()).
+		Observe(time.Since(start).Seconds())
 	rep := reportInfo{
 		Rounds:   res.Report.Rounds,
 		DecompNs: res.Report.Decomp.Nanoseconds(),
@@ -389,10 +374,7 @@ func (s *Service) runSolve(ps *parsedSolve, rt *requestTrack) (*solveOutcome, er
 		rt.phase("finalize")
 		return nil, err
 	}
-	evicted := s.cache.put(ps.key, body)
-	if evicted > 0 && telemetry.Enabled() {
-		s.m.evictions.Add(float64(evicted))
-	}
+	s.cache.put(ps.key, body)
 	fspan.End()
 	reqSpan.End()
 	rt.phase("finalize")
@@ -446,16 +428,12 @@ func writeSolveBody(w http.ResponseWriter, body []byte, disposition string) {
 func (s *Service) writeSolveError(w http.ResponseWriter, err error) int {
 	switch {
 	case errors.Is(err, errQueueFull):
-		if telemetry.Enabled() {
-			s.m.rejected.With("queue_full").Inc()
-		}
+		s.m.rejected.With("queue_full").Inc()
 		w.Header().Set("Retry-After", "1")
 		writeError(w, http.StatusTooManyRequests, "%v", err)
 		return http.StatusTooManyRequests
 	case errors.Is(err, errQueueTimeout):
-		if telemetry.Enabled() {
-			s.m.rejected.With("timeout").Inc()
-		}
+		s.m.rejected.With("timeout").Inc()
 		w.Header().Set("Retry-After", "1")
 		writeError(w, http.StatusServiceUnavailable, "%v", err)
 		return http.StatusServiceUnavailable

@@ -24,9 +24,8 @@ import (
 // emitted with a single Write so concurrent requests never interleave
 // mid-line.
 //
-// Emission is gated like every telemetry publication: call sites guard
-// with telemetry.Enabled() (enforced by symlint's gatedmetrics
-// analyzer), so disabled runs pay one atomic load and zero formatting.
+// A log is off by being absent: callers hold a nil *RequestLog when no
+// lines are wanted and skip Emit, as a nil trace span is tracing off.
 type RequestLog struct {
 	mu   sync.Mutex
 	w    io.Writer

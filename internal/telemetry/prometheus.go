@@ -37,7 +37,8 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 }
 
 // write renders one family. Families with no children yet are skipped
-// entirely (no orphan HELP/TYPE headers).
+// entirely (no orphan HELP/TYPE headers). Funcs are called after the
+// family lock is released.
 func (f *family) write(b *strings.Builder) {
 	f.mu.Lock()
 	keys := make([]string, 0, len(f.children))
@@ -60,6 +61,8 @@ func (f *family) write(b *strings.Builder) {
 	fmt.Fprintf(b, "# TYPE %s %s\n", f.name, f.typ)
 	for _, c := range children {
 		switch m := c.(type) {
+		case func() float64:
+			sample(b, f.name, nil, nil, "", "", m())
 		case *Counter:
 			sample(b, f.name, f.labelNames, m.labels, "", "", m.Value())
 		case *Gauge:

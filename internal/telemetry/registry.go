@@ -1,7 +1,7 @@
 // Package telemetry is the live half of the observability layer: a
 // concurrent metrics registry (counters, gauges, fixed-bucket histograms
-// with quantile estimation), background samplers that poll Go runtime and
-// par worker-pool statistics onto gauges, and an embedded HTTP server
+// with quantile estimation, and funcs read at scrape time), the Go
+// runtime and par worker-pool gauges, and an embedded HTTP server
 // exposing Prometheus text-format /metrics, /healthz, /debug/pprof/*, and
 // a live /trace JSON snapshot of the internal/trace span tree.
 //
@@ -9,16 +9,17 @@
 // go", telemetry answers "what is the process doing right now": the
 // harness publishes per-cell decomposition/solve latencies into
 // histograms keyed by {problem, algo, arch, graph}, the bsp machine
-// publishes per-superstep kernel timings, and the samplers keep heap, GC,
-// goroutine, and pool-scheduler gauges fresh while a run is in flight.
+// publishes per-superstep kernel timings, and the heap, GC, goroutine,
+// and pool-scheduler gauges are read from their owners at each scrape.
 // cmd/benchall and cmd/symbreak wire the layer to the command line
 // (-serve ADDR); see DESIGN.md § Observability.
 //
-// Publication is opt-in, mirroring trace: Enable(true) switches recording
-// on, and instrumented call sites gate on Enabled() — one atomic load —
-// so solvers pay nothing when no server is running. Metric values
-// themselves are lock-free (atomics); the registry mutex is touched only
-// on metric creation and exposition.
+// Each Registry carries its own on/off switch, and every update checks it
+// with one atomic load, so call sites publish unconditionally. NewRegistry
+// records from the start; Default records only after Enable(true), so
+// solvers pay one load per publication when no server is running. Metric
+// values themselves are lock-free (atomics); the registry mutex is touched
+// only on metric creation and exposition.
 package telemetry
 
 import (
@@ -30,22 +31,15 @@ import (
 	"sync/atomic"
 )
 
-// enabled gates the instrumented call sites in harness and bsp. The
-// registry itself always works; this flag only decides whether hot paths
-// bother to record.
-var enabled atomic.Bool
+// Enable switches recording on Default on or off. Off (the default)
+// makes every update of a Default metric a no-op after one atomic load.
+func Enable(on bool) { Default.on.Store(on) }
 
-// Enable switches telemetry publication on or off. Off (the default)
-// makes every instrumented call site a no-op after one atomic load.
-func Enable(on bool) { enabled.Store(on) }
-
-// Enabled reports whether telemetry publication is on.
-func Enabled() bool { return enabled.Load() }
-
-// Default is the process-global registry. The HTTP server, the samplers,
-// and the harness/bsp instrumentation all use it; libraries that want an
-// isolated namespace can create their own with NewRegistry.
-var Default = NewRegistry()
+// Default is the process-global registry. The HTTP server and the
+// harness/bsp/frontier/graph instrumentation use it; it records only
+// after Enable(true). Libraries that want an isolated namespace, always
+// recording, can create their own with NewRegistry.
+var Default = newRegistry(false)
 
 // DefBuckets are the default latency buckets in seconds: exponential from
 // 10µs to 10s, matched to the paper's cell-time range (decompositions in
@@ -59,16 +53,32 @@ var DefBuckets = []float64{
 
 // Registry holds metric families keyed by name. All methods are safe for
 // concurrent use. Creation (CounterVec etc.) locks the registry; the
-// returned metric handles update via atomics only.
+// returned metric handles update via atomics only, and only while the
+// registry's switch is on.
 type Registry struct {
+	on       atomic.Bool
 	mu       sync.RWMutex
 	families map[string]*family
 }
 
-// NewRegistry returns an empty registry.
-func NewRegistry() *Registry {
-	return &Registry{families: map[string]*family{}}
+// NewRegistry returns an empty registry that records from the start.
+func NewRegistry() *Registry { return newRegistry(true) }
+
+func newRegistry(on bool) *Registry {
+	r := &Registry{families: map[string]*family{}}
+	r.on.Store(on)
+	return r
 }
+
+// While a registry is off, its Vecs' With returns these shared handles
+// instead of creating a child. They check off, which is never switched
+// on, so they record nothing.
+var (
+	off            atomic.Bool
+	inertCounter   = &Counter{on: &off}
+	inertGauge     = &Gauge{on: &off}
+	inertHistogram = &Histogram{on: &off}
+)
 
 // family is one named metric family: a type, a help string, a label
 // schema, and one child metric per observed label-value combination.
@@ -77,10 +87,11 @@ type family struct {
 	help       string
 	typ        string // "counter", "gauge", "histogram"
 	labelNames []string
-	buckets    []float64 // histograms only
+	buckets    []float64    // histograms only
+	on         *atomic.Bool // the registry's switch
 
 	mu       sync.Mutex
-	children map[string]any // labelKey -> *Counter | *Gauge | *Histogram
+	children map[string]any // labelKey -> *Counter | *Gauge | *Histogram | func() float64
 }
 
 // labelKey joins label values with a separator that cannot appear in a
@@ -102,16 +113,17 @@ func (r *Registry) lookup(name, help, typ string, labelNames []string, buckets [
 	}
 	f := &family{
 		name: name, help: help, typ: typ,
-		labelNames: labelNames, buckets: buckets,
+		labelNames: labelNames, buckets: buckets, on: &r.on,
 		children: map[string]any{},
 	}
 	r.families[name] = f
 	return f
 }
 
-// child returns the metric for the given label values, creating it with
-// make on first use. Panics if the arity does not match the schema.
-func (f *family) child(values []string, make func() any) any {
+// child returns the metric for the given label values, creating one of
+// the family's type on first use. Panics if the arity does not match the
+// schema.
+func (f *family) child(values []string) any {
 	if len(values) != len(f.labelNames) {
 		panic(fmt.Sprintf("telemetry: %s expects %d label values, got %d",
 			f.name, len(f.labelNames), len(values)))
@@ -122,13 +134,43 @@ func (f *family) child(values []string, make func() any) any {
 	if c, ok := f.children[key]; ok {
 		return c
 	}
-	c := make()
+	labels := append([]string(nil), values...)
+	var c any
+	switch f.typ {
+	case "counter":
+		c = &Counter{on: f.on, labels: labels}
+	case "gauge":
+		c = &Gauge{on: f.on, labels: labels}
+	default:
+		c = &Histogram{on: f.on, labels: labels, buckets: f.buckets,
+			counts: make([]atomic.Uint64, len(f.buckets)+1)} // +1 for +Inf
+	}
 	f.children[key] = c
 	return c
 }
 
+// CounterFunc registers an unlabeled counter whose value is f(), called
+// each time the registry is written. Registering the name again replaces
+// f. Funcs are read whatever the switch says: they expose a count that
+// its owner keeps anyway.
+func (r *Registry) CounterFunc(name, help string, f func() float64) {
+	r.lookup(name, help, "counter", nil, nil).setFunc(f)
+}
+
+// GaugeFunc is CounterFunc for a gauge.
+func (r *Registry) GaugeFunc(name, help string, f func() float64) {
+	r.lookup(name, help, "gauge", nil, nil).setFunc(f)
+}
+
+func (f *family) setFunc(fn func() float64) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.children[labelKey(nil)] = fn
+}
+
 // Counter is a monotonically increasing value. Updates are lock-free.
 type Counter struct {
+	on     *atomic.Bool
 	labels []string
 	bits   atomic.Uint64 // float64 bits
 }
@@ -138,22 +180,35 @@ func (c *Counter) Inc() { c.Add(1) }
 
 // Add accumulates v. Negative deltas are a caller bug for counters; they
 // are applied as-is (the exposition does not police monotonicity).
-func (c *Counter) Add(v float64) { atomicAddFloat(&c.bits, v) }
+func (c *Counter) Add(v float64) {
+	if c.on.Load() {
+		atomicAddFloat(&c.bits, v)
+	}
+}
 
 // Value returns the current value.
 func (c *Counter) Value() float64 { return math.Float64frombits(c.bits.Load()) }
 
 // Gauge is an arbitrary value that can go up and down.
 type Gauge struct {
+	on     *atomic.Bool
 	labels []string
 	bits   atomic.Uint64
 }
 
 // Set replaces the value.
-func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
+func (g *Gauge) Set(v float64) {
+	if g.on.Load() {
+		g.bits.Store(math.Float64bits(v))
+	}
+}
 
 // Add accumulates v (negative to subtract).
-func (g *Gauge) Add(v float64) { atomicAddFloat(&g.bits, v) }
+func (g *Gauge) Add(v float64) {
+	if g.on.Load() {
+		atomicAddFloat(&g.bits, v)
+	}
+}
 
 // Value returns the current value.
 func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
@@ -175,6 +230,7 @@ func atomicAddFloat(bits *atomic.Uint64, v float64) {
 // and the sum may momentarily disagree by in-flight observations, which
 // Prometheus scraping tolerates by design.
 type Histogram struct {
+	on      *atomic.Bool
 	labels  []string
 	buckets []float64 // sorted upper bounds, +Inf implicit
 	counts  []atomic.Uint64
@@ -182,16 +238,11 @@ type Histogram struct {
 	count   atomic.Uint64
 }
 
-func newHistogram(labels []string, buckets []float64) *Histogram {
-	return &Histogram{
-		labels:  labels,
-		buckets: buckets,
-		counts:  make([]atomic.Uint64, len(buckets)+1), // +1 for +Inf
-	}
-}
-
 // Observe records v.
 func (h *Histogram) Observe(v float64) {
+	if !h.on.Load() {
+		return
+	}
 	i := sort.SearchFloat64s(h.buckets, v) // first bucket with bound >= v
 	h.counts[i].Add(1)
 	atomicAddFloat(&h.sumBits, v)
@@ -250,16 +301,22 @@ func (r *Registry) CounterVec(name, help string, labelNames ...string) *CounterV
 
 // With returns the counter for the given label values, creating it on
 // first use. Handles are cached: repeated calls with equal values return
-// the same *Counter, so hot paths may (and should) hoist the handle.
+// the same *Counter. While the registry is off, With returns a shared
+// inert counter without locking or creating a child, so a disabled
+// publication costs one atomic load; a handle taken then stays inert, so
+// hoist one only from a registry that is on.
 func (v *CounterVec) With(labelValues ...string) *Counter {
-	return v.f.child(labelValues, func() any {
-		return &Counter{labels: append([]string(nil), labelValues...)}
-	}).(*Counter)
+	if !v.f.on.Load() {
+		return inertCounter
+	}
+	return v.f.child(labelValues).(*Counter)
 }
 
-// Counter registers (or returns) an unlabeled counter.
+// Counter registers (or returns) an unlabeled counter. The handle is the
+// real child even while the registry is off, so package-level handles
+// created at init start recording once it is switched on.
 func (r *Registry) Counter(name, help string) *Counter {
-	return r.CounterVec(name, help).With()
+	return r.CounterVec(name, help).f.child(nil).(*Counter)
 }
 
 // GaugeVec is a gauge family with labels.
@@ -270,16 +327,18 @@ func (r *Registry) GaugeVec(name, help string, labelNames ...string) *GaugeVec {
 	return &GaugeVec{r.lookup(name, help, "gauge", labelNames, nil)}
 }
 
-// With returns the gauge for the given label values.
+// With returns the gauge for the given label values, inert while the
+// registry is off (see CounterVec.With).
 func (v *GaugeVec) With(labelValues ...string) *Gauge {
-	return v.f.child(labelValues, func() any {
-		return &Gauge{labels: append([]string(nil), labelValues...)}
-	}).(*Gauge)
+	if !v.f.on.Load() {
+		return inertGauge
+	}
+	return v.f.child(labelValues).(*Gauge)
 }
 
-// Gauge registers (or returns) an unlabeled gauge.
+// Gauge registers (or returns) an unlabeled gauge, bound like Counter.
 func (r *Registry) Gauge(name, help string) *Gauge {
-	return r.GaugeVec(name, help).With()
+	return r.GaugeVec(name, help).f.child(nil).(*Gauge)
 }
 
 // HistogramVec is a histogram family with labels.
@@ -298,14 +357,17 @@ func (r *Registry) HistogramVec(name, help string, buckets []float64, labelNames
 	return &HistogramVec{r.lookup(name, help, "histogram", labelNames, buckets)}
 }
 
-// With returns the histogram for the given label values.
+// With returns the histogram for the given label values, inert while the
+// registry is off (see CounterVec.With).
 func (v *HistogramVec) With(labelValues ...string) *Histogram {
-	return v.f.child(labelValues, func() any {
-		return newHistogram(append([]string(nil), labelValues...), v.f.buckets)
-	}).(*Histogram)
+	if !v.f.on.Load() {
+		return inertHistogram
+	}
+	return v.f.child(labelValues).(*Histogram)
 }
 
-// Histogram registers (or returns) an unlabeled histogram.
+// Histogram registers (or returns) an unlabeled histogram, bound like
+// Counter.
 func (r *Registry) Histogram(name, help string, buckets []float64) *Histogram {
-	return r.HistogramVec(name, help, buckets).With()
+	return r.HistogramVec(name, help, buckets).f.child(nil).(*Histogram)
 }

@@ -174,3 +174,94 @@ func TestConcurrentRegistry(t *testing.T) {
 		t.Fatalf("gauge = %v, want %d", g.Value(), workers*perWorker)
 	}
 }
+
+// TestDefaultRecordsOnlyWhenEnabled: Default records nothing, and creates
+// no labeled child, until Enable(true); a NewRegistry records from the
+// start. Unlabeled handles are bound while off, as the package-level
+// handles in frontier, bsp and graph are at init. Default outlives the
+// test, so it compares deltas and uses a label value only ever seen off.
+func TestDefaultRecordsOnlyWhenEnabled(t *testing.T) {
+	defer Enable(Default.on.Load())
+	Enable(false)
+	vec := Default.CounterVec("test_gate_total", "Gate.", "state")
+	c := Default.Counter("test_gate_unlabeled_total", "Gate.")
+	h := Default.Histogram("test_gate_seconds", "Gate.", nil)
+	c0, h0 := c.Value(), h.Count()
+	vec.With("off").Inc()
+	c.Add(2)
+	h.Observe(1)
+	if c.Value() != c0 || h.Count() != h0 {
+		t.Fatalf("recorded while off: counter %v -> %v, histogram count %d -> %d",
+			c0, c.Value(), h0, h.Count())
+	}
+	vec.f.mu.Lock()
+	_, created := vec.f.children[labelKey([]string{"off"})]
+	vec.f.mu.Unlock()
+	if created {
+		t.Fatal("With created a child while off")
+	}
+
+	Enable(true)
+	v0 := vec.With("on").Value()
+	vec.With("on").Inc()
+	c.Add(2)
+	h.Observe(1)
+	if got := vec.With("on").Value(); got != v0+1 || c.Value() != c0+2 || h.Count() != h0+1 {
+		t.Fatalf("after Enable(true): vec +%v, counter +%v, histogram count +%d; want +1, +2, +1",
+			got-v0, c.Value()-c0, h.Count()-h0)
+	}
+
+	own := NewRegistry().Counter("own_total", "Own.")
+	own.Inc()
+	if own.Value() != 1 {
+		t.Fatalf("NewRegistry counter = %v without Enable, want 1", own.Value())
+	}
+}
+
+// TestDisabledPublicationZeroAlloc pins the cost of telemetry that is
+// off: a publication on a disabled Default allocates nothing.
+func TestDisabledPublicationZeroAlloc(t *testing.T) {
+	defer Enable(Default.on.Load())
+	Enable(false)
+	cv := Default.CounterVec("test_off_rounds_total", "Off.", "direction")
+	hv := Default.HistogramVec("test_off_seconds", "Off.", nil, "problem", "arch")
+	h := Default.Histogram("test_off_kernel_seconds", "Off.", nil)
+	dir, a, b := "push", "MM", "GPU"
+	if n := testing.AllocsPerRun(100, func() {
+		cv.With(dir).Inc()
+		cv.With(dir).Add(3)
+		hv.With(a, b).Observe(0.5)
+		h.Observe(0.5)
+	}); n != 0 {
+		t.Fatalf("disabled publication allocates %v times per run, want 0", n)
+	}
+}
+
+// TestFuncMetricsReadAtWrite: a func metric is evaluated at each write,
+// whatever the switch says, and re-registering replaces the func.
+func TestFuncMetricsReadAtWrite(t *testing.T) {
+	r := newRegistry(false)
+	n := 1.0
+	r.CounterFunc("owned_total", "Owned count.", func() float64 { return n })
+	r.GaugeFunc("owned_level", "Owned level.", func() float64 { return -n })
+	n = 4
+	if got := scrapeValue(t, r, "owned_total"); got != 4 {
+		t.Fatalf("owned_total = %v, want 4", got)
+	}
+	if got := scrapeValue(t, r, "owned_level"); got != -4 {
+		t.Fatalf("owned_level = %v, want -4", got)
+	}
+	r.CounterFunc("owned_total", "Owned count.", func() float64 { return 9 })
+	var b strings.Builder
+	if err := r.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		"# TYPE owned_total counter\nowned_total 9\n",
+		"# TYPE owned_level gauge\nowned_level -4\n",
+	} {
+		if !strings.Contains(b.String(), want) {
+			t.Fatalf("exposition missing %q:\n%s", want, b.String())
+		}
+	}
+}

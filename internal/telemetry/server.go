@@ -11,12 +11,9 @@ import (
 	"repro/internal/trace"
 )
 
-// Handler returns the telemetry HTTP mux over registry r as an opaque
-// http.Handler; NewMux returns the same mux openly for callers that mount
-// additional routes on it (the serving layer adds /solve and /graphs).
-func Handler(r *Registry) http.Handler { return NewMux(r) }
-
-// NewMux returns the telemetry HTTP mux over registry r:
+// NewMux returns the telemetry HTTP mux over registry r, on which
+// callers may mount additional routes (the serving layer adds /solve and
+// /graphs):
 //
 //	/metrics        Prometheus text exposition of r
 //	/healthz        liveness probe ("ok")
@@ -53,8 +50,8 @@ func NewMux(r *Registry) *http.ServeMux {
 	return mux
 }
 
-// Server is a running telemetry endpoint. Create with Serve; Close to
-// shut down.
+// Server is a running telemetry endpoint. Create with ServeHandler; Close
+// to shut down.
 type Server struct {
 	// Addr is the bound listen address (useful with ":0").
 	Addr net.Addr
@@ -62,16 +59,11 @@ type Server struct {
 	ln   net.Listener
 }
 
-// Serve binds addr (host:port; ":0" picks a free port), serves Handler(r)
-// on a background goroutine, and returns immediately. The caller owns the
+// ServeHandler binds addr (host:port; ":0" picks a free port), serves h
+// — typically a NewMux, perhaps with extra routes mounted on it — on a
+// background goroutine, and returns immediately. The caller owns the
 // returned Server and should Close it on shutdown; the process exiting
 // also tears it down, which is how the cmd wiring uses it.
-func Serve(addr string, r *Registry) (*Server, error) {
-	return ServeHandler(addr, Handler(r))
-}
-
-// ServeHandler is Serve for an arbitrary handler — typically a NewMux with
-// extra routes mounted on it.
 func ServeHandler(addr string, h http.Handler) (*Server, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {

@@ -17,7 +17,7 @@ import (
 // the test.
 func startTestServer(t *testing.T, r *Registry) *Server {
 	t.Helper()
-	srv, err := Serve("127.0.0.1:0", r)
+	srv, err := ServeHandler("127.0.0.1:0", NewMux(r))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,8 +1,10 @@
 #!/usr/bin/env bash
 # serve-smoke: end-to-end check of the serving layer. Boots the symbreak
 # daemon with a small generated corpus, drives it with symload for a few
-# seconds at low QPS, verifies that symbreak_serve_requests_total moved on
-# /metrics, and shuts the daemon down gracefully (SIGTERM + drain).
+# seconds at low QPS, verifies that symbreak_serve_requests_total and the
+# scrape-time symbreak_serve_runs_total moved on /metrics and that the
+# runtime gauges are exposed, and shuts the daemon down gracefully
+# (SIGTERM + drain).
 # symload itself fails the run on any status other than 200 or the
 # intentional overload signals 429/503.
 set -euo pipefail
@@ -36,13 +38,24 @@ curl -fsS "${ADDR}/healthz" >/dev/null
 
 "$BIN/symload" -addr "$ADDR" -qps 25 -duration 3s -seeds 4
 
-REQS="$(curl -fsS "${ADDR}/metrics" \
-    | awk '$1 ~ /^symbreak_serve_requests_total/ { sum += $2 } END { printf "%d", sum }')"
+METRICS="$(curl -fsS "${ADDR}/metrics")"
+REQS="$(awk '$1 ~ /^symbreak_serve_requests_total/ { sum += $2 } END { printf "%d", sum }' <<<"$METRICS")"
 if [ "$REQS" -lt 1 ]; then
     echo "serve-smoke: symbreak_serve_requests_total did not move (got ${REQS})" >&2
     exit 1
 fi
-echo "serve-smoke: ${REQS} requests served"
+# The Service's own counts and the runtime gauges are read at scrape time;
+# a daemon that does not register them fails here.
+RUNS="$(awk '$1 == "symbreak_serve_runs_total" { printf "%d", $2 }' <<<"$METRICS")"
+if [ "${RUNS:-0}" -lt 1 ]; then
+    echo "serve-smoke: symbreak_serve_runs_total did not move (got ${RUNS:-none})" >&2
+    exit 1
+fi
+if ! grep -q '^go_gc_cycles_total ' <<<"$METRICS"; then
+    echo "serve-smoke: /metrics has no go_gc_cycles_total sample" >&2
+    exit 1
+fi
+echo "serve-smoke: ${REQS} requests served, ${RUNS} solver runs"
 
 # The flight recorder must have recorded the symload traffic, and its
 # detail + Chrome-trace views must serve. Dump all three into
