@@ -3,7 +3,7 @@ GO ?= go
 # bench-gate: max allowed slowdown (percent) before the gate fails.
 GATE_THRESHOLD ?= 2
 
-.PHONY: build test race vet lint perfbench-check bench-smoke bench-gate bench-par serve-demo serve-smoke convert-smoke fmt fmt-check
+.PHONY: build test race vet lint perfbench-check bench-smoke bench-gate bench-par serve-demo serve-smoke convert-smoke decomp-smoke fmt fmt-check
 
 build:
 	$(GO) build ./...
@@ -71,6 +71,12 @@ serve-smoke:
 # the solver digest is identical across all load paths. See docs/OPS.md.
 convert-smoke:
 	bash scripts/convert_smoke.sh
+
+# Decomposition CLI check: every technique runs on a small instance, and an
+# unknown technique or an out-of-range -parts/-k/-beta exits with a
+# one-line error instead of a panic.
+decomp-smoke:
+	bash scripts/decomp_smoke.sh
 
 fmt:
 	gofmt -w $$($(GO) list -f '{{.Dir}}' ./...)

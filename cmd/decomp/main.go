@@ -21,11 +21,10 @@ import (
 )
 
 func main() {
-	technique := flag.String("technique", "degk", "bridge, rand, degk, mpx, labelprop, or multilevel")
-	parts := flag.Int("parts", 10, "RAND/LABELPROP partition count")
+	technique := flag.String("technique", "degk", "bridge, rand, degk, mpx, or multilevel")
+	parts := flag.Int("parts", 10, "RAND/MULTILEVEL partition count")
 	k := flag.Int("k", 2, "DEGk threshold")
 	beta := flag.Float64("beta", decomp.DefaultMPXBeta, "MPX ball-growing rate")
-	iters := flag.Int("iters", 5, "LABELPROP iterations")
 	seed := flag.Uint64("seed", 1, "seed")
 	scale := flag.Float64("scale", 1.0, "dataset scale factor")
 	file := flag.String("file", "", "read a graph from a file (edge list, or METIS for .graph/.metis)")
@@ -40,6 +39,15 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
+	// The decompositions panic on these values; reject them as input.
+	switch {
+	case (tech == decomp.TechRand || tech == decomp.TechMultilevel) && *parts < 1:
+		fatal(fmt.Errorf("-parts must be ≥ 1, got %d", *parts))
+	case tech == decomp.TechDegk && *k < 0:
+		fatal(fmt.Errorf("-k must be ≥ 0, got %d", *k))
+	case tech == decomp.TechMPX && !(*beta > 0):
+		fatal(fmt.Errorf("-beta must be > 0, got %v", *beta))
+	}
 	var r *decomp.Result
 	start := time.Now()
 	switch tech {
@@ -51,8 +59,6 @@ func main() {
 		r = decomp.Degk(g, *k)
 	case decomp.TechMPX:
 		r = decomp.MPX(g, *beta, *seed)
-	case decomp.TechLabelProp:
-		r = decomp.LabelProp(g, *parts, *iters, *seed)
 	case decomp.TechMultilevel:
 		r = decomp.Multilevel(g, *parts, *seed)
 	default:

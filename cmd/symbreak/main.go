@@ -41,7 +41,7 @@ func main() {
 	strategy := flag.String("strategy", "auto", "auto, baseline, bridge, rand, degk, or mpx")
 	archFlag := flag.String("arch", "cpu", "cpu or gpu")
 	parts := flag.Int("parts", 0, "RAND partition count (0 = paper default)")
-	k := flag.Int("k", 0, "DEGk threshold (0 = paper's k=2)")
+	k := flag.Int("k", 0, "DEGk threshold (0 = paper's k=2; MIS takes only 2)")
 	beta := flag.Float64("beta", 0, "MPX ball-growing rate (0 = default)")
 	seed := flag.Uint64("seed", 1, "seed")
 	scale := flag.Float64("scale", 1.0, "dataset scale factor")
@@ -174,7 +174,7 @@ func runOnce(file string, args []string, scale float64, seed uint64,
 
 	fmt.Printf("graph:      |V|=%d |E|=%d\n", g.NumVertices(), g.NumEdges())
 	fmt.Printf("problem:    %v on %v\n", p, arch)
-	fmt.Printf("algorithm:  %s\n", res.Report.StrategyName)
+	fmt.Printf("algorithm:  %s\n", res.Report.Strategy)
 	fmt.Printf("decomp:     %v\n", res.Report.Decomp)
 	fmt.Printf("solve:      %v\n", res.Report.Solve)
 	fmt.Printf("total:      %v\n", res.Report.Total())

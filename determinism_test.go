@@ -81,7 +81,7 @@ func TestDeterminismSweepSolvers(t *testing.T) {
 				par.SetWorkers(w)
 				got := solve(g, c)
 				label := func() string {
-					return name + "/" + ref.Report.StrategyName
+					return name + "/" + ref.Report.Strategy
 				}
 				switch c.problem {
 				case core.ProblemMM:

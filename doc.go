@@ -12,7 +12,7 @@
 // Layout:
 //
 //	internal/core       the public Solve API (problem × strategy × arch)
-//	internal/decomp     BRIDGE / RAND / DEGk (paper §II) + MPX ball growing
+//	internal/decomp     BRIDGE / RAND / DEGk (paper §II) + MPX + multilevel (PMETIS stand-in)
 //	internal/frontier   Ligra-style subsets, direction-optimizing EdgeMap, BFS forests
 //	internal/matching   GM, LMAX, Israeli–Itai, MM-Bridge/Rand/Degk/Biconn (§III)
 //	internal/coloring   VB, EB, Jones–Plassmann, COLOR-Bridge/Rand/Degk/Biconn (§IV)
@@ -23,8 +23,7 @@
 //	internal/par        goroutine parallel runtime (the "CPU")
 //	internal/bsp        bulk-synchronous virtual manycore (the "GPU")
 //	internal/biconn     biconnected components / articulation points
-//	internal/bipartite  Hopcroft–Karp maximum matching (quality oracle)
-//	internal/multilevel matching-based k-way partitioner (METIS stand-in)
+//	internal/bipartite  Hopcroft–Karp maximum matching (structural rank in examples/sparse_matrix)
 //	internal/seq        sequential greedy references
 //	internal/harness    experiment grid runner and table/figure formatters
 //	internal/trace      phase/round span tracing (zero-cost when disabled) + Perfetto export

@@ -29,7 +29,7 @@ func main() {
 			log.Fatalf("%v: %v", p, err)
 		}
 		fmt.Printf("%-6v via %-12s  decomp %-10v solve %-10v",
-			p, res.Report.StrategyName, res.Report.Decomp, res.Report.Solve)
+			p, res.Report.Strategy, res.Report.Decomp, res.Report.Solve)
 		switch {
 		case res.Matching != nil:
 			fmt.Printf("  → %d matched edges\n", res.Matching.Cardinality())
@@ -46,5 +46,5 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("\nGPU MIS via %s: %d kernel launches, simulated device time %v\n",
-		res.Report.StrategyName, res.Report.GPUStats.Launches, res.Report.GPUStats.SimTime)
+		res.Report.Strategy, res.Report.GPUStats.Launches, res.Report.GPUStats.SimTime)
 }

@@ -67,7 +67,8 @@ func TestPropertyDecompositionsConserveEdges(t *testing.T) {
 			decomp.Bridge(g),
 			decomp.Rand(g, parts, 3),
 			decomp.Degk(g, 2),
-			decomp.LabelProp(g, parts, 3, 3),
+			decomp.MPX(g, decomp.DefaultMPXBeta, 3),
+			decomp.Multilevel(g, parts, 3),
 		} {
 			if r.PartEdges()+r.CrossEdges() != g.NumEdges() {
 				t.Logf("%v: %d + %d != %d", r.Technique, r.PartEdges(), r.CrossEdges(), g.NumEdges())

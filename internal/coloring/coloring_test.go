@@ -185,13 +185,27 @@ func TestRepairKeepsExistingColors(t *testing.T) {
 	}
 }
 
-func TestVBForbiddenSizeOne(t *testing.T) {
-	// Degenerate window size must still terminate and be correct.
-	eng := &VB{ForbiddenSize: 1}
-	g := completeGraph(9)
-	c, _ := Fresh(g, eng, nil)
+func TestVBWindowOfOne(t *testing.T) {
+	// K9 plus 100 disjoint edges: 209 vertices of total degree 272, so
+	// VB's FORBIDDEN window is ⌊272/209⌋ = 1 and every K9 vertex must
+	// advance OFFSET repeatedly. The degenerate window must still
+	// terminate and color properly.
+	b := graph.NewBuilder(209)
+	for i := int32(0); i < 9; i++ {
+		for j := i + 1; j < 9; j++ {
+			b.AddEdge(i, j)
+		}
+	}
+	for v := int32(9); v < 209; v += 2 {
+		b.AddEdge(v, v+1)
+	}
+	g := b.Build()
+	c, _ := Fresh(g, NewVB(), nil)
 	if err := Verify(g, c); err != nil {
 		t.Fatal(err)
+	}
+	if c.NumColors() != 9 {
+		t.Fatalf("%d colors, want 9", c.NumColors())
 	}
 }
 

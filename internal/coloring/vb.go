@@ -9,19 +9,13 @@ import (
 // VB is the paper's multicore CPU baseline (Algorithm VB, after Deveci et
 // al.): speculative vertex-based coloring with a fixed-size FORBIDDEN
 // array. Every working vertex searches for the smallest valid color inside
-// a window of ForbiddenSize colors; if the window is exhausted an OFFSET
-// advances it. After each speculative round, conflicting vertices (the
-// lower id of each monochromatic edge) are uncolored and retried.
-//
-// The paper sizes the FORBIDDEN array at the average degree of the graph
-// being colored; ForbiddenSize = 0 selects that default.
-type VB struct {
-	// ForbiddenSize is the FORBIDDEN window size; 0 means
-	// max(1, ⌊average degree⌋) of the graph being colored.
-	ForbiddenSize int
-}
+// a window of colors; if the window is exhausted an OFFSET advances it.
+// After each speculative round, conflicting vertices (the lower id of each
+// monochromatic edge) are uncolored and retried. As in the paper, the
+// window is the average degree of the graph being colored (at least 1).
+type VB struct{}
 
-// NewVB returns a VB engine with the paper's default FORBIDDEN sizing.
+// NewVB returns a VB engine.
 func NewVB() *VB { return &VB{} }
 
 // Name implements Engine.
@@ -36,19 +30,14 @@ func (vb *VB) Fresh(g *graph.Graph) (*Coloring, Stats) { return Fresh(g, vb, nil
 // Repair implements Engine: the speculative loop with one FORBIDDEN array
 // per chunk, each vertex searching windows from color 0.
 func (vb *VB) Repair(g *graph.Graph, color []int32, work []int32, sp *trace.Span) Stats {
-	f := vb.ForbiddenSize
-	if f <= 0 {
-		// The paper sizes the FORBIDDEN array at the average degree of the
-		// graph being colored — here, the work vertices.
-		if len(work) > 0 {
-			total := par.Sum(len(work), func(i int) int64 {
-				return int64(g.Degree(work[i]))
-			})
-			f = int(total / int64(len(work)))
-		}
-		if f < 1 {
-			f = 1
-		}
+	// The FORBIDDEN window is the average degree of the graph being
+	// colored — here, the work vertices.
+	f := 1
+	if len(work) > 0 {
+		total := par.Sum(len(work), func(i int) int64 {
+			return int64(g.Degree(work[i]))
+		})
+		f = max(1, int(total/int64(len(work))))
 	}
 	return speculate(g, color, work, par.Range, f, func(v int32, forbidden []bool) int32 {
 		return findColor(g, color, v, forbidden, 0)

@@ -13,7 +13,6 @@ package core
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/bsp"
 	"repro/internal/coloring"
@@ -166,6 +165,37 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
+// Validate returns the error Solve would return for p under these
+// options, whose defaults must already be filled in (see Normalized): an
+// unknown strategy, RandParts < 1, DegK < 0, MPXBeta ≤ 0, or MIS under
+// DEGk (explicit or Table I's auto choice) with DegK ≠ 2, because its KP
+// solver handles G_L only at maximum degree 2. The serving layer calls it
+// on the options it keys a request by, before admission.
+func (o Options) Validate(p Problem) error {
+	strategy := o.strategyFor(p)
+	switch {
+	case strategy < StrategyBaseline || strategy > StrategyMPX:
+		return fmt.Errorf("core: unknown strategy %d", strategy)
+	case o.RandParts < 1:
+		return fmt.Errorf("core: RandParts must be ≥ 1, got %d", o.RandParts)
+	case o.DegK < 0:
+		return fmt.Errorf("core: DegK must be ≥ 0, got %d", o.DegK)
+	case o.MPXBeta <= 0:
+		return fmt.Errorf("core: MPXBeta must be > 0, got %v", o.MPXBeta)
+	case p == ProblemMIS && strategy == StrategyDegk && o.DegK != 2:
+		return fmt.Errorf("core: MIS-DEGk needs DegK = 2 (its KP solver handles degree ≤ 2), got %d", o.DegK)
+	}
+	return nil
+}
+
+// strategyFor resolves StrategyAuto to Table I's choice for p.
+func (o Options) strategyFor(p Problem) Strategy {
+	if o.Strategy == StrategyAuto {
+		return TableIStrategy(p, o.Arch)
+	}
+	return o.Strategy
+}
+
 // TableIStrategy returns the paper's best decomposition (Table I) for the
 // given problem and architecture: MM→RAND on both; COLOR→DEGk on the CPU
 // and no decomposition on the GPU (the paper reports 1× there); MIS→DEGk
@@ -186,27 +216,16 @@ func TableIStrategy(p Problem, a Arch) Strategy {
 	}
 }
 
-// Report is the unified run report.
+// Report is the run report: the solver's trace.Report — the concrete
+// algorithm name ("MM-Rand", "VB", ...), decomposition and solve wall
+// times, and rounds — plus the virtual machine counters the run consumed.
+// Its Parent is always nil: the run's spans have ended by then.
 type Report struct {
-	// Problem, Strategy and Arch echo the resolved configuration.
-	Problem  Problem
-	Strategy Strategy
-	Arch     Arch
-	// StrategyName is the concrete algorithm name ("MM-Rand", "VB", ...).
-	StrategyName string
-	// Decomp is the decomposition wall time (zero for baselines).
-	Decomp time.Duration
-	// Solve is the solving wall time.
-	Solve time.Duration
-	// Rounds is the total inner iteration count.
-	Rounds int
+	trace.Report
 	// GPUStats snapshots the virtual machine counters consumed by this run
 	// (GPU runs only).
 	GPUStats bsp.Stats
 }
-
-// Total is the end-to-end wall time.
-func (r Report) Total() time.Duration { return r.Decomp + r.Solve }
 
 // Result bundles the solution of whichever problem was solved with its
 // report. Exactly one of Matching / Coloring / IndepSet is non-nil.
@@ -223,24 +242,12 @@ type Result struct {
 // and Verify re-checks it cheaply if desired).
 func Solve(g *graph.Graph, p Problem, opt Options) (*Result, error) {
 	opt = opt.withDefaults()
-	strategy := opt.Strategy
-	if strategy == StrategyAuto {
-		strategy = TableIStrategy(p, opt.Arch)
+	if err := opt.Validate(p); err != nil {
+		return nil, err
 	}
-	if strategy < StrategyBaseline || strategy > StrategyMPX {
-		return nil, fmt.Errorf("core: unknown strategy %d", strategy)
-	}
-	if opt.RandParts < 1 {
-		return nil, fmt.Errorf("core: RandParts must be ≥ 1, got %d", opt.RandParts)
-	}
-	if opt.DegK < 0 {
-		return nil, fmt.Errorf("core: DegK must be ≥ 0, got %d", opt.DegK)
-	}
-	if opt.MPXBeta <= 0 {
-		return nil, fmt.Errorf("core: MPXBeta must be > 0, got %v", opt.MPXBeta)
-	}
+	strategy := opt.strategyFor(p)
 
-	res := &Result{Report: Report{Problem: p, Strategy: strategy, Arch: opt.Arch}}
+	res := &Result{}
 	var before bsp.Stats
 	if opt.Arch == ArchGPU {
 		before = opt.Machine.Stats()
@@ -261,10 +268,8 @@ func Solve(g *graph.Graph, p Problem, opt Options) (*Result, error) {
 	}
 	sp.Add("rounds", int64(rep.Rounds))
 	sp.End()
-	res.Report.StrategyName = rep.Strategy
-	res.Report.Decomp = rep.Decomp
-	res.Report.Solve = rep.Solve
-	res.Report.Rounds = rep.Rounds
+	rep.Parent = nil
+	res.Report.Report = rep
 
 	if opt.Arch == ArchGPU {
 		after := opt.Machine.Stats()

@@ -33,11 +33,8 @@ func TestSolveAllCombinationsVerify(t *testing.T) {
 				if err := Verify(g, res); err != nil {
 					t.Fatalf("%v/%v/%v: %v", p, s, a, err)
 				}
-				if res.Report.StrategyName == "" {
+				if res.Report.Strategy == "" {
 					t.Fatalf("%v/%v/%v: empty strategy name", p, s, a)
-				}
-				if res.Report.Problem != p || res.Report.Arch != a {
-					t.Fatalf("%v/%v/%v: report echoes %v/%v", p, s, a, res.Report.Problem, res.Report.Arch)
 				}
 			}
 		}
@@ -93,15 +90,15 @@ func TestAutoResolvesPerProblem(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Report.StrategyName != "COLOR-Degk" {
-		t.Fatalf("auto CPU COLOR resolved to %q", res.Report.StrategyName)
+	if res.Report.Strategy != "COLOR-Degk" {
+		t.Fatalf("auto CPU COLOR resolved to %q", res.Report.Strategy)
 	}
 	res, err = Solve(g, ProblemColor, Options{Arch: ArchGPU})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Report.StrategyName != "EB" {
-		t.Fatalf("auto GPU COLOR resolved to %q", res.Report.StrategyName)
+	if res.Report.Strategy != "EB" {
+		t.Fatalf("auto GPU COLOR resolved to %q", res.Report.Strategy)
 	}
 }
 
@@ -156,6 +153,21 @@ func TestSolveInvalidOptions(t *testing.T) {
 	}
 	if _, err := Solve(g, Problem(99), Options{}); err == nil {
 		t.Fatal("unknown problem accepted")
+	}
+	// MIS-DEGk's KP solver needs the threshold at 2; other problems take
+	// any k, and k = 0 means the default 2.
+	for _, s := range []Strategy{StrategyDegk, StrategyAuto} {
+		if _, err := Solve(g, ProblemMIS, Options{Strategy: s, DegK: 3}); err == nil {
+			t.Fatalf("MIS %v with DegK 3 accepted", s)
+		}
+	}
+	for _, tc := range []struct {
+		p    Problem
+		degK int
+	}{{ProblemMIS, 2}, {ProblemMIS, 0}, {ProblemMM, 3}} {
+		if _, err := Solve(g, tc.p, Options{Strategy: StrategyDegk, DegK: tc.degK}); err != nil {
+			t.Fatalf("%v DEGk with DegK %d rejected: %v", tc.p, tc.degK, err)
+		}
 	}
 }
 

@@ -18,11 +18,12 @@ const (
 	TechRand
 	// TechDegk is the degree-threshold decomposition.
 	TechDegk
-	// TechLabelProp is the label-propagation (METIS stand-in) ablation.
-	TechLabelProp
 	// TechMPX is the Miller–Peng–Xu exponential-shift ball growing
 	// (an extension beyond the paper's three techniques).
 	TechMPX
+	// TechMultilevel is the matching-based multilevel k-way partitioner,
+	// the PMETIS stand-in for the paper's Remark 1.
+	TechMultilevel
 )
 
 // String returns the paper's name for the technique.
@@ -34,8 +35,6 @@ func (t Technique) String() string {
 		return "RAND"
 	case TechDegk:
 		return "DEGk"
-	case TechLabelProp:
-		return "LABELPROP"
 	case TechMPX:
 		return "MPX"
 	case TechMultilevel:
@@ -48,7 +47,7 @@ func (t Technique) String() string {
 // Techniques lists every technique, in display order. Parsing and table
 // code iterates this instead of hand-maintaining name lists.
 func Techniques() []Technique {
-	return []Technique{TechBridge, TechRand, TechDegk, TechMPX, TechLabelProp, TechMultilevel}
+	return []Technique{TechBridge, TechRand, TechDegk, TechMPX, TechMultilevel}
 }
 
 // ParseTechnique parses a technique name, case-insensitively, accepting
@@ -60,7 +59,7 @@ func ParseTechnique(s string) (Technique, error) {
 			return t, nil
 		}
 	}
-	return 0, fmt.Errorf("unknown decomposition technique %q (want bridge, rand, degk, mpx, labelprop or multilevel)", s)
+	return 0, fmt.Errorf("unknown decomposition technique %q (want bridge, rand, degk, mpx or multilevel)", s)
 }
 
 // Result is a materialized decomposition.
@@ -71,8 +70,9 @@ func ParseTechnique(s string) (Technique, error) {
 //     connected components are the 2-edge-connected components; parallel
 //     solvers process them simultaneously for free). Cross is the
 //     edge-induced subgraph of the bridge set B, and Bridges lists B.
-//   - RAND: Parts are the k induced subgraphs G[V_1..V_k]; Cross is
-//     G_{k+1}, the edge-induced subgraph of the cross edges.
+//   - RAND and MULTILEVEL: Parts are the k induced subgraphs
+//     G[V_1..V_k]; Cross is G_{k+1}, the edge-induced subgraph of the
+//     cross edges.
 //   - DEGk: Parts[0] = G_L (deg ≤ k), Parts[1] = G_H (deg > k); Cross is
 //     G_C.
 //   - MPX: like BRIDGE, Parts has one entry — the union of the grown
@@ -92,7 +92,8 @@ type Result struct {
 	// the ball index of v (dense, ordered by center vertex id).
 	Balls int
 	// Rounds is the number of parallel rounds the decomposition ran
-	// (BRIDGE: BFS depth; others: 1).
+	// (BRIDGE: BFS depth; MPX: ball-growing rounds; MULTILEVEL:
+	// coarsening levels; others: 1).
 	Rounds int
 }
 

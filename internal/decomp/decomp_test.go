@@ -264,47 +264,10 @@ func TestDegkExtremes(t *testing.T) {
 	}
 }
 
-func TestLabelPropShape(t *testing.T) {
-	g := randomGraph(1000, 5000, 21)
-	r := LabelProp(g, 8, 5, 3)
-	checkEdgeConservation(t, g, r)
-	if len(r.Parts) < 1 || len(r.Parts) > 8 {
-		t.Fatalf("LabelProp produced %d parts", len(r.Parts))
-	}
-	if r.Rounds < 1 {
-		t.Fatal("LabelProp ran no rounds")
-	}
-}
-
-func TestLabelPropImprovesLocalityOnGrid(t *testing.T) {
-	// On a structured graph, label propagation should leave fewer cross
-	// edges than a random partition with the same k.
-	b := graph.NewBuilder(0)
-	const side = 60
-	id := func(i, j int) int32 { return int32(i*side + j) }
-	for i := 0; i < side; i++ {
-		for j := 0; j < side; j++ {
-			if j+1 < side {
-				b.AddEdge(id(i, j), id(i, j+1))
-			}
-			if i+1 < side {
-				b.AddEdge(id(i, j), id(i+1, j))
-			}
-		}
-	}
-	g := b.Build()
-	rnd := Rand(g, 4, 1)
-	lp := LabelProp(g, 4, 20, 1)
-	if lp.CrossEdges() >= rnd.CrossEdges() {
-		t.Fatalf("LabelProp cross %d not better than RAND cross %d",
-			lp.CrossEdges(), rnd.CrossEdges())
-	}
-}
-
 func TestTechniqueString(t *testing.T) {
 	names := map[Technique]string{
 		TechBridge: "BRIDGE", TechRand: "RAND", TechDegk: "DEGk",
-		TechLabelProp: "LABELPROP", Technique(99): "UNKNOWN",
+		TechMPX: "MPX", TechMultilevel: "MULTILEVEL", Technique(99): "UNKNOWN",
 	}
 	for tech, want := range names {
 		if tech.String() != want {

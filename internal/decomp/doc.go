@@ -13,15 +13,16 @@
 //     shifted start times with rate beta, grown as a multi-source BFS on
 //     the frontier engine; produces low-diameter balls with provably few
 //     cut edges in expectation.
-//   - Label propagation (ablation only): a METIS stand-in for the
-//     paper's Remark 1 experiment, which excludes real METIS because
-//     partitioning alone costs more than the symmetry-breaking
-//     baselines.
+//   - MULTILEVEL (extension): a matching-based multilevel k-way
+//     partitioner, the PMETIS stand-in for the paper's Remark 1
+//     experiment, which excludes real PMETIS because partitioning alone
+//     costs more than the symmetry-breaking baselines.
 //
 // Every decomposition returns a Result: materialized subgraphs with
 // local→global vertex maps, the technique-specific extras (bridge list,
-// vertex labels, MPX ball assignment), and the decomposition wall time —
-// the quantity Figure 2 of the paper reports. All decompositions are
-// deterministic under a seed for any worker count; randomness comes from
-// par.Hash64 splittable hashing, never from shared mutable state.
+// vertex labels, MPX ball assignment) and a round count. Callers time the
+// call themselves; that wall time is what Figure 2 of the paper reports.
+// All decompositions are deterministic under a seed for any worker count;
+// randomness comes from par.Hash64 splittable hashing, never from shared
+// mutable state.
 package decomp

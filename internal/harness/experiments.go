@@ -67,7 +67,7 @@ func Fig2(cfg Config) *Table {
 	cfg = cfg.withDefaults()
 	t := &Table{
 		Title:  "Figure 2: decomposition time per technique",
-		Header: []string{"graph", "BRIDGE", "RAND(10)", "DEG2", "MPX(0.2)", "LABELPROP(8)", "BFS rounds"},
+		Header: []string{"graph", "BRIDGE", "RAND(10)", "DEG2", "MPX(0.2)", "BFS rounds"},
 	}
 	timed := func(tech decomp.Technique, run func() *decomp.Result) time.Duration {
 		return timeRun(cfg, func() {
@@ -87,9 +87,8 @@ func Fig2(cfg Config) *Table {
 		rand := timed(decomp.TechRand, func() *decomp.Result { return decomp.Rand(g, 10, cfg.Seed) })
 		degk := timed(decomp.TechDegk, func() *decomp.Result { return decomp.Degk(g, 2) })
 		mpx := timed(decomp.TechMPX, func() *decomp.Result { return decomp.MPX(g, decomp.DefaultMPXBeta, cfg.Seed) })
-		lp := timed(decomp.TechLabelProp, func() *decomp.Result { return decomp.LabelProp(g, 8, 5, cfg.Seed) })
 		t.Rows = append(t.Rows, []string{
-			spec.Name, fmtDur(bridge), fmtDur(rand), fmtDur(degk), fmtDur(mpx), fmtDur(lp),
+			spec.Name, fmtDur(bridge), fmtDur(rand), fmtDur(degk), fmtDur(mpx),
 			fmt.Sprintf("%d", rounds),
 		})
 	}

@@ -209,9 +209,9 @@ func measure(cfg Config, g *graph.Graph, spec dataset.Spec, p core.Problem, s co
 			// Device time: decomposition on the host + simulated kernels.
 			t = res.Report.Decomp + res.Report.GPUStats.SimTime
 		}
-		publishCell(p.String(), res.Report.StrategyName, arch.String(),
+		publishCell(p.String(), res.Report.Strategy, arch.String(),
 			spec.Name, res.Report.Decomp, res.Report.Solve, t)
-		c := Cell{Graph: spec.Name, Strategy: res.Report.StrategyName,
+		c := Cell{Graph: spec.Name, Strategy: res.Report.Strategy,
 			Time: t, Rounds: res.Report.Rounds}
 		if res.Coloring != nil {
 			c.NumColors = res.Coloring.NumColors()

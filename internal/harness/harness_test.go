@@ -2,6 +2,7 @@ package harness
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -104,8 +105,12 @@ func TestTable2Runs(t *testing.T) {
 func TestFig2Runs(t *testing.T) {
 	defer dataset.ClearCache()
 	tb := Fig2(tiny())
-	if len(tb.Rows) != 3 || len(tb.Header) != 7 {
+	if len(tb.Rows) != 3 || len(tb.Header) != 6 {
 		t.Fatalf("Fig2 shape %dx%d", len(tb.Rows), len(tb.Header))
+	}
+	want := []string{"graph", "BRIDGE", "RAND(10)", "DEG2", "MPX(0.2)", "BFS rounds"}
+	if !slices.Equal(tb.Header, want) {
+		t.Fatalf("Fig2 header %q, want %q", tb.Header, want)
 	}
 }
 

@@ -48,7 +48,7 @@ func RoundsPhases(cfg Config) *Table {
 				}
 				solveSpan := col.Snapshot().Children[0] // the "core .../..." span
 				t.Rows = append(t.Rows, []string{
-					spec.Name, p.String(), arch.String(), res.Report.StrategyName,
+					spec.Name, p.String(), arch.String(), res.Report.Strategy,
 					fmtDur(solveSpan.Dur()),
 					fmt.Sprintf("%.1f", decompShare(solveSpan)*100),
 					fmt.Sprintf("%d", res.Report.Rounds),

@@ -7,9 +7,9 @@ import (
 
 // Import-path scopes. The solver scope is the result-producing core the
 // determinism sweep exercises; the kernel scope adds the remaining
-// algorithmic packages (sequential baselines, generators, the
-// biconnectivity/bipartite kernels and the multilevel scheme) that must
-// be equally schedule-independent.
+// algorithmic packages (sequential baselines, generators and the
+// biconnectivity/bipartite kernels) that must be equally
+// schedule-independent.
 var (
 	solverScope = prefixed(
 		"decomp", "matching", "coloring", "mis", "bsp", "graph", "core",
@@ -17,7 +17,7 @@ var (
 	)
 	kernelScope = prefixed(
 		"decomp", "matching", "coloring", "mis", "bsp", "graph", "core",
-		"multilevel", "seq", "gen", "biconn", "bipartite",
+		"seq", "gen", "biconn", "bipartite",
 		"frontier",
 	)
 )

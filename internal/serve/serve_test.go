@@ -443,6 +443,8 @@ func TestSolveErrorCodes(t *testing.T) {
 		{"unknown arch", `{"graph":"ring","problem":"mm","arch":"tpu"}`, http.StatusBadRequest},
 		{"negative params", `{"graph":"ring","problem":"mm","params":{"parts":-1}}`, http.StatusBadRequest},
 		{"parts above vertices", `{"graph":"ring","problem":"color","algo":"rand","params":{"parts":65}}`, http.StatusBadRequest},
+		{"mis degk with k 3", `{"graph":"ring","problem":"mis","algo":"degk","params":{"k":3}}`, http.StatusBadRequest},
+		{"mis auto with k 3", `{"graph":"ring","problem":"mis","algo":"auto","params":{"k":3}}`, http.StatusBadRequest},
 		{"no graph", `{"problem":"mm"}`, http.StatusBadRequest},
 		{"unknown graph", `{"graph":"nope","problem":"mm"}`, http.StatusNotFound},
 		{"both sources", `{"graph":"ring","edges":[[0,1]],"problem":"mm"}`, http.StatusConflict},

@@ -113,7 +113,7 @@ type parsedSolve struct {
 	problem  core.Problem
 	strategy core.Strategy // resolved: never StrategyAuto
 	arch     core.Arch
-	opt      core.Options
+	opt      core.Options // normalized: defaults filled in
 	include  bool
 	key      string
 }
@@ -152,10 +152,6 @@ func (s *Service) parseSolve(req *solveRequest) (*parsedSolve, *httpError) {
 	if err != nil {
 		return nil, httpErrorf(http.StatusBadRequest, "%v", err)
 	}
-	if req.Params.Parts < 0 || req.Params.K < 0 || req.Params.Beta < 0 {
-		return nil, httpErrorf(http.StatusBadRequest, "params must be non-negative, got %+v", req.Params)
-	}
-
 	var info graphInfo
 	var g *graph.Graph
 	switch {
@@ -233,11 +229,13 @@ func (s *Service) parseSolve(req *solveRequest) (*parsedSolve, *httpError) {
 		DegK:      req.Params.K,
 		MPXBeta:   req.Params.Beta,
 		Seed:      req.Seed,
+	}.Normalized()
+	if err := opt.Validate(p); err != nil {
+		return nil, httpErrorf(http.StatusBadRequest, "%v", err)
 	}
-	norm := opt.Normalized()
 	key := fmt.Sprintf("%s|%v|%v|%v|seed=%d|parts=%d|k=%d|beta=%g|sol=%t",
 		info.Fingerprint, p, strategy, arch,
-		req.Seed, norm.RandParts, norm.DegK, norm.MPXBeta, req.IncludeSolution)
+		req.Seed, opt.RandParts, opt.DegK, opt.MPXBeta, req.IncludeSolution)
 	return &parsedSolve{
 		info: info, g: g, problem: p, strategy: strategy, arch: arch,
 		opt: opt, include: req.IncludeSolution, key: key,
@@ -344,7 +342,7 @@ func (s *Service) runSolve(ps *parsedSolve, rt *requestTrack) (*solveOutcome, er
 		rt.phase("run")
 		return nil, err
 	}
-	s.m.solveSecs.With(ps.problem.String(), res.Report.StrategyName, ps.arch.String()).
+	s.m.solveSecs.With(ps.problem.String(), res.Report.Strategy, ps.arch.String()).
 		Observe(time.Since(start).Seconds())
 	rep := reportInfo{
 		Rounds:   res.Report.Rounds,
@@ -355,15 +353,14 @@ func (s *Service) runSolve(ps *parsedSolve, rt *requestTrack) (*solveOutcome, er
 	rt.splitRun(rep)
 
 	fspan := reqSpan.Begin("finalize")
-	norm := ps.opt.Normalized()
 	resp := solveResponse{
 		Graph:    ps.info,
 		Problem:  ps.problem.String(),
 		Strategy: ps.strategy.String(),
-		Algo:     res.Report.StrategyName,
+		Algo:     res.Report.Strategy,
 		Arch:     ps.arch.String(),
 		Seed:     ps.opt.Seed,
-		Params:   solveParams{Parts: norm.RandParts, K: norm.DegK, Beta: norm.MPXBeta},
+		Params:   solveParams{Parts: ps.opt.RandParts, K: ps.opt.DegK, Beta: ps.opt.MPXBeta},
 		Solution: solutionFor(res, ps.include),
 		Report:   rep,
 	}
