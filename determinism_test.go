@@ -41,7 +41,8 @@ func sweepGraphs(t *testing.T) map[string]*graph.Graph {
 }
 
 // TestDeterminismSweepSolvers asserts bit-identical matching, coloring and
-// MIS outputs under every sweep worker count.
+// MIS outputs under every sweep worker count, on the CPU and on the
+// virtual GPU.
 func TestDeterminismSweepSolvers(t *testing.T) {
 	defer par.SetWorkers(0)
 	par.SetWorkers(1)
@@ -65,44 +66,46 @@ func TestDeterminismSweepSolvers(t *testing.T) {
 		{core.ProblemMIS, core.StrategyMPX},
 	}
 
-	solve := func(g *graph.Graph, c cfg) *core.Result {
-		res, err := core.Solve(g, c.problem, core.Options{Strategy: c.strategy, Seed: 5})
+	solve := func(g *graph.Graph, c cfg, arch core.Arch) *core.Result {
+		res, err := core.Solve(g, c.problem, core.Options{Strategy: c.strategy, Arch: arch, Seed: 5})
 		if err != nil {
-			t.Fatalf("%v/%v: %v", c.problem, c.strategy, err)
+			t.Fatalf("%v/%v/%v: %v", c.problem, c.strategy, arch, err)
 		}
 		return res
 	}
 
 	for name, g := range graphs {
 		for _, c := range cfgs {
-			par.SetWorkers(1)
-			ref := solve(g, c)
-			for _, w := range sweepWorkers[1:] {
-				par.SetWorkers(w)
-				got := solve(g, c)
-				label := func() string {
-					return name + "/" + ref.Report.Strategy
-				}
-				switch c.problem {
-				case core.ProblemMM:
-					for v := range ref.Matching.Mate {
-						if got.Matching.Mate[v] != ref.Matching.Mate[v] {
-							t.Fatalf("%s: Mate[%d] = %d with %d workers, %d with 1",
-								label(), v, got.Matching.Mate[v], w, ref.Matching.Mate[v])
-						}
+			for _, arch := range []core.Arch{core.ArchCPU, core.ArchGPU} {
+				par.SetWorkers(1)
+				ref := solve(g, c, arch)
+				for _, w := range sweepWorkers[1:] {
+					par.SetWorkers(w)
+					got := solve(g, c, arch)
+					label := func() string {
+						return name + "/" + ref.Report.Strategy + "/" + arch.String()
 					}
-				case core.ProblemColor:
-					for v := range ref.Coloring.Color {
-						if got.Coloring.Color[v] != ref.Coloring.Color[v] {
-							t.Fatalf("%s: Color[%d] = %d with %d workers, %d with 1",
-								label(), v, got.Coloring.Color[v], w, ref.Coloring.Color[v])
+					switch c.problem {
+					case core.ProblemMM:
+						for v := range ref.Matching.Mate {
+							if got.Matching.Mate[v] != ref.Matching.Mate[v] {
+								t.Fatalf("%s: Mate[%d] = %d with %d workers, %d with 1",
+									label(), v, got.Matching.Mate[v], w, ref.Matching.Mate[v])
+							}
 						}
-					}
-				case core.ProblemMIS:
-					for v := range ref.IndepSet.In {
-						if got.IndepSet.In[v] != ref.IndepSet.In[v] {
-							t.Fatalf("%s: In[%d] = %v with %d workers, %v with 1",
-								label(), v, got.IndepSet.In[v], w, ref.IndepSet.In[v])
+					case core.ProblemColor:
+						for v := range ref.Coloring.Color {
+							if got.Coloring.Color[v] != ref.Coloring.Color[v] {
+								t.Fatalf("%s: Color[%d] = %d with %d workers, %d with 1",
+									label(), v, got.Coloring.Color[v], w, ref.Coloring.Color[v])
+							}
+						}
+					case core.ProblemMIS:
+						for v := range ref.IndepSet.In {
+							if got.IndepSet.In[v] != ref.IndepSet.In[v] {
+								t.Fatalf("%s: In[%d] = %v with %d workers, %v with 1",
+									label(), v, got.IndepSet.In[v], w, ref.IndepSet.In[v])
+							}
 						}
 					}
 				}

@@ -5,10 +5,11 @@
 // A Machine executes kernels: a kernel launch runs one logical thread per
 // data element with an implicit global barrier at the end, exactly the
 // structure of the paper's GPU codes (LMAX matching, edge-based coloring,
-// Luby MIS). Kernels execute on goroutines, so wall-clock speed is the
-// host's, but the machine additionally accounts a simulated time that
-// charges a fixed per-launch overhead — the dominant constant of real GPU
-// execution for these iterative label/flag algorithms. Iteration-heavy
+// Luby MIS). Kernels receive the logical threads in contiguous chunks and
+// execute on goroutines, so wall-clock speed is the host's, but the
+// machine additionally accounts a simulated time that charges a fixed
+// per-launch overhead — the dominant constant of real GPU execution for
+// these iterative label/flag algorithms. Iteration-heavy
 // algorithms therefore pay proportionally on the simulated clock just as
 // they do on a real device, preserving the paper's relative comparisons
 // (e.g. "Algorithm EB finishes faster than the time taken for the
@@ -59,14 +60,16 @@ type Machine struct {
 // New returns a Machine with zeroed counters.
 func New() *Machine { return &Machine{} }
 
-// Launch runs kernel(tid) for every tid in [0, n) — one logical thread per
-// element — and returns after all logical threads finish (the global
-// barrier), reporting the launch's host wall time. Kernels must
-// communicate only through memory writes that are safe under concurrent
-// execution (atomics or disjoint indices), as on a real device.
-func (m *Machine) Launch(n int, kernel func(tid int)) time.Duration {
+// Launch runs kernel(lo, hi) over a partition of [0, n) into contiguous
+// chunks and returns after every chunk finishes (the global barrier),
+// reporting the launch's host wall time. Each index in [lo, hi) is one
+// logical thread: a kernel's result must not depend on how [0, n) is split
+// into chunks, and only scratch may carry across the indices of one chunk.
+// Kernels must communicate only through memory writes that are safe under
+// concurrent execution (atomics or disjoint indices), as on a real device.
+func (m *Machine) Launch(n int, kernel func(lo, hi int)) time.Duration {
 	start := time.Now()
-	par.For(n, kernel)
+	par.Range(n, kernel)
 	elapsed := time.Since(start)
 	m.launches.Add(1)
 	m.threadsRun.Add(int64(n))
@@ -80,8 +83,8 @@ func (m *Machine) Launch(n int, kernel func(tid int)) time.Duration {
 // In returns a launcher that runs kernels with Launch and attributes each
 // launch to sp (counters gpu_launches, gpu_threads, gpu_kernel_ns) — the
 // per-superstep accounting behind the GPU columns of the rounds tables.
-func (m *Machine) In(sp *trace.Span) func(n int, kernel func(tid int)) {
-	return func(n int, kernel func(tid int)) {
+func (m *Machine) In(sp *trace.Span) func(n int, kernel func(lo, hi int)) {
+	return func(n int, kernel func(lo, hi int)) {
 		elapsed := m.Launch(n, kernel)
 		sp.Add("gpu_launches", 1)
 		sp.Add("gpu_threads", int64(n))

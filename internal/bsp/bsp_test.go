@@ -9,7 +9,11 @@ func TestLaunchRunsEveryThreadOnce(t *testing.T) {
 	m := New()
 	n := 100000
 	hits := make([]int32, n)
-	m.Launch(n, func(tid int) { atomic.AddInt32(&hits[tid], 1) })
+	m.Launch(n, func(lo, hi int) {
+		for tid := lo; tid < hi; tid++ {
+			atomic.AddInt32(&hits[tid], 1)
+		}
+	})
 	for i, h := range hits {
 		if h != 1 {
 			t.Fatalf("tid %d ran %d times", i, h)
@@ -24,8 +28,16 @@ func TestLaunchBarrierOrdering(t *testing.T) {
 	n := 50000
 	a := make([]int64, n)
 	b := make([]int64, n)
-	m.Launch(n, func(tid int) { a[tid] = int64(tid) * 2 })
-	m.Launch(n, func(tid int) { b[tid] = a[tid] + 1 })
+	m.Launch(n, func(lo, hi int) {
+		for tid := lo; tid < hi; tid++ {
+			a[tid] = int64(tid) * 2
+		}
+	})
+	m.Launch(n, func(lo, hi int) {
+		for tid := lo; tid < hi; tid++ {
+			b[tid] = a[tid] + 1
+		}
+	})
 	for i := range b {
 		if b[i] != int64(i)*2+1 {
 			t.Fatalf("b[%d] = %d", i, b[i])
@@ -35,8 +47,8 @@ func TestLaunchBarrierOrdering(t *testing.T) {
 
 func TestStatsAccounting(t *testing.T) {
 	m := New()
-	m.Launch(10, func(tid int) {})
-	m.Launch(20, func(tid int) {})
+	m.Launch(10, func(lo, hi int) {})
+	m.Launch(20, func(lo, hi int) {})
 	s := m.Stats()
 	if s.Launches != 2 {
 		t.Fatalf("Launches = %d", s.Launches)
@@ -55,7 +67,7 @@ func TestStatsAccounting(t *testing.T) {
 
 func TestZeroLengthLaunchCounts(t *testing.T) {
 	m := New()
-	m.Launch(0, func(tid int) { t.Error("kernel ran for n=0") })
+	m.Launch(0, func(lo, hi int) { t.Error("kernel ran for n=0") })
 	if m.Stats().Launches != 1 {
 		t.Fatal("empty launch not counted")
 	}

@@ -97,10 +97,11 @@ type Engine interface {
 	Repair(g *graph.Graph, color []int32, work []int32, sp *trace.Span) Stats
 	// Exec returns the engine's executor, which runs body over a
 	// partition of [0, n) into contiguous ranges on the engine's execution
-	// substrate: parallel chunks on the CPU, one kernel launch of n
-	// single-index threads on the virtual GPU, attributed to sp. Shared
-	// phases such as COLOR-Degk's bounded-palette coloring of G_L use it
-	// so their work is accounted to the right device.
+	// substrate: parallel chunks on the CPU, or one kernel launch of n
+	// logical threads on the virtual GPU, attributed to sp, whose chunks
+	// are the ranges. Shared phases such as COLOR-Degk's bounded-palette
+	// coloring of G_L use it so their work is accounted to the right
+	// device.
 	Exec(sp *trace.Span) func(n int, body func(lo, hi int))
 }
 

@@ -25,13 +25,9 @@ func NewEB(m *bsp.Machine) *EB { return &EB{machine: m} }
 func (eb *EB) Name() string { return "EB" }
 
 // Exec implements Engine's executor: one kernel launch of n threads on
-// the machine, attributed to sp, each thread running body over its own
-// index.
+// the machine, attributed to sp.
 func (eb *EB) Exec(sp *trace.Span) func(n int, body func(lo, hi int)) {
-	launch := eb.machine.In(sp)
-	return func(n int, body func(lo, hi int)) {
-		launch(n, func(i int) { body(i, i+1) })
-	}
+	return eb.machine.In(sp)
 }
 
 // Machine exposes the underlying virtual device (for stats accounting).

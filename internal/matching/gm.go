@@ -72,9 +72,16 @@ func gm(g *graph.Graph, sp *trace.Span) (*Matching, Stats) {
 				}
 			}
 		})
+		before := len(active)
 		active = par.Filter(active, func(v int32) bool {
 			return mate[v] == Unmatched && prop[v] != Unmatched
 		})
+		// With sorted lists the lowest-id active vertex and its pick always
+		// handshake, so every round drops someone; a round that drops no
+		// one would repeat forever.
+		if len(active) == before {
+			panic(errStalled)
+		}
 		st.PerRound = append(st.PerRound, matched.Load())
 		sp.Append("matched", matched.Load())
 		sp.Append("frontier", int64(len(active)))

@@ -7,6 +7,7 @@
 package matching
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/graph"
@@ -93,6 +94,12 @@ type Stats struct {
 // one as the inner solver, exactly as the paper uses GM on the CPU and
 // LMAX on the GPU as subroutines, and hand it their phase span.
 type Algorithm func(g *graph.Graph, sp *trace.Span) (*Matching, Stats)
+
+// errStalled is the panic value of a cursor-based solver (GM, LMAX) whose
+// round matched and retired no vertex. The cursors assume sorted adjacency
+// lists, under which every round makes progress; a stalled round means
+// the input broke that invariant, and the loop would repeat it forever.
+var errStalled = errors.New("matching: a round made no progress: adjacency lists must be sorted ascending")
 
 // Report describes a full decomposition-based run. It is the run report
 // every solver package shares.

@@ -1,7 +1,13 @@
 package matching
 
 import (
+	"encoding/binary"
+	"fmt"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/bsp"
 	"repro/internal/graph"
@@ -170,15 +176,130 @@ func TestGMDeterministic(t *testing.T) {
 	}
 }
 
+// unsortedTriangle writes a triangle as a raw .scsr file, patches its
+// adjacency lists to 0:[2,1], 1:[0,2], 2:[1,0], and loads it back. The
+// raw load paths check offsets and id range but not list order, so the
+// load succeeds.
+func unsortedTriangle(t *testing.T) *graph.Graph {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "tri.scsr")
+	if err := graph.WriteBinaryFile(path, completeGraph(3), graph.BinaryOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	adj := binary.LittleEndian.Uint64(b[56:64]) // adjacency-section start
+	for i, w := range []uint32{2, 1, 0, 2, 1, 0} {
+		binary.LittleEndian.PutUint32(b[adj+4*uint64(i):], w)
+	}
+	if err := os.WriteFile(path, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	g, err := graph.LoadFile(path)
+	if err != nil {
+		t.Fatalf("loading the patched triangle: %v", err)
+	}
+	return g
+}
+
+// TestUnsortedAdjacencyPanicsInsteadOfHanging: both cursor-based solvers
+// rely on sorted adjacency lists. On the patched triangle every vertex
+// picks a different neighbour in a cycle, no pair ever handshakes, and
+// without a progress guard the round loop would spin forever.
+func TestUnsortedAdjacencyPanicsInsteadOfHanging(t *testing.T) {
+	g := unsortedTriangle(t)
+	solvers := map[string]Algorithm{
+		"GM":   GMSolver(),
+		"LMAX": LMAXSolver(bsp.New(), 1),
+	}
+	for name, mm := range solvers {
+		done := make(chan any, 1)
+		go func() {
+			defer func() { done <- recover() }()
+			mm(g, nil)
+		}()
+		select {
+		case r := <-done:
+			if err, _ := r.(error); err == nil || !strings.Contains(err.Error(), "adjacency lists must be sorted") {
+				t.Fatalf("%s: recovered %v, want a panic naming the sorted-list invariant", name, r)
+			}
+		case <-time.After(time.Second):
+			t.Fatalf("%s: still running after 1s on unsorted adjacency lists", name)
+		}
+	}
+}
+
+// lmaxReference is LMAX by its definition, run sequentially: each round
+// every live vertex rescans its whole adjacency for its highest-id
+// unmatched neighbour, mutual picks match, and vertices that matched or
+// found no unmatched neighbour retire. It returns the mate array and the
+// round count.
+func lmaxReference(g *graph.Graph) ([]int32, int) {
+	n := g.NumVertices()
+	mate := make([]int32, n)
+	live := make([]bool, n)
+	cand := make([]int32, n)
+	remaining := 0
+	for v := range mate {
+		mate[v] = Unmatched
+		live[v] = g.Degree(int32(v)) > 0
+		if live[v] {
+			remaining++
+		}
+	}
+	rounds := 0
+	for remaining > 0 {
+		rounds++
+		for v := range cand {
+			cand[v] = Unmatched
+			if !live[v] {
+				continue
+			}
+			for _, w := range g.Neighbors(int32(v)) {
+				if mate[w] == Unmatched && w > cand[v] {
+					cand[v] = w
+				}
+			}
+		}
+		for v := range cand {
+			if w := cand[v]; live[v] && w != Unmatched && int32(v) < w && cand[w] == int32(v) {
+				mate[v], mate[w] = w, int32(v)
+			}
+		}
+		for v := range live {
+			if live[v] && (mate[v] != Unmatched || cand[v] == Unmatched) {
+				live[v] = false
+				remaining--
+			}
+		}
+	}
+	return mate, rounds
+}
+
 func TestLMAXMaximalOnCorpus(t *testing.T) {
 	machine := bsp.New()
-	for name, g := range testGraphs() {
+	graphs := testGraphs()
+	for i := uint64(0); i < 4; i++ {
+		graphs[fmt.Sprintf("random-%d", i)] = randomGraph(200+100*int(i), 400+900*int(i), 20+i)
+	}
+	for name, g := range graphs {
 		m, st := LMAX(g, machine, 42)
 		if err := Verify(g, m); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		if st.Matched != m.Cardinality() {
 			t.Fatalf("%s: Stats.Matched %d != cardinality %d", name, st.Matched, m.Cardinality())
+		}
+		mate, rounds := lmaxReference(g)
+		if st.Rounds != rounds {
+			t.Fatalf("%s: LMAX took %d rounds, the reference %d", name, st.Rounds, rounds)
+		}
+		for v := range mate {
+			if m.Mate[v] != mate[v] {
+				t.Fatalf("%s: Mate[%d] = %d, the reference says %d", name, v, m.Mate[v], mate[v])
+			}
 		}
 	}
 }
@@ -201,6 +322,9 @@ func TestLMAXKernelAccounting(t *testing.T) {
 	s := machine.Stats()
 	if s.Launches != int64(3*st.Rounds) {
 		t.Fatalf("launches = %d, want 3 per round × %d rounds", s.Launches, st.Rounds)
+	}
+	if s.ThreadsRun != int64(3*100*st.Rounds) {
+		t.Fatalf("threads = %d, want 3 launches × 100 vertices × %d rounds", s.ThreadsRun, st.Rounds)
 	}
 }
 
@@ -230,6 +354,7 @@ func TestDecomposedMatchingsMaximal(t *testing.T) {
 				{"MM-Bridge", func() (*Matching, Report) { return MMBridge(g, mm, nil) }},
 				{"MM-Rand", func() (*Matching, Report) { return MMRand(g, 4, 3, mm, nil) }},
 				{"MM-Degk", func() (*Matching, Report) { return MMDegk(g, 2, mm, nil) }},
+				{"MM-MPX", func() (*Matching, Report) { return MMMPX(g, 0.2, 3, mm, nil) }},
 			}
 			for _, r := range runs {
 				m, rep := r.run()

@@ -30,7 +30,7 @@ const kpSeed = 0x927d5f3a
 // standalone use.
 func KPSolver() Solver {
 	return func(g *graph.Graph, status []State, set *IndepSet, active []int32, sp *trace.Span) Stats {
-		return localMinRun(g, kpSeed, par.For, status, set, active, sp)
+		return localMinRun(g, kpSeed, par.Range, status, set, active, sp)
 	}
 }
 

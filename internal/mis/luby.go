@@ -36,7 +36,7 @@ func LubyGPU(g *graph.Graph, machine *bsp.Machine, seed uint64) (*IndepSet, Stat
 // LubySolver returns Luby's algorithm as a masked Solver.
 func LubySolver(seed uint64) Solver {
 	return func(g *graph.Graph, status []State, set *IndepSet, active []int32, sp *trace.Span) Stats {
-		return lubyRun(g, seed, par.For, status, set, active, sp)
+		return lubyRun(g, seed, par.Range, status, set, active, sp)
 	}
 }
 
@@ -56,7 +56,7 @@ func LubyGPUSolver(machine *bsp.Machine, seed uint64) Solver {
 // recomputation is needed.
 func GreedySolver(seed uint64) Solver {
 	return func(g *graph.Graph, status []State, set *IndepSet, active []int32, sp *trace.Span) Stats {
-		return localMinRun(g, seed, par.For, status, set, active, sp)
+		return localMinRun(g, seed, par.Range, status, set, active, sp)
 	}
 }
 
@@ -68,10 +68,12 @@ func Greedy(g *graph.Graph, seed uint64) (*IndepSet, Stats) {
 // lubyRun is the classic Luby loop. As in the standard implementations the
 // paper benchmarks against, every round sweeps the full member list with a
 // status check rather than compacting an active list; a phase handed a
-// small member set therefore sweeps only that set.
+// small member set therefore sweeps only that set. exec runs a kernel over
+// a partition of [0, n) into chunks: par.Range on the CPU, a kernel launch
+// on the virtual GPU.
 //
 //lint:hotpath
-func lubyRun(g *graph.Graph, seed uint64, exec func(n int, kernel func(i int)),
+func lubyRun(g *graph.Graph, seed uint64, exec func(n int, kernel func(lo, hi int)),
 	status []State, set *IndepSet, members []int32, sp *trace.Span) Stats {
 
 	var st Stats
@@ -85,63 +87,68 @@ func lubyRun(g *graph.Graph, seed uint64, exec func(n int, kernel func(i int)),
 		st.Rounds++
 		roundSeed := par.Hash64(seed, int64(st.Rounds))
 		// Phase 1: residual degree + coin flip with probability 1/(2d).
-		exec(len(members), func(i int) {
-			v := members[i]
-			if status[v] != StateUndecided {
-				return
-			}
-			var d int32
-			for _, w := range g.Neighbors(v) {
-				if status[w] == StateUndecided {
-					d++
+		exec(len(members), func(lo, hi int) {
+			for _, v := range members[lo:hi] {
+				if status[v] != StateUndecided {
+					continue
 				}
+				var d int32
+				for _, w := range g.Neighbors(v) {
+					if status[w] == StateUndecided {
+						d++
+					}
+				}
+				deg[v] = d
+				if d == 0 {
+					set.In[v] = true // isolated in the residual graph: join
+					marked[v] = false
+					continue
+				}
+				// P(mark) = 1/(2d): compare the hash against 2^64/(2d).
+				threshold := ^uint64(0) / uint64(2*d)
+				marked[v] = par.Hash64(roundSeed, int64(v)) <= threshold
 			}
-			deg[v] = d
-			if d == 0 {
-				set.In[v] = true // isolated in the residual graph: join
-				marked[v] = false
-				return
-			}
-			// P(mark) = 1/(2d): compare the hash against 2^64/(2d).
-			threshold := ^uint64(0) / uint64(2*d)
-			marked[v] = par.Hash64(roundSeed, int64(v)) <= threshold
 		})
 		// Phase 2: resolve marked edges — the lower-degree endpoint
 		// unmarks (ties toward the smaller id). Survivors are local maxima
 		// of (degree, id) among marked neighbors, hence independent.
-		exec(len(members), func(i int) {
-			v := members[i]
-			if status[v] != StateUndecided || !marked[v] {
-				return
-			}
-			dv := deg[v]
-			for _, w := range g.Neighbors(v) {
-				if status[w] != StateUndecided || !marked[w] {
+		exec(len(members), func(lo, hi int) {
+		vertices:
+			for _, v := range members[lo:hi] {
+				if status[v] != StateUndecided || !marked[v] {
 					continue
 				}
-				if deg[w] > dv || (deg[w] == dv && w > v) {
-					return // v unmarks: do not join this round
+				dv := deg[v]
+				for _, w := range g.Neighbors(v) {
+					if status[w] != StateUndecided || !marked[w] {
+						continue
+					}
+					if deg[w] > dv || (deg[w] == dv && w > v) {
+						continue vertices // v unmarks: do not join this round
+					}
 				}
+				set.In[v] = true
 			}
-			set.In[v] = true
 		})
 		// Phase 3: joiners become in, their neighbors out.
 		decided.Store(0)
-		exec(len(members), func(i int) {
-			v := members[i]
-			if status[v] != StateUndecided {
-				return
-			}
-			if set.In[v] {
-				status[v] = StateIn
-				decided.Add(1)
-				return
-			}
-			for _, w := range g.Neighbors(v) {
-				if set.In[w] {
-					status[v] = StateOut
+		exec(len(members), func(lo, hi int) {
+		vertices:
+			for _, v := range members[lo:hi] {
+				if status[v] != StateUndecided {
+					continue
+				}
+				if set.In[v] {
+					status[v] = StateIn
 					decided.Add(1)
-					return
+					continue
+				}
+				for _, w := range g.Neighbors(v) {
+					if set.In[w] {
+						status[v] = StateOut
+						decided.Add(1)
+						continue vertices
+					}
 				}
 			}
 		})
@@ -161,7 +168,7 @@ func lubyRun(g *graph.Graph, seed uint64, exec func(n int, kernel func(i int)),
 // sweeps run on exec, so GPU runs charge them to the virtual machine.
 // Each round's remaining active count is appended to sp's "frontier"
 // series.
-func localMinRun(g *graph.Graph, seed uint64, exec func(n int, kernel func(i int)),
+func localMinRun(g *graph.Graph, seed uint64, exec func(n int, kernel func(lo, hi int)),
 	status []State, set *IndepSet, active []int32, sp *trace.Span) Stats {
 	var st Stats
 	prio := func(v int32) uint64 { return par.Hash64(seed, int64(v)) }
@@ -169,30 +176,34 @@ func localMinRun(g *graph.Graph, seed uint64, exec func(n int, kernel func(i int
 	for !act.IsEmpty() {
 		st.Rounds++
 		vs := act.Vertices()
-		exec(len(vs), func(i int) {
-			v := vs[i]
-			pv := prio(v)
-			for _, w := range g.Neighbors(v) {
-				if status[w] != StateUndecided {
+		exec(len(vs), func(lo, hi int) {
+		vertices:
+			for _, v := range vs[lo:hi] {
+				pv := prio(v)
+				for _, w := range g.Neighbors(v) {
+					if status[w] != StateUndecided {
+						continue
+					}
+					pw := prio(w)
+					if pw < pv || (pw == pv && w < v) {
+						continue vertices // a higher-priority undecided neighbor: wait
+					}
+				}
+				set.In[v] = true
+			}
+		})
+		exec(len(vs), func(lo, hi int) {
+		vertices:
+			for _, v := range vs[lo:hi] {
+				if set.In[v] {
+					status[v] = StateIn
 					continue
 				}
-				pw := prio(w)
-				if pw < pv || (pw == pv && w < v) {
-					return // a higher-priority undecided neighbor: wait
-				}
-			}
-			set.In[v] = true
-		})
-		exec(len(vs), func(i int) {
-			v := vs[i]
-			if set.In[v] {
-				status[v] = StateIn
-				return
-			}
-			for _, w := range g.Neighbors(v) {
-				if set.In[w] {
-					status[v] = StateOut
-					return
+				for _, w := range g.Neighbors(v) {
+					if set.In[w] {
+						status[v] = StateOut
+						continue vertices
+					}
 				}
 			}
 		})
