@@ -29,7 +29,9 @@ import (
 // Each vertex keeps a cursor into its sorted adjacency list that only
 // moves backward: a matched vertex never becomes unmatched, so the
 // highest-id unmatched neighbour never moves up, and the total scan work
-// is O(m) plus O(n) per round instead of O(m) per round. Kernels execute
+// is O(m) plus O(n) per round instead of O(m) per round. A pick changes
+// only when its target is matched, so kernel 1 reads a vertex's adjacency
+// only in the round after that happens. Kernels execute
 // on the bsp virtual manycore machine; the launch counter advances by
 // three per round (propose, handshake, retire), mirroring the kernel
 // structure of the CUDA implementation.
@@ -57,11 +59,14 @@ func lmax(g *graph.Graph, machine *bsp.Machine, sp *trace.Span) (*Matching, Stat
 	// by needing fewer full sweeps.
 	remaining := int64(0)
 	for v := 0; v < n; v++ {
-		d := g.Degree(int32(v))
+		ns := g.Neighbors(int32(v))
+		d := int32(len(ns))
 		cur[v] = d - 1
 		if d > 0 {
+			cand[v] = ns[d-1]
 			remaining++
 		} else {
+			cand[v] = Unmatched
 			retired[v] = true
 		}
 	}
@@ -71,10 +76,13 @@ func lmax(g *graph.Graph, machine *bsp.Machine, sp *trace.Span) (*Matching, Stat
 		st.Rounds++
 		// Kernel 1: each live vertex picks its heaviest live edge, the one
 		// to its highest-id unmatched neighbour. Only kernel 2 writes mate,
-		// in a separate launch, so the cursor sees a fixed mate array.
+		// in a separate launch, so the cursor sees a fixed mate array. A
+		// live vertex's pick is never Unmatched, and while it stays
+		// unmatched it is still the highest, so only a vertex whose pick
+		// was just matched moves its cursor.
 		launch(n, func(lo, hi int) {
 			for v := int32(lo); v < int32(hi); v++ {
-				if retired[v] {
+				if retired[v] || mate[cand[v]] == Unmatched {
 					continue
 				}
 				ns := g.Neighbors(v)

@@ -120,7 +120,9 @@ func VertexCover(g *graph.Graph, m *Matching) []int32 {
 	return cover
 }
 
-// VerifyCover checks that the vertex set covers every edge of g.
+// VerifyCover checks that the vertex set covers every edge of g. Of the
+// uncovered edges it reports the one at the lowest vertex, whose other
+// endpoint is its lowest uncovered neighbor, under any worker count.
 func VerifyCover(g *graph.Graph, cover []int32) error {
 	in := make([]bool, g.NumVertices())
 	for _, v := range cover {
@@ -129,11 +131,15 @@ func VerifyCover(g *graph.Graph, cover []int32) error {
 		}
 		in[v] = true
 	}
-	var bad error
-	g.ForEachEdgePar(func(u, v int32) {
-		if !in[u] && !in[v] && bad == nil {
-			bad = fmt.Errorf("matching: edge {%d,%d} uncovered", u, v)
+	return par.ForErr(g.NumVertices(), func(u int) error {
+		if in[u] {
+			return nil
 		}
+		for _, v := range g.Neighbors(int32(u)) {
+			if !in[v] {
+				return fmt.Errorf("matching: edge {%d,%d} uncovered", u, v)
+			}
+		}
+		return nil
 	})
-	return bad
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -235,8 +236,8 @@ func TestUnsortedAdjacencyPanicsInsteadOfHanging(t *testing.T) {
 // every live vertex rescans its whole adjacency for its highest-id
 // unmatched neighbour, mutual picks match, and vertices that matched or
 // found no unmatched neighbour retire. It returns the mate array and the
-// round count.
-func lmaxReference(g *graph.Graph) ([]int32, int) {
+// run's Stats.
+func lmaxReference(g *graph.Graph) ([]int32, Stats) {
 	n := g.NumVertices()
 	mate := make([]int32, n)
 	live := make([]bool, n)
@@ -249,9 +250,9 @@ func lmaxReference(g *graph.Graph) ([]int32, int) {
 			remaining++
 		}
 	}
-	rounds := 0
+	var st Stats
 	for remaining > 0 {
-		rounds++
+		st.Rounds++
 		for v := range cand {
 			cand[v] = Unmatched
 			if !live[v] {
@@ -266,6 +267,7 @@ func lmaxReference(g *graph.Graph) ([]int32, int) {
 		for v := range cand {
 			if w := cand[v]; live[v] && w != Unmatched && int32(v) < w && cand[w] == int32(v) {
 				mate[v], mate[w] = w, int32(v)
+				st.Matched++
 			}
 		}
 		for v := range live {
@@ -274,8 +276,134 @@ func lmaxReference(g *graph.Graph) ([]int32, int) {
 				remaining--
 			}
 		}
+		st.PerRound = append(st.PerRound, st.Matched)
 	}
-	return mate, rounds
+	return mate, st
+}
+
+// proposalReference is the proposal/handshake loop GM and GreedyRandom
+// define, run serially with plain loops: each round every active vertex
+// picks afresh, mutual picks match, and vertices that matched or picked
+// no one leave the active list. It returns the mate array and the run's
+// Stats.
+func proposalReference(g *graph.Graph, pick func(v int32, mate []int32) int32) ([]int32, Stats) {
+	n := g.NumVertices()
+	mate := make([]int32, n)
+	prop := make([]int32, n)
+	var active []int32
+	for v := range mate {
+		mate[v] = Unmatched
+		if g.Degree(int32(v)) > 0 {
+			active = append(active, int32(v))
+		}
+	}
+	var st Stats
+	for len(active) > 0 {
+		st.Rounds++
+		for _, v := range active {
+			prop[v] = pick(v, mate)
+		}
+		for _, v := range active {
+			if w := prop[v]; w != Unmatched && v < w && prop[w] == v {
+				mate[v], mate[w] = w, v
+				st.Matched++
+			}
+		}
+		var next []int32
+		for _, v := range active {
+			if mate[v] == Unmatched && prop[v] != Unmatched {
+				next = append(next, v)
+			}
+		}
+		active = next
+		st.PerRound = append(st.PerRound, st.Matched)
+	}
+	return mate, st
+}
+
+// gmReference is GM by its definition: each active vertex proposes to its
+// lowest-id unmatched neighbour, found by a fresh scan every round.
+func gmReference(g *graph.Graph) ([]int32, Stats) {
+	return proposalReference(g, func(v int32, mate []int32) int32 {
+		for _, w := range g.Neighbors(v) {
+			if mate[w] == Unmatched {
+				return w
+			}
+		}
+		return Unmatched
+	})
+}
+
+// greedyRandomReference is GreedyRandom by its definition: each active
+// vertex points at its minimum-(priority, id) live edge, found by a fresh
+// scan every round.
+func greedyRandomReference(g *graph.Graph, seed uint64) ([]int32, Stats) {
+	return proposalReference(g, func(v int32, mate []int32) int32 {
+		best := Unmatched
+		var bestP uint64
+		for _, w := range g.Neighbors(v) {
+			p := par.Hash2(seed, int64(v), int64(w))
+			if mate[w] == Unmatched && (best == Unmatched || p < bestP || (p == bestP && w < best)) {
+				best, bestP = w, p
+			}
+		}
+		return best
+	})
+}
+
+// referenceGraphs is testGraphs plus inputs long enough to split into
+// several chunks: four random graphs and a 4,096-vertex path, GM's
+// vain-tendency worst case.
+func referenceGraphs() map[string]*graph.Graph {
+	graphs := testGraphs()
+	for i, shape := range [][2]int{{5000, 6000}, {6000, 30000}, {8000, 12000}, {5000, 60000}} {
+		graphs[fmt.Sprintf("random-%d", i)] = randomGraph(shape[0], shape[1], 100+uint64(i))
+	}
+	graphs["path-4096"] = pathGraph(4096)
+	return graphs
+}
+
+// checkAgainstReference runs solve on referenceGraphs at 1, 2 and 7
+// workers and requires the reference's mates, rounds, matched count and
+// per-round progress every time.
+func checkAgainstReference(t *testing.T, solve func(g *graph.Graph) (*Matching, Stats), ref func(g *graph.Graph) ([]int32, Stats)) {
+	t.Helper()
+	defer par.SetWorkers(0)
+	for name, g := range referenceGraphs() {
+		mate, want := ref(g)
+		for _, w := range []int{1, 2, 7} {
+			par.SetWorkers(w)
+			m, got := solve(g)
+			if got.Rounds != want.Rounds || got.Matched != want.Matched {
+				t.Fatalf("%s, %d workers: %d rounds and %d matched, the reference %d and %d",
+					name, w, got.Rounds, got.Matched, want.Rounds, want.Matched)
+			}
+			if !slices.Equal(got.PerRound, want.PerRound) {
+				t.Fatalf("%s, %d workers: PerRound differs from the reference", name, w)
+			}
+			for v := range mate {
+				if m.Mate[v] != mate[v] {
+					t.Fatalf("%s, %d workers: Mate[%d] = %d, the reference says %d", name, w, v, m.Mate[v], mate[v])
+				}
+			}
+		}
+	}
+}
+
+func TestGMMatchesReference(t *testing.T) {
+	checkAgainstReference(t, GM, gmReference)
+}
+
+func TestGreedyRandomMatchesReference(t *testing.T) {
+	checkAgainstReference(t,
+		func(g *graph.Graph) (*Matching, Stats) { return GreedyRandom(g, 5) },
+		func(g *graph.Graph) ([]int32, Stats) { return greedyRandomReference(g, 5) })
+}
+
+func TestLMAXMatchesReference(t *testing.T) {
+	checkAgainstReference(t,
+		func(g *graph.Graph) (*Matching, Stats) { return LMAX(g, bsp.New(), 1) },
+		lmaxReference)
 }
 
 func TestLMAXMaximalOnCorpus(t *testing.T) {
@@ -292,9 +420,9 @@ func TestLMAXMaximalOnCorpus(t *testing.T) {
 		if st.Matched != m.Cardinality() {
 			t.Fatalf("%s: Stats.Matched %d != cardinality %d", name, st.Matched, m.Cardinality())
 		}
-		mate, rounds := lmaxReference(g)
-		if st.Rounds != rounds {
-			t.Fatalf("%s: LMAX took %d rounds, the reference %d", name, st.Rounds, rounds)
+		mate, ref := lmaxReference(g)
+		if st.Rounds != ref.Rounds {
+			t.Fatalf("%s: LMAX took %d rounds, the reference %d", name, st.Rounds, ref.Rounds)
 		}
 		for v := range mate {
 			if m.Mate[v] != mate[v] {

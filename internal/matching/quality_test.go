@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/bsp"
 	"repro/internal/graph"
+	"repro/internal/par"
 )
 
 // maxMatchingBrute computes the maximum matching cardinality by branching
@@ -136,5 +137,19 @@ func TestVertexCoverValidAndTwoApprox(t *testing.T) {
 	}
 	if VerifyCover(g, []int32{99}) == nil {
 		t.Fatal("out-of-range cover vertex accepted")
+	}
+}
+
+// TestVerifyCoverReportsLowestEdge: with no cover on a long path every
+// chunk of the parallel check finds an uncovered edge. The report must be
+// the lowest one on every call, and the check must not race.
+func TestVerifyCoverReportsLowestEdge(t *testing.T) {
+	defer par.SetWorkers(0)
+	par.SetWorkers(4)
+	g := pathGraph(1 << 16)
+	for i := 0; i < 50; i++ {
+		if err := VerifyCover(g, nil); err == nil || err.Error() != "matching: edge {0,1} uncovered" {
+			t.Fatalf("call %d: %v, want edge {0,1} uncovered", i, err)
+		}
 	}
 }

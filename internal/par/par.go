@@ -77,6 +77,25 @@ func NumChunks(n int) int {
 	return numChunksFor(n, Workers())
 }
 
+// MaxChunks bounds NumChunks(k) for every k in [0, n] under the current
+// worker setting, so a loop whose length only shrinks (an active list
+// compacted each round) can size its per-chunk scratch once. The chunk
+// count is not monotone in k; the bound holds because a split loop's
+// chunks hold at least minAdaptiveGrain elements and number at most
+// chunksPerWorker per worker plus the rounding of the last one.
+func MaxChunks(n int) int {
+	workers := Workers()
+	if n <= 0 {
+		return 0
+	}
+	if workers <= 1 || n < minGrain {
+		return 1
+	}
+	byGrain := (n + minAdaptiveGrain - 1) / minAdaptiveGrain
+	byWorkers := chunksPerWorker*workers + (chunksPerWorker*workers+minAdaptiveGrain-2)/minAdaptiveGrain
+	return min(byGrain, byWorkers)
+}
+
 // Reduce computes a parallel reduction of fn over [0, n) combining partial
 // results with combine, starting from identity. combine must be associative.
 // Partial results combine in chunk-index order, so the result is identical

@@ -247,6 +247,22 @@ func TestAtomicMinMax(t *testing.T) {
 	}
 }
 
+// TestMaxChunksBoundsEveryShorterLoop: MaxChunks(n) is at least
+// NumChunks(k) for every k <= n, although NumChunks is not monotone.
+func TestMaxChunksBoundsEveryShorterLoop(t *testing.T) {
+	defer SetWorkers(0)
+	for _, w := range []int{1, 2, 3, 7, 16, 100} {
+		SetWorkers(w)
+		peak := 0 // max NumChunks(j) over j <= k
+		for k := 0; k <= 200000; k++ {
+			peak = max(peak, NumChunks(k))
+			if peak > MaxChunks(k) {
+				t.Fatalf("w=%d: a loop of at most %d elements splits into %d chunks, MaxChunks says %d", w, k, peak, MaxChunks(k))
+			}
+		}
+	}
+}
+
 func TestNumChunksBounds(t *testing.T) {
 	if NumChunks(0) != 0 {
 		t.Fatal("NumChunks(0) != 0")
