@@ -1,23 +1,24 @@
 // Package coloring implements the paper's vertex coloring algorithms
 // (Section IV): the multicore baseline VB (vertex-based speculative
-// coloring with a fixed-size FORBIDDEN array, after Deveci et al.), the GPU
-// baseline EB (edge-based coloring with a 32-bit availability mask, also
-// Deveci et al., run on the bsp virtual manycore), and the three
-// decomposition-based algorithms COLOR-Bridge, COLOR-Rand and COLOR-Degk
-// (Algorithms 7–9).
+// coloring after Deveci et al., on CPU chunks), the GPU baseline EB
+// (edge-based coloring with a 32-bit availability mask, also Deveci et al.,
+// run on the bsp virtual manycore), and the three decomposition-based
+// algorithms COLOR-Bridge, COLOR-Rand and COLOR-Degk (Algorithms 7–9).
 //
 // VB, EB and COLOR-Degk's G_L phase run one speculative round loop
-// (speculate): every work vertex picks a candidate color, all candidates
-// commit, the losing endpoint of every monochromatic edge resets, and the
-// reset vertices are the next round's work. They differ only in the
-// executor that runs the loop's four steps (parallel chunks on the CPU, one
-// kernel launch per step on the virtual GPU) and in how a vertex finds its
-// smallest free color: VB's FORBIDDEN window, EB's 32-color bands, and
-// COLOR-Degk's (k+1)-color window starting above the G_H palette.
+// (speculate): every work vertex picks the smallest color at or above a
+// base that no colored neighbour holds, all candidates commit, the losing
+// endpoint of every monochromatic edge resets, and the reset vertices are
+// the next round's work. They differ only in the executor that runs the
+// loop's four steps (parallel chunks on the CPU, one kernel launch per
+// step on the virtual GPU) and in the base: 0 for VB and EB, the color
+// above the G_H palette for COLOR-Degk's G_L phase.
 package coloring
 
 import (
 	"fmt"
+	"math/bits"
+	"sync/atomic"
 
 	"repro/internal/graph"
 	"repro/internal/par"
@@ -99,9 +100,9 @@ type Engine interface {
 	// partition of [0, n) into contiguous ranges on the engine's execution
 	// substrate: parallel chunks on the CPU, or one kernel launch of n
 	// logical threads on the virtual GPU, attributed to sp, whose chunks
-	// are the ranges. Shared phases such as COLOR-Degk's bounded-palette
-	// coloring of G_L use it so their work is accounted to the right
-	// device.
+	// are the ranges. Shared phases such as COLOR-Degk's coloring of G_L
+	// above the G_H palette use it so their work is accounted to the
+	// right device.
 	Exec(sp *trace.Span) func(n int, body func(lo, hi int))
 }
 
@@ -116,29 +117,54 @@ func Fresh(g *graph.Graph, eng Engine, sp *trace.Span) (*Coloring, Stats) {
 
 // speculate is the speculative coloring loop of VB, EB and COLOR-Degk's
 // G_L phase. Each round runs four steps under exec: every work vertex
-// picks a candidate color against the current colors, all candidates
-// commit, the lower (hashed-id) priority endpoint of every monochromatic
-// edge marks itself, and the marked vertices reset to Uncolored and form
-// the next round's work, whose size is appended to sp's "frontier"
-// series. The highest priority in any conflict neighborhood always keeps
-// its color, so every round makes progress.
+// picks the smallest color ≥ base that no colored neighbour holds, all
+// candidates commit, the lower (hashed-id) priority endpoint of every
+// monochromatic edge marks itself, and the marked vertices reset to
+// Uncolored and form the next round's work, whose size is appended to
+// sp's "frontier" series. The highest priority in any conflict
+// neighborhood always keeps its color, so every round makes progress.
 //
-// pick receives a FORBIDDEN buffer of window entries (nil when window is
-// 0), allocated once per exec range and reused across that range's
-// vertices; pick must not rely on its contents on entry.
-func speculate(g *graph.Graph, color, work []int32, exec func(n int, body func(lo, hi int)),
-	window int, pick func(v int32, forbidden []bool) int32, sp *trace.Span) Stats {
+// A work vertex v searches one 32-color band [band[v], band[v]+32) at a
+// time, starting at base, and mask[v] holds the band's colors that v's
+// colored neighbours hold (EB's availability mask, kept across rounds).
+// Those colors only accumulate: at pick time every work vertex is
+// Uncolored, so v's colored neighbours are fixed vertices or earlier
+// winners, and neither changes again. So v scans its adjacency in round 1
+// and again only when its band fills up and it moves to the next one; in
+// between, each winner of the reset step adds its color to the mask of
+// every neighbour that lost this round (cand == Uncolored, which nothing
+// writes during that step). The pick, the lowest clear bit, is therefore
+// the color a full rescan would return. Masks are written concurrently
+// only in the reset step, atomically, and read only after its barrier.
+//
+//lint:hotpath
+func speculate(g *graph.Graph, color, work []int32, base int32,
+	exec func(n int, body func(lo, hi int)), sp *trace.Span) Stats {
 	var st Stats
-	cand := make([]int32, g.NumVertices())
+	n := g.NumVertices()
+	cand := make([]int32, n)
+	band := make([]int32, n)
+	mask := make([]uint32, n)
 	for len(work) > 0 {
 		st.Rounds++
+		first := st.Rounds == 1
 		exec(len(work), func(lo, hi int) {
-			var forbidden []bool
-			if window > 0 {
-				forbidden = make([]bool, window)
-			}
 			for i := lo; i < hi; i++ {
-				cand[work[i]] = pick(work[i], forbidden)
+				v := work[i]
+				b, m := band[v], mask[v]
+				if first {
+					b, m = base-32, ^uint32(0) // a full band below base: scan base next
+				}
+				for m == ^uint32(0) {
+					b, m = b+32, 0
+					for _, w := range g.Neighbors(v) {
+						if d := uint32(color[w] - b); d < 32 {
+							m |= 1 << d
+						}
+					}
+				}
+				band[v], mask[v] = b, m
+				cand[v] = b + int32(bits.TrailingZeros32(^m))
 			}
 		})
 		exec(len(work), func(lo, hi int) {
@@ -160,8 +186,19 @@ func speculate(g *graph.Graph, color, work []int32, exec func(n int, body func(l
 		})
 		exec(len(work), func(lo, hi int) {
 			for i := lo; i < hi; i++ {
-				if cand[work[i]] == Uncolored {
-					color[work[i]] = Uncolored
+				v := work[i]
+				c := cand[v]
+				if c == Uncolored {
+					color[v] = Uncolored
+					continue
+				}
+				for _, u := range g.Neighbors(v) {
+					if cand[u] != Uncolored {
+						continue
+					}
+					if d := uint32(c - band[u]); d < 32 {
+						setBit(&mask[u], 1<<d)
+					}
 				}
 			}
 		})
@@ -169,6 +206,17 @@ func speculate(g *graph.Graph, color, work []int32, exec func(n int, body func(l
 		sp.Append("frontier", int64(len(work)))
 	}
 	return st
+}
+
+// setBit ORs bit into *m atomically: a CAS loop, as in par.Bitset.Set,
+// since atomic.OrUint32 is newer than the module's go version.
+func setBit(m *uint32, bit uint32) {
+	for {
+		old := atomic.LoadUint32(m)
+		if old&bit != 0 || atomic.CompareAndSwapUint32(m, old, old|bit) {
+			return
+		}
+	}
 }
 
 // conflictTieSeed scrambles vertex ids for conflict resolution. The paper

@@ -186,10 +186,10 @@ func TestRepairKeepsExistingColors(t *testing.T) {
 }
 
 func TestVBWindowOfOne(t *testing.T) {
-	// K9 plus 100 disjoint edges: 209 vertices of total degree 272, so
-	// VB's FORBIDDEN window is ⌊272/209⌋ = 1 and every K9 vertex must
-	// advance OFFSET repeatedly. The degenerate window must still
-	// terminate and color properly.
+	// A clique hidden in a sparse graph: K9 plus 100 disjoint edges, 209
+	// vertices of average degree 1 (the FORBIDDEN window VB once sized
+	// from it, hence the name). VB must still color the clique with
+	// exactly its chromatic number.
 	b := graph.NewBuilder(209)
 	for i := int32(0); i < 9; i++ {
 		for j := i + 1; j < 9; j++ {
@@ -298,15 +298,17 @@ func TestColorBridgeFewColorsOnTrees(t *testing.T) {
 }
 
 func TestBoundedPaletteDefensiveWiden(t *testing.T) {
-	// Handing boundedPalette a graph denser than the declared size must
-	// still produce a proper coloring (the window widens).
+	// speculate from a base above 0 on vertices of degree 4, denser than
+	// anything COLOR-Degk's G_L phase hands it (the name dates from a
+	// fixed-size color window there): the coloring must be proper and
+	// never dip below the base.
 	g := completeGraph(5)
 	color := make([]int32, 5)
 	for i := range color {
 		color[i] = Uncolored
 	}
 	work := []int32{0, 1, 2, 3, 4}
-	boundedPalette(g, color, work, 10, 2, par.Range, nil)
+	speculate(g, color, work, 10, par.Range, nil)
 	c := &Coloring{Color: color}
 	if err := Verify(g, c); err != nil {
 		t.Fatal(err)

@@ -23,8 +23,8 @@ func ColorBridge(g *graph.Graph, eng Engine, parent *trace.Span) (*Coloring, Rep
 	sp := rep.Phase("solve/G_c")
 	c, st := Fresh(gc, eng, sp)
 	rep.EndPhase(sp, st.Rounds)
-	// Only bridge edges can be monochromatic. Reset the lower endpoint of
-	// each conflicting bridge.
+	// Only bridge edges can be monochromatic. Reset the lower-priority
+	// endpoint (see loses) of each conflicting bridge.
 	sp = rep.Phase("solve/repair")
 	work := resetConflicts(c.Color, bi.Bridges)
 	rep.Conflicted = int64(len(work))
@@ -93,10 +93,10 @@ func ColorMPX(g *graph.Graph, beta float64, seed uint64, eng Engine, parent *tra
 
 // ColorDegk is the paper's Algorithm 9 (k = 2 in the paper): color the
 // high-degree subgraph G_H first; the cross edges G_C cannot conflict
-// because only their G_H endpoint is colored. Then color G_L with a fresh
-// palette of k+1 colors above max(C_H) using a (k+1)-sized FORBIDDEN array
-// — vertices in G_L have degree at most k, so the small palette always
-// suffices and no recoloring against G is ever needed.
+// because only their G_H endpoint is colored. Then color G_L from a fresh
+// palette starting above max(C_H) — vertices in G_L have degree at most k,
+// so each takes one of the k+1 colors above max(C_H) and no recoloring
+// against G is ever needed.
 //
 // The decomposition is a single degree classification ("a simple
 // computation", per the paper's Figure 2 discussion): no subgraph is
@@ -125,7 +125,7 @@ func ColorDegk(g *graph.Graph, k int, eng Engine, parent *trace.Span) (*Coloring
 	sp = rep.Phase("solve/G_L")
 	var lo Stats
 	if len(lowList) > 0 {
-		lo = boundedPalette(g, c.Color, lowList, base, k+1, eng.Exec(sp), sp)
+		lo = speculate(g, c.Color, lowList, base, eng.Exec(sp), sp)
 	}
 	rep.EndPhase(sp, lo.Rounds)
 	return c, rep
@@ -162,8 +162,9 @@ func mergeColors(global []int32, sub *graph.Sub, local *Coloring) {
 	})
 }
 
-// resetConflicts uncolors the lower endpoint of every monochromatic edge in
-// the list and returns the (deduplicated) worklist of reset vertices.
+// resetConflicts uncolors the lower-priority endpoint (see loses) of every
+// monochromatic edge in the list and returns the (deduplicated) worklist of
+// reset vertices.
 func resetConflicts(color []int32, edges []graph.Edge) []int32 {
 	var work []int32
 	for _, e := range edges {
@@ -206,19 +207,4 @@ func resetConflictsSub(color []int32, cross *graph.Sub) []int32 {
 		}
 	}
 	return work
-}
-
-// boundedPalette colors the work vertices of g with colors from base up,
-// searching a size-entry window from base (the paper's (k+1)-sized
-// FORBIDDEN array for G_L under DEGk, where every work vertex has degree
-// below size), under the engine executor. Colors below base (the G_H
-// phase's) never land in the window, so only palette-internal conflicts
-// matter. A vertex whose neighbors fill the window moves on to the next
-// one, so the palette widens only when a vertex's degree needs it. Rounds
-// are recorded on sp.
-func boundedPalette(g *graph.Graph, color []int32, work []int32, base int32, size int,
-	exec func(n int, body func(lo, hi int)), sp *trace.Span) Stats {
-	return speculate(g, color, work, exec, size, func(v int32, forbidden []bool) int32 {
-		return findColor(g, color, v, forbidden, base)
-	}, sp)
 }

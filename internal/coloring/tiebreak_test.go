@@ -49,8 +49,8 @@ func TestLatticeColoringConvergesFast(t *testing.T) {
 }
 
 func TestConsecutiveChainColoringConvergesFast(t *testing.T) {
-	// Same pathology on a consecutive-id path, through the bounded palette
-	// used by COLOR-Degk's G_L phase.
+	// Same pathology on a consecutive-id path, through speculate from a
+	// base above 0, as COLOR-Degk's G_L phase runs it.
 	g := pathGraph(5000)
 	color := make([]int32, 5000)
 	for i := range color {
@@ -58,7 +58,7 @@ func TestConsecutiveChainColoringConvergesFast(t *testing.T) {
 	}
 	work := make([]int32, 5000)
 	par.Iota(work)
-	st := boundedPalette(g, color, work, 10, 3, par.Range, nil)
+	st := speculate(g, color, work, 10, par.Range, nil)
 	if err := Verify(g, &Coloring{Color: color}); err != nil {
 		t.Fatal(err)
 	}
