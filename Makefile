@@ -3,7 +3,7 @@ GO ?= go
 # bench-gate: max allowed slowdown (percent) before the gate fails.
 GATE_THRESHOLD ?= 2
 
-.PHONY: build test race vet lint perfbench-check bench-smoke bench-gate bench-par serve-demo serve-smoke convert-smoke decomp-smoke fmt fmt-check
+.PHONY: build test race vet lint perfbench-check bench-smoke bench-gate bench-par serve-demo serve-smoke convert-smoke decomp-smoke fuzz-smoke fmt fmt-check
 
 build:
 	$(GO) build ./...
@@ -77,6 +77,16 @@ convert-smoke:
 # one-line error instead of a panic.
 decomp-smoke:
 	bash scripts/decomp_smoke.sh
+
+# Fuzz smoke: ten seconds each of FuzzSolve (every solver cell on decoded
+# graphs, one digest at 1, 2 and 7 workers) and the four graph parser
+# fuzzers. A failing input lands in the package's testdata/fuzz.
+fuzz-smoke:
+	$(GO) test -run='^$$' -fuzz='^FuzzSolve$$' -fuzztime=10s ./internal/core
+	$(GO) test -run='^$$' -fuzz='^FuzzReadEdgeList$$' -fuzztime=10s ./internal/graph
+	$(GO) test -run='^$$' -fuzz='^FuzzTextBinaryRoundTrip$$' -fuzztime=10s ./internal/graph
+	$(GO) test -run='^$$' -fuzz='^FuzzReadBinary$$' -fuzztime=10s ./internal/graph
+	$(GO) test -run='^$$' -fuzz='^FuzzReadMETIS$$' -fuzztime=10s ./internal/graph
 
 fmt:
 	gofmt -w $$($(GO) list -f '{{.Dir}}' ./...)

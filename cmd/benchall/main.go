@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	benchall -exp all                 # everything (Tables I–II, Figures 2–5, extras)
+//	benchall -exp all                 # table2, fig2–fig5, table1, colors, decomp-stats
 //	benchall -exp fig3 -arch cpu      # one figure, one architecture
 //	benchall -exp table2 -scale 0.5   # smaller instances
 //	benchall -exp ablation-parts -graphs lp1,webbase-1M

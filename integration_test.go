@@ -33,8 +33,12 @@ func TestPropertyAllSolversAllGraphs(t *testing.T) {
 		{Strategy: core.StrategyBridge},
 		{Strategy: core.StrategyRand, RandParts: 3},
 		{Strategy: core.StrategyDegk},
+		{Strategy: core.StrategyMPX},
 		{Strategy: core.StrategyBaseline, Arch: core.ArchGPU, Machine: machine},
+		{Strategy: core.StrategyBridge, Arch: core.ArchGPU, Machine: machine},
+		{Strategy: core.StrategyRand, RandParts: 3, Arch: core.ArchGPU, Machine: machine},
 		{Strategy: core.StrategyDegk, Arch: core.ArchGPU, Machine: machine},
+		{Strategy: core.StrategyMPX, Arch: core.ArchGPU, Machine: machine},
 	}
 	check := func(raw []uint16) bool {
 		g := quickGraph(40, raw)

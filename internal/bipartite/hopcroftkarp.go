@@ -93,33 +93,3 @@ func MaxMatching(g *graph.Graph, side []bool) (*matching.Matching, error) {
 	}
 	return m, nil
 }
-
-// SideOfBipartition 2-colors each connected component of g by BFS,
-// returning a valid side assignment, or an error containing an odd cycle
-// witness if g is not bipartite.
-func SideOfBipartition(g *graph.Graph) ([]bool, error) {
-	n := g.NumVertices()
-	side := make([]bool, n)
-	seen := make([]bool, n)
-	queue := make([]int32, 0, n)
-	for s := 0; s < n; s++ {
-		if seen[s] {
-			continue
-		}
-		seen[s] = true
-		queue = append(queue[:0], int32(s))
-		for qi := 0; qi < len(queue); qi++ {
-			v := queue[qi]
-			for _, w := range g.Neighbors(v) {
-				if !seen[w] {
-					seen[w] = true
-					side[w] = !side[v]
-					queue = append(queue, w)
-				} else if side[w] == side[v] {
-					return nil, fmt.Errorf("bipartite: odd cycle through edge {%d,%d}", v, w)
-				}
-			}
-		}
-	}
-	return side, nil
-}

@@ -152,26 +152,3 @@ func TestMaxMatchingRejectsNonBipartite(t *testing.T) {
 		t.Fatal("short side accepted")
 	}
 }
-
-func TestSideOfBipartition(t *testing.T) {
-	g, _ := randomBipartite(20, 30, 100, 5)
-	side, err := SideOfBipartition(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for v := 0; v < g.NumVertices(); v++ {
-		for _, w := range g.Neighbors(int32(v)) {
-			if side[w] == side[v] {
-				t.Fatalf("2-coloring invalid on edge {%d,%d}", v, w)
-			}
-		}
-	}
-	// Odd cycle rejected.
-	b := graph.NewBuilder(3)
-	b.AddEdge(0, 1)
-	b.AddEdge(1, 2)
-	b.AddEdge(0, 2)
-	if _, err := SideOfBipartition(b.Build()); err == nil {
-		t.Fatal("triangle 2-colored")
-	}
-}

@@ -15,7 +15,8 @@ func ColorBridge(g *graph.Graph, eng Engine, parent *trace.Span) (*Coloring, Rep
 	rep := Report{Report: trace.Report{Strategy: "COLOR-Bridge", Parent: parent}}
 	dsp := rep.Decompose()
 	bi := decomp.FindBridges(g, dsp)
-	gc := graph.RemoveEdges(g, func(u, v int32) bool { return !bi.IsBridge(u, v) })
+	// The repair walks bi.Bridges in list order; the cross Sub goes unused.
+	gc, _ := graph.SplitEdges(g, func(u, v int32) bool { return !bi.IsBridge(u, v) })
 	rep.Decomposed(dsp)
 
 	// C_c ← COLOR(G_c): G_c = G − B keeps global ids, its components
@@ -74,8 +75,7 @@ func ColorMPX(g *graph.Graph, beta float64, seed uint64, eng Engine, parent *tra
 	rep := Report{Report: trace.Report{Strategy: "COLOR-MPX", Parent: parent}}
 	dsp := rep.Decompose()
 	center := decomp.MPXGrow(g, beta, seed, dsp).Center
-	balls := graph.RemoveEdges(g, func(u, v int32) bool { return center[u] == center[v] })
-	cross := graph.EdgeInducedSubgraph(g, func(u, v int32) bool { return center[u] != center[v] })
+	balls, cross := graph.SplitEdges(g, func(u, v int32) bool { return center[u] == center[v] })
 	rep.Decomposed(dsp)
 
 	sp := rep.Phase("solve/balls")
@@ -109,12 +109,11 @@ func ColorDegk(g *graph.Graph, k int, eng Engine, parent *trace.Span) (*Coloring
 	n := g.NumVertices()
 
 	dsp := rep.Decompose()
-	low := make([]bool, n)
-	par.For(n, func(i int) { low[i] = g.Degree(int32(i)) <= int32(k) })
+	label := decomp.DegkLabels(g, k)
 	rep.Decomposed(dsp)
 
 	c := NewColoring(n)
-	lowList, high := gather2(n, func(i int) bool { return low[i] })
+	lowList, high := gather2(n, func(i int) bool { return label[i] == decomp.DegkLow })
 	sp := rep.Phase("solve/G_H")
 	var hi Stats
 	if len(high) > 0 {

@@ -35,7 +35,7 @@ func allGraphsOn(n int, fn func(mask uint64, g *graph.Graph)) {
 // verifies each solution — the strongest correctness net in the suite.
 func TestExhaustiveAllSolversFiveVertices(t *testing.T) {
 	machine := bsp.New()
-	strategies := []Strategy{StrategyBaseline, StrategyBridge, StrategyRand, StrategyDegk}
+	strategies := []Strategy{StrategyBaseline, StrategyBridge, StrategyRand, StrategyDegk, StrategyMPX}
 	problems := []Problem{ProblemMM, ProblemColor, ProblemMIS}
 	archs := []Arch{ArchCPU, ArchGPU}
 	allGraphsOn(5, func(mask uint64, g *graph.Graph) {
@@ -58,7 +58,7 @@ func TestExhaustiveAllSolversFiveVertices(t *testing.T) {
 }
 
 // TestExhaustiveDecompositionsFiveVertices checks the edge-conservation
-// invariant and the bridge oracle on every 5-vertex graph.
+// invariant of every split and the bridge oracle on every 5-vertex graph.
 func TestExhaustiveDecompositionsFiveVertices(t *testing.T) {
 	allGraphsOn(5, func(mask uint64, g *graph.Graph) {
 		br := decomp.Bridge(g)
@@ -80,6 +80,10 @@ func TestExhaustiveDecompositionsFiveVertices(t *testing.T) {
 		if d := dk.Parts[decomp.DegkLow].G.MaxDegree(); d > 2 {
 			t.Fatalf("mask %#x: G_L max degree %d", mask, d)
 		}
+		mp := decomp.MPX(g, decomp.DefaultMPXBeta, 1)
+		if mp.PartEdges()+mp.CrossEdges() != g.NumEdges() {
+			t.Fatalf("mask %#x: MPX edge conservation", mask)
+		}
 	})
 }
 
@@ -100,6 +104,10 @@ func TestExhaustiveDecompositionsSixVertices(t *testing.T) {
 		dk := decomp.Degk(g, 2)
 		if dk.PartEdges()+dk.CrossEdges() != g.NumEdges() {
 			t.Fatalf("mask %#x: DEGk edge conservation", mask)
+		}
+		mp := decomp.MPX(g, decomp.DefaultMPXBeta, 1)
+		if mp.PartEdges()+mp.CrossEdges() != g.NumEdges() {
+			t.Fatalf("mask %#x: MPX edge conservation", mask)
 		}
 	})
 }

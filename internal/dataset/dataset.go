@@ -15,8 +15,6 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"slices"
-	"strings"
 	"sync"
 
 	"repro/internal/gen"
@@ -277,11 +275,4 @@ func ClearCache() {
 		cache.Delete(k)
 		return true
 	})
-}
-
-// SortedByName returns the specs sorted by name (for stable CLI listings).
-func SortedByName() []Spec {
-	out := All()
-	slices.SortFunc(out, func(a, b Spec) int { return strings.Compare(a.Name, b.Name) })
-	return out
 }

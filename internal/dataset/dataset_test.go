@@ -42,12 +42,6 @@ func TestGetAndNames(t *testing.T) {
 	if len(names) != 12 || names[0] != "c-73" {
 		t.Fatalf("Names() = %v", names)
 	}
-	sorted := SortedByName()
-	for i := 1; i < len(sorted); i++ {
-		if sorted[i-1].Name >= sorted[i].Name {
-			t.Fatal("SortedByName not sorted")
-		}
-	}
 }
 
 func TestAllInstancesBuildValidConnected(t *testing.T) {

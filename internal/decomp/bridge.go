@@ -116,9 +116,9 @@ func Bridge(g *graph.Graph) *Result {
 	bi := FindBridges(g, nil)
 	r.Rounds = bi.Rounds
 	r.Bridges = bi.Bridges
-	gc := graph.RemoveEdges(g, func(a, b int32) bool { return !bi.IsBridge(a, b) })
+	gc, cross := graph.SplitEdges(g, func(a, b int32) bool { return !bi.IsBridge(a, b) })
 	r.Parts = []*graph.Sub{graph.IdentitySub(gc)}
-	r.Cross = graph.EdgeInducedSubgraph(g, bi.IsBridge)
+	r.Cross = cross
 	r.Label = make([]int32, g.NumVertices()) // all zero: the single G_c part
 	return r
 }

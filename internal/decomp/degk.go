@@ -23,21 +23,25 @@ const (
 // of the edges joining V_L and V_H. The paper always uses k = 2, for which
 // G_L is a disjoint union of paths and cycles.
 func Degk(g *graph.Graph, k int) *Result {
+	r := &Result{Technique: TechDegk}
+	r.Label = DegkLabels(g, k)
+	r.Parts, r.Cross = graph.PartitionByLabel(g, r.Label, 2)
+	r.Rounds = 1
+	return r
+}
+
+// DegkLabels is DEGk's split: DegkHigh for the vertices of degree more
+// than k, DegkLow for the rest. Every DEGk solver classifies its vertices
+// here.
+func DegkLabels(g *graph.Graph, k int) []int32 {
 	if k < 0 {
 		panic(fmt.Sprintf("decomp: Degk with k=%d", k))
 	}
-	r := &Result{Technique: TechDegk}
-	n := g.NumVertices()
-	label := make([]int32, n)
-	par.For(n, func(i int) {
+	label := make([]int32, g.NumVertices())
+	par.For(len(label), func(i int) {
 		if g.Degree(int32(i)) > int32(k) {
 			label[i] = DegkHigh
-		} else {
-			label[i] = DegkLow
 		}
 	})
-	r.Parts, r.Cross = graph.PartitionByLabel(g, label, 2)
-	r.Label = label
-	r.Rounds = 1
-	return r
+	return label
 }

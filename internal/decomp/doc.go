@@ -25,4 +25,9 @@
 // All decompositions are deterministic under a seed for any worker count;
 // randomness comes from par.Hash64 splittable hashing, never from shared
 // mutable state.
+//
+// Each technique's split is one function that the decomposed solvers call
+// too: FindBridges, RandLabels, DegkLabels and MPXGrow. Bridge and MPX
+// materialize theirs with graph.SplitEdges, Rand and Degk with
+// graph.PartitionByLabel.
 package decomp

@@ -193,12 +193,9 @@ func MPX(g *graph.Graph, beta float64, seed uint64) *Result {
 	n := g.NumVertices()
 	center := info.Center
 
-	sameBall := func(a, b int32) bool { return center[a] == center[b] }
-	gb := graph.RemoveEdges(g, sameBall)
+	gb, cross := graph.SplitEdges(g, func(a, b int32) bool { return center[a] == center[b] })
 	r.Parts = []*graph.Sub{graph.IdentitySub(gb)}
-	r.Cross = graph.EdgeInducedSubgraph(g, func(a, b int32) bool {
-		return center[a] != center[b]
-	})
+	r.Cross = cross
 
 	// Compact center ids to dense ball indices: rank of the center
 	// among all centers in id order.

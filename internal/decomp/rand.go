@@ -17,17 +17,22 @@ import (
 // The paper tunes k near the average degree: 10 partitions on the CPU, 4 on
 // the GPU, 100 for the high-degree kron instances.
 func Rand(g *graph.Graph, k int, seed uint64) *Result {
+	r := &Result{Technique: TechRand}
+	r.Label = RandLabels(g.NumVertices(), k, seed)
+	r.Parts, r.Cross = graph.PartitionByLabel(g, r.Label, k)
+	r.Rounds = 1
+	return r
+}
+
+// RandLabels is RAND's split: vertex v's part, a pure hash of (seed, v)
+// into [0, k). Every RAND solver labels its vertices here.
+func RandLabels(n, k int, seed uint64) []int32 {
 	if k < 1 {
 		panic(fmt.Sprintf("decomp: Rand with k=%d", k))
 	}
-	r := &Result{Technique: TechRand}
-	n := g.NumVertices()
 	label := make([]int32, n)
 	par.For(n, func(i int) {
 		label[i] = int32(par.HashRange(seed, int64(i), k))
 	})
-	r.Parts, r.Cross = graph.PartitionByLabel(g, label, k)
-	r.Label = label
-	r.Rounds = 1
-	return r
+	return label
 }

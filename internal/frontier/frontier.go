@@ -41,13 +41,6 @@ func All(n int) *Subset {
 	return newSorted(n, verts)
 }
 
-// FromBitset returns the subset holding the set bits of bits, which must
-// have length n. The subset takes ownership of the bitset; the caller must
-// not mutate it afterwards.
-func FromBitset(n int, bits *par.Bitset) *Subset {
-	return &Subset{n: n, size: bits.Count(), bits: bits}
-}
-
 // Universe reports n, the size of the vertex universe.
 func (s *Subset) Universe() int { return s.n }
 
@@ -115,10 +108,6 @@ func (s *Subset) Bitset() *par.Bitset {
 	}
 	return s.bits
 }
-
-// IsDense reports whether the dense (bitset) representation is currently
-// materialized. Exposed for tests and diagnostics.
-func (s *Subset) IsDense() bool { return s.bits != nil }
 
 // Map runs fn over every member in parallel. fn must be safe for
 // concurrent calls on distinct vertices.

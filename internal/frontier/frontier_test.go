@@ -115,12 +115,9 @@ func TestSparseDenseRoundTrip(t *testing.T) {
 	for _, v := range want {
 		bits.Set(int(v))
 	}
-	s := FromBitset(n, bits)
+	s := &Subset{n: n, size: bits.Count(), bits: bits}
 	if s.Size() != len(want) {
 		t.Fatalf("Size = %d, want %d", s.Size(), len(want))
-	}
-	if !s.IsDense() {
-		t.Fatal("FromBitset not dense")
 	}
 	if !equalVerts(s.Vertices(), want) {
 		t.Fatalf("Vertices = %v, want %v", s.Vertices(), want)
@@ -128,11 +125,11 @@ func TestSparseDenseRoundTrip(t *testing.T) {
 
 	// Sparse → dense.
 	sp := New(n, append([]int32(nil), want...))
-	if sp.IsDense() {
+	if sp.bits != nil {
 		t.Fatal("fresh sparse subset claims dense")
 	}
 	dense := sp.Bitset()
-	if !sp.IsDense() {
+	if sp.bits == nil {
 		t.Fatal("Bitset() did not materialize")
 	}
 	if dense.Count() != len(want) {

@@ -457,21 +457,3 @@ func PadChains(g *graph.Graph, extra, maxLen int, seed uint64) *graph.Graph {
 	}
 	return b.Build()
 }
-
-// DegreeHistogram returns the sorted distinct degrees and their counts,
-// a helper for generator tests and the graphstat tool.
-func DegreeHistogram(g *graph.Graph) (degrees []int32, counts []int64) {
-	hist := map[int32]int64{}
-	for v := 0; v < g.NumVertices(); v++ {
-		hist[g.Degree(int32(v))]++
-	}
-	for d := range hist {
-		degrees = append(degrees, d)
-	}
-	slices.Sort(degrees)
-	counts = make([]int64, len(degrees))
-	for i, d := range degrees {
-		counts[i] = hist[d]
-	}
-	return degrees, counts
-}

@@ -149,24 +149,6 @@ func TestWebShape(t *testing.T) {
 	}
 }
 
-func TestDegreeHistogram(t *testing.T) {
-	b := graph.NewBuilder(4)
-	b.AddEdge(0, 1)
-	b.AddEdge(1, 2)
-	g := b.Build()
-	degs, counts := DegreeHistogram(g)
-	// degrees: 0 (vertex 3), 1 (0 and 2), 2 (vertex 1)
-	want := map[int32]int64{0: 1, 1: 2, 2: 1}
-	if len(degs) != 3 {
-		t.Fatalf("distinct degrees %v", degs)
-	}
-	for i, d := range degs {
-		if counts[i] != want[d] {
-			t.Fatalf("degree %d count %d, want %d", d, counts[i], want[d])
-		}
-	}
-}
-
 func TestGeneratorsDeterministic(t *testing.T) {
 	pairs := []func() *graph.Graph{
 		func() *graph.Graph { return RGG(2000, DegreeRadius(2000, 10), 9) },

@@ -150,15 +150,3 @@ func fromCanonicalEdges(n int, edges []Edge) *Graph {
 	})
 	return g
 }
-
-// FromAdjacency builds a graph directly from per-vertex neighbor lists; it
-// symmetrizes and deduplicates. Convenient for tests.
-func FromAdjacency(lists [][]int32) *Graph {
-	b := NewBuilder(len(lists))
-	for u, ns := range lists {
-		for _, v := range ns {
-			b.AddEdge(int32(u), v)
-		}
-	}
-	return b.Build()
-}

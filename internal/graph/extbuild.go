@@ -29,30 +29,6 @@ type EdgeStream interface {
 	Next(buf []Edge) (int, error)
 }
 
-// SliceStream adapts an in-memory edge slice to EdgeStream (tests, and
-// small inputs routed through the external path for byte-identity checks).
-type SliceStream struct {
-	n     int
-	edges []Edge
-	pos   int
-}
-
-// NewSliceStream returns an EdgeStream over edges with n vertices.
-func NewSliceStream(n int, edges []Edge) *SliceStream {
-	return &SliceStream{n: n, edges: edges}
-}
-
-func (s *SliceStream) NumVertices() int { return s.n }
-
-func (s *SliceStream) Next(buf []Edge) (int, error) {
-	k := copy(buf, s.edges[s.pos:])
-	s.pos += k
-	if s.pos == len(s.edges) {
-		return k, io.EOF
-	}
-	return k, nil
-}
-
 // ExtOptions tunes BuildBinaryExternal.
 type ExtOptions struct {
 	// TmpDir holds the spill files ("" = os.TempDir()). It needs room for

@@ -135,9 +135,6 @@ func NewTextStream(r io.Reader) (*TextStream, error) {
 // NumVertices reports the header's vertex count.
 func (t *TextStream) NumVertices() int { return t.n }
 
-// DeclaredEdges reports the header's edge count (not validated).
-func (t *TextStream) DeclaredEdges() int64 { return t.m }
-
 // Next fills buf with parsed edges and returns the count, with io.EOF
 // (possibly alongside a final batch) once the input is exhausted.
 func (t *TextStream) Next(buf []Edge) (int, error) {

@@ -9,7 +9,7 @@ func TestRemoveEdgesKeepsVertices(t *testing.T) {
 		e := Edge{a, b}.Canon()
 		return e == Edge{2, 3} || e == Edge{6, 7}
 	}
-	gc := RemoveEdges(g, func(a, b int32) bool { return !isBridge(a, b) })
+	gc, cross := SplitEdges(g, func(a, b int32) bool { return !isBridge(a, b) })
 	if gc.NumVertices() != g.NumVertices() {
 		t.Fatalf("vertex count changed: %d", gc.NumVertices())
 	}
@@ -29,17 +29,26 @@ func TestRemoveEdgesKeepsVertices(t *testing.T) {
 	if gc.Degree(7) != 0 {
 		t.Fatalf("degree of 7 = %d", gc.Degree(7))
 	}
+	if cross.NumEdges() != 2 || cross.NumVertices() != 4 {
+		t.Fatalf("cross has %d edges over %d vertices, want 2 over 4", cross.NumEdges(), cross.NumVertices())
+	}
 }
 
 func TestRemoveEdgesAllAndNone(t *testing.T) {
 	g := cycle(10)
-	none := RemoveEdges(g, func(a, b int32) bool { return false })
+	none, noneCross := SplitEdges(g, func(a, b int32) bool { return false })
 	if none.NumEdges() != 0 || none.NumVertices() != 10 {
 		t.Fatal("remove-all wrong")
 	}
-	all := RemoveEdges(g, func(a, b int32) bool { return true })
+	if noneCross.NumEdges() != g.NumEdges() || noneCross.NumVertices() != 10 {
+		t.Fatal("remove-all cross wrong")
+	}
+	all, allCross := SplitEdges(g, func(a, b int32) bool { return true })
 	if all.NumEdges() != g.NumEdges() {
 		t.Fatal("keep-all wrong")
+	}
+	if allCross.NumEdges() != 0 || allCross.NumVertices() != 0 {
+		t.Fatal("keep-all cross wrong")
 	}
 }
 

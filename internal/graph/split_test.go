@@ -1,0 +1,146 @@
+package graph
+
+import (
+	"fmt"
+	"slices"
+	"testing"
+
+	"repro/internal/par"
+)
+
+// subEdges lists a Sub's edges in parent ids. ToGlobal is increasing, so
+// the list comes out sorted like Graph.Edges.
+func subEdges(s *Sub) []Edge {
+	es := s.G.Edges()
+	for i, e := range es {
+		es[i] = Edge{s.ToGlobal[e.U], s.ToGlobal[e.V]}
+	}
+	return es
+}
+
+// checkSub validates a Sub's graph and requires strictly increasing
+// ToGlobal.
+func checkSub(t *testing.T, what string, s *Sub) {
+	t.Helper()
+	if err := s.G.Validate(); err != nil {
+		t.Fatalf("%s invalid: %v", what, err)
+	}
+	for j := 1; j < len(s.ToGlobal); j++ {
+		if s.ToGlobal[j-1] >= s.ToGlobal[j] {
+			t.Fatalf("%s ToGlobal not increasing at %d", what, j)
+		}
+	}
+}
+
+// TestBuildersMatchBruteForce checks SplitEdges and InducedSubgraph
+// against a brute-force filter of g.Edges(), at several worker counts:
+// the kept graph keeps every vertex id, the cross Sub holds exactly the
+// rejected edges over exactly their endpoints, the two together are E
+// with no edge in both, and InducedSubgraph equals part 1 of
+// PartitionByLabel on the mask.
+func TestBuildersMatchBruteForce(t *testing.T) {
+	defer par.SetWorkers(0)
+	type input struct {
+		name   string
+		g      *Graph
+		keep   func(u, v int32) bool
+		member []bool
+	}
+	hashKeep := func(seed uint64) func(u, v int32) bool {
+		return func(u, v int32) bool { return par.Hash2(seed, int64(u), int64(v))%3 != 0 }
+	}
+	hashMask := func(n int, seed uint64) []bool {
+		m := make([]bool, n)
+		for i := range m {
+			m[i] = par.Hash64(seed, int64(i))&1 == 0
+		}
+		return m
+	}
+	all := func(u, v int32) bool { return true }
+	none := func(u, v int32) bool { return false }
+	var inputs []input
+	for i, sz := range [][2]int{{1, 0}, {40, 60}, {500, 3000}, {20000, 80000}} {
+		g := randomGraph(sz[0], sz[1], uint64(i+1))
+		inputs = append(inputs, input{fmt.Sprintf("random-%d", sz[0]), g,
+			hashKeep(uint64(i + 7)), hashMask(sz[0], uint64(i+11))})
+	}
+	pg := paperGraph()
+	inputs = append(inputs,
+		input{"paper-bridges", pg, func(u, v int32) bool {
+			e := Edge{u, v}.Canon()
+			return e != Edge{2, 3} && e != Edge{6, 7}
+		}, []bool{true, true, true, false, false, false, false, false}},
+		input{"paper-all", pg, all, make([]bool, 8)},
+		input{"paper-none", pg, none, []bool{true, true, true, true, true, true, true, true}},
+		input{"cycle-none", cycle(10), none, hashMask(10, 3)},
+		input{"empty-all", &Graph{}, all, nil},
+		input{"empty-none", &Graph{}, none, nil},
+	)
+
+	for _, w := range []int{1, 2, 7} {
+		par.SetWorkers(w)
+		for _, in := range inputs {
+			g, n := in.g, in.g.NumVertices()
+			var wantKept, wantCross []Edge
+			for _, e := range g.Edges() {
+				if in.keep(e.U, e.V) {
+					wantKept = append(wantKept, e)
+				} else {
+					wantCross = append(wantCross, e)
+				}
+			}
+			kept, cross := SplitEdges(g, in.keep)
+			if err := kept.Validate(); err != nil {
+				t.Fatalf("w=%d %s: kept invalid: %v", w, in.name, err)
+			}
+			if kept.NumVertices() != n {
+				t.Fatalf("w=%d %s: kept has %d vertices, g has %d", w, in.name, kept.NumVertices(), n)
+			}
+			if got := kept.Edges(); !slices.Equal(got, wantKept) {
+				t.Fatalf("w=%d %s: kept edges %v, want %v", w, in.name, got, wantKept)
+			}
+			checkSub(t, in.name+" cross", cross)
+			if got := subEdges(cross); !slices.Equal(got, wantCross) {
+				t.Fatalf("w=%d %s: cross edges %v, want %v", w, in.name, got, wantCross)
+			}
+			for j := range cross.ToGlobal {
+				if cross.G.Degree(int32(j)) == 0 {
+					t.Fatalf("w=%d %s: cross keeps isolated vertex %d", w, in.name, cross.ToGlobal[j])
+				}
+			}
+			if kept.NumEdges()+cross.NumEdges() != g.NumEdges() {
+				t.Fatalf("w=%d %s: kept %d + cross %d edges, g has %d", w, in.name,
+					kept.NumEdges(), cross.NumEdges(), g.NumEdges())
+			}
+
+			sub := InducedSubgraph(g, in.member)
+			checkSub(t, in.name+" induced", sub)
+			var wantVerts []int32
+			for v, ok := range in.member {
+				if ok {
+					wantVerts = append(wantVerts, int32(v))
+				}
+			}
+			var wantInduced []Edge
+			for _, e := range g.Edges() {
+				if in.member[e.U] && in.member[e.V] {
+					wantInduced = append(wantInduced, e)
+				}
+			}
+			if !slices.Equal(sub.ToGlobal, wantVerts) || !slices.Equal(subEdges(sub), wantInduced) {
+				t.Fatalf("w=%d %s: induced subgraph differs from the brute-force filter", w, in.name)
+			}
+			label := make([]int32, n)
+			for v, ok := range in.member {
+				if ok {
+					label[v] = 1
+				}
+			}
+			parts, _ := PartitionByLabel(g, label, 2)
+			if !slices.Equal(sub.ToGlobal, parts[1].ToGlobal) ||
+				sub.G.Fingerprint() != parts[1].G.Fingerprint() {
+				t.Fatalf("w=%d %s: InducedSubgraph differs from PartitionByLabel's part 1", w, in.name)
+			}
+		}
+	}
+}

@@ -6,13 +6,10 @@ import (
 	"repro/internal/par"
 )
 
-// Reusable arenas for subgraph extraction's transient per-vertex arrays
-// (local ids, membership flags). decomp materializes subgraphs on every
-// decomposition, so these are hot enough to be worth keeping warm.
-var (
-	idScratch     par.Scratch[int32]
-	memberScratch par.Scratch[int64]
-)
+// Reusable arena for subgraph extraction's transient per-vertex local
+// ids. decomp materializes subgraphs on every decomposition, so it is hot
+// enough to be worth keeping warm.
+var idScratch par.Scratch[int32]
 
 // Sub is a materialized subgraph of a parent graph, with the local→global
 // vertex mapping needed to transfer solutions (matchings, colorings,
@@ -34,12 +31,11 @@ func (s *Sub) NumEdges() int64 { return s.G.NumEdges() }
 // PartitionByLabel splits g according to a vertex labeling into k vertex-
 // induced subgraphs (one per label in [0, k)) plus the edge-induced
 // subgraph of all cross edges (edges whose endpoints carry different
-// labels). This single primitive realizes all three of the paper's
-// decompositions:
+// labels). It materializes the vertex-labelling decompositions:
 //
-//   - RAND:   label = random partition id, k parts, cross = G_{k+1};
-//   - DEGk:   label = 0 (deg ≤ k) or 1 (deg > k), cross = G_C;
-//   - BRIDGE: label = 2-edge-connected component id, cross = the bridges.
+//   - RAND:       label = random partition id, k parts, cross = G_{k+1};
+//   - DEGk:       label = 0 (deg ≤ k) or 1 (deg > k), cross = G_C;
+//   - MULTILEVEL: label = partition id, k parts, cross = the cut edges.
 //
 // len(label) must equal g.NumVertices() and every label must lie in [0, k).
 func PartitionByLabel(g *Graph, label []int32, k int) (parts []*Sub, cross *Sub) {
@@ -119,109 +115,50 @@ func PartitionByLabel(g *Graph, label []int32, k int) (parts []*Sub, cross *Sub)
 		crossDeg[i] = cr
 	})
 
-	// Build each part's CSR. Offsets come from gathering intra degrees in
-	// local order.
 	parts = make([]*Sub, k)
 	for l := 0; l < k; l++ {
-		m := int(partSize[l])
-		deg := degScratch.Get(m)
-		tg := toGlobal[l]
-		par.For(m, func(j int) { deg[j] = intraDeg[tg[j]] })
-		off := par.ExclusiveSum32(deg)
-		degScratch.Put(deg)
-		adj := make([]int32, off[m])
-		par.For(m, func(j int) {
-			v := tg[j]
-			p := off[j]
-			for _, w := range g.Neighbors(v) {
-				if label[w] == int32(l) {
-					adj[p] = localID[w] // monotone in w, so list stays sorted
-					p++
-				}
-			}
-		})
-		parts[l] = &Sub{G: &Graph{off: off, adj: adj}, ToGlobal: tg}
+		parts[l] = buildPart(g, label, int32(l), toGlobal[l], localID, intraDeg)
 	}
 	idScratch.Put(localID)
 	degScratch.Put(intraDeg)
 
-	cross = buildEdgeInduced(g, crossDeg, func(v, w int32) bool {
-		return label[v] != label[w]
-	})
+	cross = buildCross(g, crossDeg, func(v, w int32) bool { return label[v] == label[w] })
 	degScratch.Put(crossDeg)
 	return parts, cross
 }
 
-// EdgeInducedSubgraph materializes the subgraph containing exactly the edges
-// {u, v} of g for which keep(u, v) is true; its vertex set is the endpoints
-// of those edges. keep must be symmetric and safe for concurrent calls.
-func EdgeInducedSubgraph(g *Graph, keep func(u, v int32) bool) *Sub {
-	n := g.NumVertices()
-	deg := degScratch.Get(n)
-	par.For(n, func(i int) {
-		v := int32(i)
-		var d int32
-		for _, w := range g.Neighbors(v) {
-			if keep(v, w) {
-				d++
-			}
-		}
-		deg[i] = d
-	})
-	sub := buildEdgeInduced(g, deg, keep)
-	degScratch.Put(deg)
-	return sub
-}
-
-// buildEdgeInduced builds the edge-induced Sub from precomputed kept-edge
-// degrees and the predicate.
-func buildEdgeInduced(g *Graph, keptDeg []int32, keep func(v, w int32) bool) *Sub {
-	n := g.NumVertices()
-	inSub := memberScratch.Get(n)
-	par.For(n, func(i int) {
-		if keptDeg[i] > 0 {
-			inSub[i] = 1
-		} else {
-			inSub[i] = 0
-		}
-	})
-	rank := par.ExclusiveSum(inSub)
-	m := int(rank[n])
-	tg := make([]int32, m)
-	localID := idScratch.Get(n)
-	par.For(n, func(i int) {
-		if inSub[i] == 1 {
-			localID[i] = int32(rank[i])
-			tg[rank[i]] = int32(i)
-		}
-	})
-	memberScratch.Put(inSub)
-	deg := degScratch.Get(m)
-	par.For(m, func(j int) { deg[j] = keptDeg[tg[j]] })
-	off := par.ExclusiveSum32(deg)
-	degScratch.Put(deg)
+// buildPart materializes the part whose vertices are tg (ascending global
+// ids, renumbered by localID) and whose edges are those to neighbours w
+// with label[w] == l; deg[v] counts v's such neighbours. PartitionByLabel
+// and InducedSubgraph share it; the label test stays inline, since it runs
+// once per arc.
+func buildPart[L comparable](g *Graph, label []L, l L, tg, localID, deg []int32) *Sub {
+	m := len(tg)
+	partDeg := degScratch.Get(m)
+	par.For(m, func(j int) { partDeg[j] = deg[tg[j]] })
+	off := par.ExclusiveSum32(partDeg)
+	degScratch.Put(partDeg)
 	adj := make([]int32, off[m])
 	par.For(m, func(j int) {
-		v := tg[j]
 		p := off[j]
-		for _, w := range g.Neighbors(v) {
-			if keep(v, w) {
-				adj[p] = localID[w]
+		for _, w := range g.Neighbors(tg[j]) {
+			if label[w] == l {
+				adj[p] = localID[w] // monotone in w, so list stays sorted
 				p++
 			}
 		}
 	})
-	idScratch.Put(localID)
 	return &Sub{G: &Graph{off: off, adj: adj}, ToGlobal: tg}
 }
 
-// RemoveEdges returns a new graph over the same vertex set containing
-// exactly the edges {u, v} for which keep(u, v) is true. keep must be
-// symmetric and safe for concurrent calls. Used by the BRIDGE decomposition
-// to form G − B without renumbering vertices.
-func RemoveEdges(g *Graph, keep func(u, v int32) bool) *Graph {
+// SplitEdges splits the edges of g by keep in one degree pass. kept holds
+// the edges {u, v} with keep(u, v) true over every vertex id of g; cross
+// is the edge-induced subgraph of the other edges, over their endpoints.
+// keep must be symmetric and safe for concurrent calls.
+func SplitEdges(g *Graph, keep func(u, v int32) bool) (kept *Graph, cross *Sub) {
 	n := g.NumVertices()
-	deg := degScratch.Get(n)
+	keptDeg := degScratch.Get(n)
+	crossDeg := degScratch.Get(n)
 	par.For(n, func(i int) {
 		v := int32(i)
 		var d int32
@@ -230,22 +167,88 @@ func RemoveEdges(g *Graph, keep func(u, v int32) bool) *Graph {
 				d++
 			}
 		}
-		deg[i] = d
+		keptDeg[i] = d
+		crossDeg[i] = g.Degree(v) - d
 	})
+	off := par.ExclusiveSum32(keptDeg)
+	degScratch.Put(keptDeg)
+	kept = &Graph{off: off, adj: fillEdges(g, nil, nil, off, keep, true)}
+	cross = buildCross(g, crossDeg, keep)
+	degScratch.Put(crossDeg)
+	return kept, cross
+}
+
+// buildCross builds the edge-induced Sub of the edges keep rejects, from
+// their per-vertex counts crossDeg.
+func buildCross(g *Graph, crossDeg []int32, keep func(v, w int32) bool) *Sub {
+	tg, localID := renumber(crossDeg)
+	deg := degScratch.Get(len(tg))
+	par.For(len(tg), func(j int) { deg[j] = crossDeg[tg[j]] })
 	off := par.ExclusiveSum32(deg)
 	degScratch.Put(deg)
-	adj := make([]int32, off[n])
-	par.For(n, func(i int) {
-		v := int32(i)
-		p := off[i]
+	adj := fillEdges(g, tg, localID, off, keep, false)
+	idScratch.Put(localID)
+	return &Sub{G: &Graph{off: off, adj: adj}, ToGlobal: tg}
+}
+
+// fillEdges copies, for local vertex j (global id tg[j], or j itself when
+// tg is nil), the neighbours w with keep(v, w) == want into adjacency
+// offsets off, renamed through localID (kept as is when localID is nil).
+func fillEdges(g *Graph, tg, localID []int32, off []int64, keep func(v, w int32) bool, want bool) []int32 {
+	m := len(off) - 1
+	adj := make([]int32, off[m])
+	par.For(m, func(j int) {
+		v := int32(j)
+		if tg != nil {
+			v = tg[j]
+		}
+		p := off[j]
 		for _, w := range g.Neighbors(v) {
-			if keep(v, w) {
+			if keep(v, w) == want {
+				if localID != nil {
+					w = localID[w]
+				}
 				adj[p] = w
 				p++
 			}
 		}
 	})
-	return &Graph{off: off, adj: adj}
+	return adj
+}
+
+// renumber ranks the vertices v whose in[v] is not the zero value: tg
+// lists them in id order, and localID[v] is v's index in tg (set only for
+// those vertices; the caller returns localID to idScratch). A per-chunk
+// count gives each chunk its first rank, as in PartitionByLabel.
+func renumber[T comparable](in []T) (tg, localID []int32) {
+	var zero T
+	n := len(in)
+	first := make([]int, par.NumChunks(n)+1)
+	par.RangeIdx(n, func(w, lo, hi int) {
+		c := 0
+		for i := lo; i < hi; i++ {
+			if in[i] != zero {
+				c++
+			}
+		}
+		first[w+1] = c
+	})
+	for w := 1; w < len(first); w++ {
+		first[w] += first[w-1]
+	}
+	tg = make([]int32, first[len(first)-1])
+	localID = idScratch.Get(n)
+	par.RangeIdx(n, func(w, lo, hi int) {
+		next := first[w]
+		for i := lo; i < hi; i++ {
+			if in[i] != zero {
+				localID[i] = int32(next)
+				tg[next] = int32(i)
+				next++
+			}
+		}
+	})
+	return tg, localID
 }
 
 // IdentitySub wraps g as a Sub whose local ids equal global ids.
@@ -286,12 +289,19 @@ func InducedSubgraph(g *Graph, member []bool) *Sub {
 	if len(member) != n {
 		panic("graph: InducedSubgraph mask length mismatch")
 	}
-	label := make([]int32, n)
-	par.For(n, func(i int) {
-		if member[i] {
-			label[i] = 1
+	tg, localID := renumber(member)
+	deg := degScratch.Get(n)
+	par.For(len(tg), func(j int) {
+		var d int32
+		for _, w := range g.Neighbors(tg[j]) {
+			if member[w] {
+				d++
+			}
 		}
+		deg[tg[j]] = d
 	})
-	parts, _ := PartitionByLabel(g, label, 2)
-	return parts[1]
+	sub := buildPart(g, member, true, tg, localID, deg)
+	degScratch.Put(deg)
+	idScratch.Put(localID)
+	return sub
 }

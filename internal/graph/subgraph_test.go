@@ -135,8 +135,8 @@ func mustPanic(t *testing.T, fn func()) {
 
 func TestEdgeInducedSubgraph(t *testing.T) {
 	g := paperGraph()
-	// Keep only edges incident to vertex 6 (g): {f,g}, {d,g}, {g,h}.
-	sub := EdgeInducedSubgraph(g, func(u, v int32) bool { return u == 6 || v == 6 })
+	// Split off the edges incident to vertex 6 (g): {f,g}, {d,g}, {g,h}.
+	_, sub := SplitEdges(g, func(u, v int32) bool { return u != 6 && v != 6 })
 	if err := sub.G.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -146,10 +146,10 @@ func TestEdgeInducedSubgraph(t *testing.T) {
 	if sub.NumVertices() != 4 { // d, f, g, h
 		t.Fatalf("kept %d vertices, want 4", sub.NumVertices())
 	}
-	// Empty predicate → empty subgraph.
-	empty := EdgeInducedSubgraph(g, func(u, v int32) bool { return false })
+	// Nothing rejected → empty cross subgraph.
+	_, empty := SplitEdges(g, func(u, v int32) bool { return true })
 	if empty.NumVertices() != 0 || empty.NumEdges() != 0 {
-		t.Fatal("empty predicate produced a non-empty subgraph")
+		t.Fatal("keep-all predicate produced a non-empty cross subgraph")
 	}
 }
 

@@ -88,3 +88,15 @@ func paperGraph() *Graph {
 	b.AddEdge(6, 7) // g-h  (bridge)
 	return b.Build()
 }
+
+// FromAdjacency builds a graph directly from per-vertex neighbor lists; it
+// symmetrizes and deduplicates.
+func FromAdjacency(lists [][]int32) *Graph {
+	b := NewBuilder(len(lists))
+	for u, ns := range lists {
+		for _, v := range ns {
+			b.AddEdge(int32(u), v)
+		}
+	}
+	return b.Build()
+}

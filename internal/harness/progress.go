@@ -7,10 +7,10 @@ import (
 	"fmt"
 
 	"repro/internal/dataset"
+	"repro/internal/decomp"
 	"repro/internal/frontier"
 	"repro/internal/graph"
 	"repro/internal/matching"
-	"repro/internal/par"
 )
 
 // MMProgress reproduces the paper's §III-C progress observation on the rgg
@@ -51,11 +51,8 @@ func MMProgress(cfg Config) *Table {
 		addRow(spec.Name, "GM", gmStats)
 		// The first MM-Rand phase: GM on G_IS (intra-part edges only).
 		k := spec.MMRandPartsCPU
-		label := make([]int32, g.NumVertices())
-		for i := range label {
-			label[i] = int32(par.HashRange(cfg.Seed, int64(i), k))
-		}
-		gis := graph.RemoveEdges(g, func(u, v int32) bool { return label[u] == label[v] })
+		label := decomp.RandLabels(g.NumVertices(), k, cfg.Seed)
+		gis, _ := graph.SplitEdges(g, func(u, v int32) bool { return label[u] == label[v] })
 		_, randStats := matching.GM(gis)
 		addRow(spec.Name, fmt.Sprintf("MM-Rand/G_IS(k=%d)", k), randStats)
 	}

@@ -39,20 +39,19 @@ func solveOnUnmatched(global []int32, sub *graph.Sub, mm Algorithm, sp *trace.Sp
 }
 
 // twoPhase is the body MM-Bridge, MM-Rand, MM-Degk and MM-MPX share. The
-// timed decomposition runs split under the decomp span, which returns the
-// edge split — keep selects the first phase's edges, cross the rest — and
-// the part count for the decomp span. The first phase matches the graph of
-// kept edges, which keeps global vertex ids; the second matches the
-// edge-induced subgraph of the cross edges, restricted to the vertices
-// still unmatched. first and second name the two phase spans, opened
-// under parent.
+// timed decomposition runs split under the decomp span, which returns keep,
+// the predicate of the first phase's edges, and the part count for the
+// decomp span; one graph.SplitEdges call builds both phases' graphs. The
+// first phase matches the graph of kept edges, which keeps global vertex
+// ids; the second matches the edge-induced subgraph of the other (cross)
+// edges, restricted to the vertices still unmatched. first and second name
+// the two phase spans, opened under parent.
 func twoPhase(g *graph.Graph, strategy, first, second string, mm Algorithm, parent *trace.Span,
-	split func(dsp *trace.Span) (keep, cross func(u, v int32) bool, parts int)) (*Matching, Report) {
+	split func(dsp *trace.Span) (keep func(u, v int32) bool, parts int)) (*Matching, Report) {
 	rep := Report{Strategy: strategy, Parent: parent}
 	dsp := rep.Decompose()
-	keep, crossEdge, parts := split(dsp)
-	g1 := graph.RemoveEdges(g, keep)
-	cross := graph.EdgeInducedSubgraph(g, crossEdge)
+	keep, parts := split(dsp)
+	g1, cross := graph.SplitEdges(g, keep)
 	dsp.Add("parts", int64(parts))
 	dsp.Add("cross_edges", int64(cross.G.NumEdges()))
 	rep.Decomposed(dsp)
@@ -77,9 +76,9 @@ func twoPhase(g *graph.Graph, strategy, first, second string, mm Algorithm, pare
 // bridge vertices.
 func MMBridge(g *graph.Graph, mm Algorithm, parent *trace.Span) (*Matching, Report) {
 	return twoPhase(g, "MM-Bridge", "solve/parts", "solve/cross", mm, parent,
-		func(dsp *trace.Span) (func(u, v int32) bool, func(u, v int32) bool, int) {
+		func(dsp *trace.Span) (func(u, v int32) bool, int) {
 			bi := decomp.FindBridges(g, dsp)
-			return func(u, v int32) bool { return !bi.IsBridge(u, v) }, bi.IsBridge, 1
+			return func(u, v int32) bool { return !bi.IsBridge(u, v) }, 1
 		})
 }
 
@@ -91,13 +90,9 @@ func MMBridge(g *graph.Graph, mm Algorithm, parent *trace.Span) (*Matching, Repo
 // GPU, raising k toward the average degree on very dense instances.
 func MMRand(g *graph.Graph, k int, seed uint64, mm Algorithm, parent *trace.Span) (*Matching, Report) {
 	return twoPhase(g, "MM-Rand", "solve/parts", "solve/cross", mm, parent,
-		func(*trace.Span) (func(u, v int32) bool, func(u, v int32) bool, int) {
-			label := make([]int32, g.NumVertices())
-			par.For(len(label), func(i int) {
-				label[i] = int32(par.HashRange(seed, int64(i), k))
-			})
-			return func(u, v int32) bool { return label[u] == label[v] },
-				func(u, v int32) bool { return label[u] != label[v] }, k
+		func(*trace.Span) (func(u, v int32) bool, int) {
+			label := decomp.RandLabels(g.NumVertices(), k, seed)
+			return func(u, v int32) bool { return label[u] == label[v] }, k
 		})
 }
 
@@ -108,11 +103,10 @@ func MMRand(g *graph.Graph, k int, seed uint64, mm Algorithm, parent *trace.Span
 // the ball count falls out of the shifts.
 func MMMPX(g *graph.Graph, beta float64, seed uint64, mm Algorithm, parent *trace.Span) (*Matching, Report) {
 	return twoPhase(g, "MM-MPX", "solve/parts", "solve/cross", mm, parent,
-		func(dsp *trace.Span) (func(u, v int32) bool, func(u, v int32) bool, int) {
+		func(dsp *trace.Span) (func(u, v int32) bool, int) {
 			info := decomp.MPXGrow(g, beta, seed, dsp)
 			center := info.Center
-			return func(u, v int32) bool { return center[u] == center[v] },
-				func(u, v int32) bool { return center[u] != center[v] }, info.Balls
+			return func(u, v int32) bool { return center[u] == center[v] }, info.Balls
 		})
 }
 
@@ -122,10 +116,10 @@ func MMMPX(g *graph.Graph, beta float64, seed uint64, mm Algorithm, parent *trac
 // vertices.
 func MMDegk(g *graph.Graph, k int, mm Algorithm, parent *trace.Span) (*Matching, Report) {
 	return twoPhase(g, "MM-Degk", "solve/G_H", "solve/G_LC", mm, parent,
-		func(*trace.Span) (func(u, v int32) bool, func(u, v int32) bool, int) {
-			low := make([]bool, g.NumVertices())
-			par.For(len(low), func(i int) { low[i] = g.Degree(int32(i)) <= int32(k) })
-			return func(u, v int32) bool { return !low[u] && !low[v] },
-				func(u, v int32) bool { return low[u] || low[v] }, 2
+		func(*trace.Span) (func(u, v int32) bool, int) {
+			label := decomp.DegkLabels(g, k)
+			return func(u, v int32) bool {
+				return label[u] == decomp.DegkHigh && label[v] == decomp.DegkHigh
+			}, 2
 		})
 }

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/par"
-	"repro/internal/trace"
 )
 
 // IsraeliItai computes a maximal matching with the randomized two-phase
@@ -110,11 +109,4 @@ func IsraeliItai(g *graph.Graph, seed uint64) (*Matching, Stats) {
 	}
 	st.Matched = matched.Load()
 	return m, st
-}
-
-// IsraeliItaiSolver returns IsraeliItai as an Algorithm.
-func IsraeliItaiSolver(seed uint64) Algorithm {
-	return func(g *graph.Graph, _ *trace.Span) (*Matching, Stats) {
-		return IsraeliItai(g, seed)
-	}
 }

@@ -1,6 +1,11 @@
 package matching
 
-import "testing"
+import (
+	"testing"
+
+	"repro/internal/graph"
+	"repro/internal/trace"
+)
 
 func TestIsraeliItaiMaximalOnCorpus(t *testing.T) {
 	for name, g := range testGraphs() {
@@ -39,9 +44,9 @@ func TestIsraeliItaiDeterministicUnderSeed(t *testing.T) {
 func TestIsraeliItaiAsDecompositionSubroutine(t *testing.T) {
 	g := randomGraph(500, 2500, 7)
 	for _, run := range []func() (*Matching, Report){
-		func() (*Matching, Report) { return MMBridge(g, IsraeliItaiSolver(2), nil) },
-		func() (*Matching, Report) { return MMRand(g, 5, 2, IsraeliItaiSolver(2), nil) },
-		func() (*Matching, Report) { return MMDegk(g, 2, IsraeliItaiSolver(2), nil) },
+		func() (*Matching, Report) { return MMBridge(g, israeliItai(2), nil) },
+		func() (*Matching, Report) { return MMRand(g, 5, 2, israeliItai(2), nil) },
+		func() (*Matching, Report) { return MMDegk(g, 2, israeliItai(2), nil) },
 	} {
 		m, _ := run()
 		if err := Verify(g, m); err != nil {
@@ -92,4 +97,9 @@ func TestGreedyRandomDeterministicAndSeedSensitive(t *testing.T) {
 	if same {
 		t.Fatal("different seeds produced identical matchings (suspicious)")
 	}
+}
+
+// israeliItai wraps IsraeliItai as an Algorithm.
+func israeliItai(seed uint64) Algorithm {
+	return func(g *graph.Graph, _ *trace.Span) (*Matching, Stats) { return IsraeliItai(g, seed) }
 }

@@ -104,42 +104,3 @@ var errStalled = errors.New("matching: a round made no progress: adjacency lists
 // Report describes a full decomposition-based run. It is the run report
 // every solver package shares.
 type Report = trace.Report
-
-// VertexCover returns the endpoints of the matching — the classic
-// 2-approximate vertex cover, the application Hochbaum's decomposition
-// paper (the paper's reference [16]) targets. The result is a valid cover
-// whenever m is maximal: an uncovered edge would have two unmatched
-// endpoints, contradicting maximality.
-func VertexCover(g *graph.Graph, m *Matching) []int32 {
-	cover := make([]int32, 0, 2*m.Cardinality())
-	for v, w := range m.Mate {
-		if w != Unmatched {
-			cover = append(cover, int32(v))
-		}
-	}
-	return cover
-}
-
-// VerifyCover checks that the vertex set covers every edge of g. Of the
-// uncovered edges it reports the one at the lowest vertex, whose other
-// endpoint is its lowest uncovered neighbor, under any worker count.
-func VerifyCover(g *graph.Graph, cover []int32) error {
-	in := make([]bool, g.NumVertices())
-	for _, v := range cover {
-		if v < 0 || int(v) >= g.NumVertices() {
-			return fmt.Errorf("matching: cover vertex %d out of range", v)
-		}
-		in[v] = true
-	}
-	return par.ForErr(g.NumVertices(), func(u int) error {
-		if in[u] {
-			return nil
-		}
-		for _, v := range g.Neighbors(int32(u)) {
-			if !in[v] {
-				return fmt.Errorf("matching: edge {%d,%d} uncovered", u, v)
-			}
-		}
-		return nil
-	})
-}

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/bsp"
 	"repro/internal/graph"
-	"repro/internal/par"
 )
 
 // maxMatchingBrute computes the maximum matching cardinality by branching
@@ -65,7 +64,7 @@ func TestMaximalIsHalfApprox(t *testing.T) {
 	algs := map[string]Algorithm{
 		"GM":          GMSolver(),
 		"LMAX":        LMAXSolver(machine, 1),
-		"IsraeliItai": IsraeliItaiSolver(1),
+		"IsraeliItai": israeliItai(1),
 	}
 	check := func(raw []uint16) bool {
 		b := graph.NewBuilder(9)
@@ -105,51 +104,3 @@ func TestMaximalIsHalfApprox(t *testing.T) {
 }
 
 func first(m *Matching, _ Report) *Matching { return m }
-
-func TestVertexCoverValidAndTwoApprox(t *testing.T) {
-	if err := quick.Check(func(raw []uint16) bool {
-		b := graph.NewBuilder(10)
-		for i := 0; i+1 < len(raw); i += 2 {
-			b.AddEdge(int32(raw[i]%10), int32(raw[i+1]%10))
-		}
-		g := b.Build()
-		m, _ := GM(g)
-		cover := VertexCover(g, m)
-		if err := VerifyCover(g, cover); err != nil {
-			t.Log(err)
-			return false
-		}
-		// |cover| = 2|M| ≤ 2·ν(G) ≤ 2·OPT_VC.
-		if int64(len(cover)) != 2*m.Cardinality() {
-			return false
-		}
-		if len(cover) > 2*maxMatchingBrute(g) {
-			return false
-		}
-		return true
-	}, &quick.Config{MaxCount: 50}); err != nil {
-		t.Fatal(err)
-	}
-	// Bad covers rejected.
-	g := pathGraph(3)
-	if VerifyCover(g, nil) == nil {
-		t.Fatal("empty cover accepted for a path")
-	}
-	if VerifyCover(g, []int32{99}) == nil {
-		t.Fatal("out-of-range cover vertex accepted")
-	}
-}
-
-// TestVerifyCoverReportsLowestEdge: with no cover on a long path every
-// chunk of the parallel check finds an uncovered edge. The report must be
-// the lowest one on every call, and the check must not race.
-func TestVerifyCoverReportsLowestEdge(t *testing.T) {
-	defer par.SetWorkers(0)
-	par.SetWorkers(4)
-	g := pathGraph(1 << 16)
-	for i := 0; i < 50; i++ {
-		if err := VerifyCover(g, nil); err == nil || err.Error() != "matching: edge {0,1} uncovered" {
-			t.Fatalf("call %d: %v, want edge {0,1} uncovered", i, err)
-		}
-	}
-}

@@ -3,7 +3,6 @@ package mis
 import (
 	"repro/internal/biconn"
 	"repro/internal/graph"
-	"repro/internal/par"
 	"repro/internal/trace"
 )
 
@@ -18,9 +17,7 @@ func MISBiconn(g *graph.Graph, solver Solver, parent *trace.Span) (*IndepSet, Re
 	bc := biconn.Blocks(g, dsp)
 	rep.Decomposed(dsp)
 
-	n := g.NumVertices()
-	member := make([]bool, n)
-	par.For(n, func(i int) { member[i] = !bc.IsArticulation[i] })
-	set := twoPhases(&rep, g, member, "solve/masked", solver, solver)
+	set := twoPhases(&rep, g, func(i int) bool { return !bc.IsArticulation[i] },
+		"solve/masked", solver, solver)
 	return set, rep
 }

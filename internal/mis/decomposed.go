@@ -45,7 +45,7 @@ func avgDeg(edges int64, verts int64) float64 {
 // vertices, through the status mask: members start undecided, everyone
 // else is temporarily out. The solver sees exactly the induced subgraph
 // and records on the phase span sp.
-func maskedPhase(g *graph.Graph, set *IndepSet, member []bool, solver Solver, sp *trace.Span) Stats {
+func maskedPhase(g *graph.Graph, set *IndepSet, member func(i int) bool, solver Solver, sp *trace.Span) Stats {
 	n := g.NumVertices()
 	status := make([]State, n)
 	nc := par.NumChunks(n)
@@ -53,7 +53,7 @@ func maskedPhase(g *graph.Graph, set *IndepSet, member []bool, solver Solver, sp
 	par.RangeIdx(n, func(w, lo, hi int) {
 		var out []int32
 		for i := lo; i < hi; i++ {
-			if member[i] {
+			if member(i) {
 				out = append(out, int32(i))
 			} else {
 				status[i] = StateOut
@@ -108,7 +108,7 @@ func remainderPhase(g *graph.Graph, set *IndepSet, solver Solver, sp *trace.Span
 // twoPhases runs the phases every decomposed MIS shares: first on the
 // subgraph induced by member, in the span named name, then rest on the
 // reduced remainder.
-func twoPhases(rep *Report, g *graph.Graph, member []bool, name string, first, rest Solver) *IndepSet {
+func twoPhases(rep *Report, g *graph.Graph, member func(i int) bool, name string, first, rest Solver) *IndepSet {
 	set := NewIndepSet(g.NumVertices())
 	sp := rep.Phase(name)
 	rep.EndPhase(sp, maskedPhase(g, set, member, first, sp).Rounds)
@@ -156,13 +156,12 @@ func MISBridgeOrdered(g *graph.Graph, solver Solver, ord Order, parent *trace.Sp
 	rep.SparserFirst = pickFirst(ord,
 		avgDeg(hEdges, int64(n)-bridgeVerts) <= avgDeg(int64(len(bi.Bridges)), bridgeVerts))
 
-	member := make([]bool, n)
-	par.For(n, func(i int) { member[i] = isBridgeVtx[i] != rep.SparserFirst })
 	// Note: when the bridge side goes first the phase sees every G-edge
 	// among bridge endpoints — not only the bridges — or two endpoints
 	// joined by a non-bridge edge could both enter the set (the paper's
 	// sketch elides this; see DESIGN.md §5).
-	set := twoPhases(&rep, g, member, "solve/masked", solver, solver)
+	set := twoPhases(&rep, g, func(i int) bool { return isBridgeVtx[i] != rep.SparserFirst },
+		"solve/masked", solver, solver)
 	return set, rep
 }
 
@@ -180,11 +179,7 @@ func MISRandOrdered(g *graph.Graph, k int, seed uint64, solver Solver, ord Order
 
 	// Decomposition: the random labels plus the cross-edge classification.
 	dsp := rep.Decompose()
-	label := make([]int32, n)
-	par.For(n, func(i int) {
-		label[i] = int32(par.HashRange(seed, int64(i), k))
-	})
-	hasCross, partEdges := crossClassify(g, label)
+	hasCross, partEdges := crossClassify(g, decomp.RandLabels(n, k, seed))
 	rep.Decomposed(dsp)
 
 	set := labeledTwoPhase(&rep, g, hasCross, partEdges, solver, ord)
@@ -244,11 +239,10 @@ func labeledTwoPhase(rep *Report, g *graph.Graph, hasCross []bool, partEdges int
 	rep.SparserFirst = pickFirst(ord,
 		avgDeg(partEdges, int64(n)) <= avgDeg(crossEdges, crossVerts))
 
-	member := make([]bool, n)
-	par.For(n, func(i int) { member[i] = hasCross[i] != rep.SparserFirst })
 	// As in MISBridge, the cross-first phase is vertex-induced from G so
 	// intra-part edges between cross endpoints are respected.
-	return twoPhases(rep, g, member, "solve/masked", solver, solver)
+	return twoPhases(rep, g, func(i int) bool { return hasCross[i] != rep.SparserFirst },
+		"solve/masked", solver, solver)
 }
 
 // MISDeg2 is the paper's Algorithm 12: classify vertices by the degree-2
@@ -270,15 +264,14 @@ func MISDeg2(g *graph.Graph, solver Solver, parent *trace.Span) (*IndepSet, Repo
 // charged to the device).
 func MISDeg2With(g *graph.Graph, solver, kp Solver, parent *trace.Span) (*IndepSet, Report) {
 	rep := Report{Report: trace.Report{Strategy: "MIS-Deg2", Parent: parent}}
-	n := g.NumVertices()
 
 	// The decomposition is one classification pass — "a simple
 	// computation" per the paper's Figure 2 discussion.
 	dsp := rep.Decompose()
-	low := make([]bool, n)
-	par.For(n, func(i int) { low[i] = g.Degree(int32(i)) <= 2 })
+	label := decomp.DegkLabels(g, 2)
 	rep.Decomposed(dsp)
 
-	set := twoPhases(&rep, g, low, "solve/G_L", kp, solver)
+	set := twoPhases(&rep, g, func(i int) bool { return label[i] == decomp.DegkLow },
+		"solve/G_L", kp, solver)
 	return set, rep
 }

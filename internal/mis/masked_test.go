@@ -18,8 +18,7 @@ func TestMaskedPhaseSeesOnlyInducedSubgraph(t *testing.T) {
 	b.AddEdge(0, 3)
 	g := b.Build()
 	set := NewIndepSet(4)
-	member := []bool{false, true, true, true}
-	maskedPhase(g, set, member, LubySolver(3), nil)
+	maskedPhase(g, set, func(i int) bool { return i != 0 }, LubySolver(3), nil)
 	if set.In[0] {
 		t.Fatal("non-member selected")
 	}

@@ -43,17 +43,6 @@ func (b *Bitset) TestAndSet(i int) bool {
 	}
 }
 
-// Clear clears bit i. It is safe for concurrent use.
-func (b *Bitset) Clear(i int) {
-	w, mask := i>>6, uint64(1)<<uint(i&63)
-	for {
-		old := atomic.LoadUint64(&b.words[w])
-		if old&mask == 0 || atomic.CompareAndSwapUint64(&b.words[w], old, old&^mask) {
-			return
-		}
-	}
-}
-
 // Test reports bit i. It is safe for concurrent use with Set/Clear, with the
 // usual racy-read semantics of a snapshot.
 func (b *Bitset) Test(i int) bool {

@@ -396,23 +396,3 @@ func MinInt32Atomic(addr *int32, v int32) {
 		}
 	}
 }
-
-// MaxInt32Atomic atomically stores max(current, v) at addr.
-func MaxInt32Atomic(addr *int32, v int32) {
-	for {
-		cur := atomic.LoadInt32(addr)
-		if v <= cur || atomic.CompareAndSwapInt32(addr, cur, v) {
-			return
-		}
-	}
-}
-
-// MinUint64Atomic atomically stores min(current, v) at addr.
-func MinUint64Atomic(addr *uint64, v uint64) {
-	for {
-		cur := atomic.LoadUint64(addr)
-		if v >= cur || atomic.CompareAndSwapUint64(addr, cur, v) {
-			return
-		}
-	}
-}

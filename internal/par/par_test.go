@@ -235,16 +235,6 @@ func TestAtomicMinMax(t *testing.T) {
 	if v != 0 {
 		t.Fatalf("MinInt32Atomic result %d", v)
 	}
-	v = -1
-	For(10000, func(i int) { MaxInt32Atomic(&v, int32(i%500)) })
-	if v != 499 {
-		t.Fatalf("MaxInt32Atomic result %d", v)
-	}
-	var u uint64 = 1 << 60
-	For(10000, func(i int) { MinUint64Atomic(&u, uint64(i+3)) })
-	if u != 3 {
-		t.Fatalf("MinUint64Atomic result %d", u)
-	}
 }
 
 // TestMaxChunksBoundsEveryShorterLoop: MaxChunks(n) is at least
