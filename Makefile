@@ -51,7 +51,7 @@ bench-gate:
 # Runtime micro-benchmarks: pooled dispatch vs the seed spawn-per-call
 # implementation, scan/filter allocation behavior, CSR construction.
 bench-par:
-	$(GO) test -run='^$$' -bench='ForSpawn|RangeSkewed|ExclusiveSum32|FilterCompact' -benchtime=100x ./internal/par/
+	$(GO) test -run='^$$' -bench='ForSpawn|RangeSkewed|RangeBackToBack|ExclusiveSum32|FilterCompact' -benchtime=100x ./internal/par/
 	$(GO) test -run='^$$' -bench='BuilderFromEdges|PartitionByLabel' -benchtime=10x ./internal/graph/
 
 # Live-telemetry demo: a figure run with the HTTP server up for manual

@@ -6,10 +6,13 @@
 // data element with an implicit global barrier at the end, exactly the
 // structure of the paper's GPU codes (LMAX matching, edge-based coloring,
 // Luby MIS). Kernels receive the logical threads in contiguous chunks and
-// execute on goroutines, so wall-clock speed is the host's, but the
-// machine additionally accounts a simulated time that charges a fixed
-// per-launch overhead — the dominant constant of real GPU execution for
-// these iterative label/flag algorithms. Iteration-heavy
+// execute on goroutines, so wall-clock speed is the host's. A kernel may
+// skip the retired threads of its chunk a word of flags at a time, as a
+// warp of retired threads exits after one flag load (LMAX's live bitset);
+// a launch still counts all n logical threads. The machine additionally
+// accounts a simulated time that charges a fixed per-launch overhead —
+// the dominant constant of real GPU execution for these iterative
+// label/flag algorithms. Iteration-heavy
 // algorithms therefore pay proportionally on the simulated clock just as
 // they do on a real device, preserving the paper's relative comparisons
 // (e.g. "Algorithm EB finishes faster than the time taken for the
@@ -102,7 +105,8 @@ type Stats struct {
 	// KernelTime is host wall-clock time spent inside kernels.
 	KernelTime time.Duration
 	// SimTime is the simulated device time: kernel time plus the
-	// per-launch overhead. Harness GPU timings report SimTime.
+	// per-launch overhead. Harness GPU timings add it to the run's host
+	// decomposition and the solve's host time outside kernels.
 	SimTime time.Duration
 }
 

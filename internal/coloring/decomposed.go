@@ -15,8 +15,8 @@ func ColorBridge(g *graph.Graph, eng Engine, parent *trace.Span) (*Coloring, Rep
 	rep := Report{Report: trace.Report{Strategy: "COLOR-Bridge", Parent: parent}}
 	dsp := rep.Decompose()
 	bi := decomp.FindBridges(g, dsp)
-	// The repair walks bi.Bridges in list order; the cross Sub goes unused.
-	gc, _ := graph.SplitEdges(g, func(u, v int32) bool { return !bi.IsBridge(u, v) })
+	// The repair walks bi.Bridges in list order, so no cross graph is built.
+	gc := graph.KeepEdges(g, func(u, v int32) bool { return !bi.IsBridge(u, v) })
 	rep.Decomposed(dsp)
 
 	// C_c ← COLOR(G_c): G_c = G − B keeps global ids, its components

@@ -32,12 +32,13 @@ func checkSub(t *testing.T, what string, s *Sub) {
 	}
 }
 
-// TestBuildersMatchBruteForce checks SplitEdges and InducedSubgraph
-// against a brute-force filter of g.Edges(), at several worker counts:
-// the kept graph keeps every vertex id, the cross Sub holds exactly the
-// rejected edges over exactly their endpoints, the two together are E
-// with no edge in both, and InducedSubgraph equals part 1 of
-// PartitionByLabel on the mask.
+// TestBuildersMatchBruteForce checks SplitEdges, KeepEdges and
+// InducedSubgraph against a brute-force filter of g.Edges(), at several
+// worker counts: the kept graph keeps every vertex id, the cross Sub
+// holds exactly the rejected edges over exactly their endpoints, the two
+// together are E with no edge in both, KeepEdges builds SplitEdges' kept
+// graph, and InducedSubgraph equals part 1 of PartitionByLabel on the
+// mask.
 func TestBuildersMatchBruteForce(t *testing.T) {
 	defer par.SetWorkers(0)
 	type input struct {
@@ -98,6 +99,9 @@ func TestBuildersMatchBruteForce(t *testing.T) {
 			}
 			if got := kept.Edges(); !slices.Equal(got, wantKept) {
 				t.Fatalf("w=%d %s: kept edges %v, want %v", w, in.name, got, wantKept)
+			}
+			if only := KeepEdges(g, in.keep); !slices.Equal(only.off, kept.off) || !slices.Equal(only.adj, kept.adj) {
+				t.Fatalf("w=%d %s: KeepEdges differs from SplitEdges' kept graph", w, in.name)
 			}
 			checkSub(t, in.name+" cross", cross)
 			if got := subEdges(cross); !slices.Equal(got, wantCross) {

@@ -151,14 +151,12 @@ func buildPart[L comparable](g *Graph, label []L, l L, tg, localID, deg []int32)
 	return &Sub{G: &Graph{off: off, adj: adj}, ToGlobal: tg}
 }
 
-// SplitEdges splits the edges of g by keep in one degree pass. kept holds
-// the edges {u, v} with keep(u, v) true over every vertex id of g; cross
-// is the edge-induced subgraph of the other edges, over their endpoints.
-// keep must be symmetric and safe for concurrent calls.
-func SplitEdges(g *Graph, keep func(u, v int32) bool) (kept *Graph, cross *Sub) {
+// KeepEdges returns the graph of the edges {u, v} of g with keep(u, v)
+// true, over every vertex id of g. keep must be symmetric and safe for
+// concurrent calls.
+func KeepEdges(g *Graph, keep func(u, v int32) bool) *Graph {
 	n := g.NumVertices()
-	keptDeg := degScratch.Get(n)
-	crossDeg := degScratch.Get(n)
+	deg := degScratch.Get(n)
 	par.For(n, func(i int) {
 		v := int32(i)
 		var d int32
@@ -167,12 +165,25 @@ func SplitEdges(g *Graph, keep func(u, v int32) bool) (kept *Graph, cross *Sub) 
 				d++
 			}
 		}
-		keptDeg[i] = d
-		crossDeg[i] = g.Degree(v) - d
+		deg[i] = d
 	})
-	off := par.ExclusiveSum32(keptDeg)
-	degScratch.Put(keptDeg)
-	kept = &Graph{off: off, adj: fillEdges(g, nil, nil, off, keep, true)}
+	off := par.ExclusiveSum32(deg)
+	degScratch.Put(deg)
+	return &Graph{off: off, adj: fillEdges(g, nil, nil, off, keep, true)}
+}
+
+// SplitEdges splits the edges of g by keep in one degree pass. kept is
+// KeepEdges(g, keep); cross is the edge-induced subgraph of the other
+// edges, over their endpoints, whose degrees are g's less kept's. keep
+// must be symmetric and safe for concurrent calls.
+func SplitEdges(g *Graph, keep func(u, v int32) bool) (kept *Graph, cross *Sub) {
+	kept = KeepEdges(g, keep)
+	n := g.NumVertices()
+	crossDeg := degScratch.Get(n)
+	par.For(n, func(i int) {
+		v := int32(i)
+		crossDeg[i] = g.Degree(v) - kept.Degree(v)
+	})
 	cross = buildCross(g, crossDeg, keep)
 	degScratch.Put(crossDeg)
 	return kept, cross

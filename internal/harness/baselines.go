@@ -6,6 +6,7 @@ package harness
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/bsp"
@@ -29,15 +30,17 @@ func Baselines(cfg Config) []*Table {
 	}
 }
 
-// timeRun reports the average wall time of run over cfg.Repeats calls.
+// timeRun reports the median wall time of run over cfg.Repeats calls, as
+// measure does for grid cells.
 func timeRun(cfg Config, run func()) time.Duration {
-	var total time.Duration
-	for r := 0; r < cfg.Repeats; r++ {
+	times := make([]time.Duration, cfg.Repeats)
+	for r := range times {
 		start := time.Now()
 		run()
-		total += time.Since(start)
+		times[r] = time.Since(start)
 	}
-	return total / time.Duration(cfg.Repeats)
+	slices.Sort(times)
+	return times[len(times)/2]
 }
 
 func matchingBaselines(cfg Config) *Table {

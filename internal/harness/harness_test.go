@@ -130,6 +130,56 @@ func TestFiguresRunBothArchs(t *testing.T) {
 	}
 }
 
+// TestGPUCellTimeIsItsThreeTerms checks the GPU clock on every GPU cell
+// of a small grid: the cell's time is its host decomposition, plus the
+// solve phases' host work outside kernels, plus the simulated device time.
+// The host term is never negative, since every kernel launches inside a
+// solve phase, and the baseline column has no decomposition.
+func TestGPUCellTimeIsItsThreeTerms(t *testing.T) {
+	defer dataset.ClearCache()
+	cfg := tiny()
+	for _, p := range []core.Problem{core.ProblemMM, core.ProblemColor, core.ProblemMIS} {
+		grid := RunGrid(cfg, p, core.ArchGPU)
+		for _, name := range grid.Graphs {
+			for col, c := range grid.Cells[name] {
+				if c.Time != c.Decomp+c.Host+c.Sim {
+					t.Fatalf("%v %s/%s: time %v, terms %v + %v + %v", p, name, c.Strategy, c.Time, c.Decomp, c.Host, c.Sim)
+				}
+				if c.Decomp < 0 || c.Host < 0 || c.Sim <= 0 {
+					t.Fatalf("%v %s/%s: terms %v + %v + %v", p, name, c.Strategy, c.Decomp, c.Host, c.Sim)
+				}
+				if col == colBaseline && c.Decomp != 0 {
+					t.Fatalf("%v %s: baseline %s charged a %v decomposition", p, name, c.Strategy, c.Decomp)
+				}
+			}
+		}
+	}
+}
+
+// TestTimeRunReportsMedian: repeats that take 1, 9 and 2 ms report the
+// 2 ms run, not their 4 ms mean. Sleeps overrun on a loaded host, so the
+// check uses what each repeat took by its own clock, a hair less than
+// timeRun's reading of it.
+func TestTimeRunReportsMedian(t *testing.T) {
+	sleeps := []time.Duration{time.Millisecond, 9 * time.Millisecond, 2 * time.Millisecond}
+	took := make([]time.Duration, 0, len(sleeps))
+	got := timeRun(Config{Repeats: len(sleeps)}, func() {
+		start := time.Now()
+		time.Sleep(sleeps[len(took)])
+		took = append(took, time.Since(start))
+	})
+	var mean time.Duration
+	for _, d := range took {
+		mean += d
+	}
+	mean /= time.Duration(len(took))
+	slices.Sort(took)
+	median := took[len(took)/2]
+	if (got - median).Abs() >= (got - mean).Abs() {
+		t.Fatalf("timeRun = %v; the repeats took %v: median %v, mean %v", got, took, median, mean)
+	}
+}
+
 func TestColorCountsRuns(t *testing.T) {
 	defer dataset.ClearCache()
 	tb := ColorCounts(tiny())

@@ -52,7 +52,7 @@ func MMProgress(cfg Config) *Table {
 		// The first MM-Rand phase: GM on G_IS (intra-part edges only).
 		k := spec.MMRandPartsCPU
 		label := decomp.RandLabels(g.NumVertices(), k, cfg.Seed)
-		gis, _ := graph.SplitEdges(g, func(u, v int32) bool { return label[u] == label[v] })
+		gis := graph.KeepEdges(g, func(u, v int32) bool { return label[u] == label[v] })
 		_, randStats := matching.GM(gis)
 		addRow(spec.Name, fmt.Sprintf("MM-Rand/G_IS(k=%d)", k), randStats)
 	}

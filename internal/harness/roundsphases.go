@@ -30,7 +30,7 @@ func RoundsPhases(cfg Config) *Table {
 	cfg = cfg.withDefaults()
 	t := &Table{
 		Title:  "Rounds & phases: Table I winners under the trace layer",
-		Header: []string{"graph", "problem", "arch", "strategy", "total", "decomp%", "rounds", "phase rounds"},
+		Header: []string{"graph", "problem", "arch", "strategy", "total", "decomp%", "GPU decomp+host+sim", "rounds", "phase rounds"},
 	}
 
 	for _, spec := range cfg.specs() {
@@ -47,10 +47,16 @@ func RoundsPhases(cfg Config) *Table {
 					panic(fmt.Sprintf("harness: rounds-phases %s/%v/%v: %v", spec.Name, p, arch, err))
 				}
 				solveSpan := col.Snapshot().Children[0] // the "core .../..." span
+				terms := "-"
+				if arch == core.ArchGPU {
+					d, h, s := gpuTerms(res.Report)
+					terms = fmt.Sprintf("%s = %s+%s+%s", fmtDur(d+h+s), fmtDur(d), fmtDur(h), fmtDur(s))
+				}
 				t.Rows = append(t.Rows, []string{
 					spec.Name, p.String(), arch.String(), res.Report.Strategy,
 					fmtDur(solveSpan.Dur()),
 					fmt.Sprintf("%.1f", decompShare(solveSpan)*100),
+					terms,
 					fmt.Sprintf("%d", res.Report.Rounds),
 					phaseRounds(solveSpan),
 				})
@@ -59,6 +65,7 @@ func RoundsPhases(cfg Config) *Table {
 	}
 	t.Notes = append(t.Notes,
 		"decomp% is the decomposition phase's share of the traced end-to-end span",
+		"a GPU cell's time is the host decomposition + the solve phases' host work outside kernels + the simulated device time (kernels and launch overhead)",
 		"phase rounds split the Report.Rounds total over the solve phases (trace counter \"rounds\")",
 		"the per-phase round structure mirrors the MPC analyses of decomposition-based symmetry breaking (arXiv:1807.06701, arXiv:1202.1983)")
 	return t

@@ -23,7 +23,7 @@ var (
 		nil, "problem", "algo", "arch", "graph")
 	cellTotalSeconds = telemetry.Default.HistogramVec(
 		"symbreak_cell_seconds",
-		"Reported cell time (wall on CPU, decomp + simulated device time on GPU).",
+		"Reported cell time (wall on CPU; decomp + host solve work outside kernels + simulated device time on GPU).",
 		nil, "problem", "algo", "arch", "graph")
 	cellsTotal = telemetry.Default.CounterVec(
 		"symbreak_cells_total",

@@ -1,6 +1,7 @@
 package matching
 
 import (
+	"math/bits"
 	"sync/atomic"
 
 	"repro/internal/bsp"
@@ -31,10 +32,11 @@ import (
 // highest-id unmatched neighbour never moves up, and the total scan work
 // is O(m) plus O(n) per round instead of O(m) per round. A pick changes
 // only when its target is matched, so kernel 1 reads a vertex's adjacency
-// only in the round after that happens. Kernels execute
-// on the bsp virtual manycore machine; the launch counter advances by
-// three per round (propose, handshake, retire), mirroring the kernel
-// structure of the CUDA implementation.
+// only in the round after that happens. Kernels execute on the bsp
+// virtual manycore machine; the launch counter advances by three per
+// round (propose, handshake, retire), mirroring the kernel structure of
+// the CUDA implementation. Every launch covers all n threads, and a
+// retired thread costs one bit of a live bitset.
 func LMAX(g *graph.Graph, machine *bsp.Machine, seed uint64) (*Matching, Stats) {
 	return lmax(g, machine, nil)
 }
@@ -50,13 +52,15 @@ func lmax(g *graph.Graph, machine *bsp.Machine, sp *trace.Span) (*Matching, Stat
 	var st Stats
 	mate := m.Mate
 	cand := make([]int32, n)
-	cur := make([]int32, n) // per-vertex backward adjacency cursor
-	retired := make([]bool, n)
+	cur := make([]int32, n)           // per-vertex backward adjacency cursor
+	live := make([]uint64, (n+63)/64) // bit v: v has not retired
 
 	// As in the standard GPU implementations, every round launches kernels
-	// over the full vertex array with a retirement flag check — no live-set
-	// compaction. A decomposed phase handed a sparser graph therefore wins
-	// by needing fewer full sweeps.
+	// over the full vertex array with a retirement check — no live-set
+	// compaction. The check is one bit of a live word: a chunk walks the
+	// set bits of the words it covers, so a retired thread costs a bit,
+	// as a warp of retired threads exits after one flag load. A decomposed
+	// phase handed a sparser graph therefore wins by needing fewer sweeps.
 	remaining := int64(0)
 	for v := 0; v < n; v++ {
 		ns := g.Neighbors(int32(v))
@@ -64,10 +68,10 @@ func lmax(g *graph.Graph, machine *bsp.Machine, sp *trace.Span) (*Matching, Stat
 		cur[v] = d - 1
 		if d > 0 {
 			cand[v] = ns[d-1]
+			live[v>>6] |= 1 << uint(v&63)
 			remaining++
 		} else {
 			cand[v] = Unmatched
-			retired[v] = true
 		}
 	}
 
@@ -81,49 +85,71 @@ func lmax(g *graph.Graph, machine *bsp.Machine, sp *trace.Span) (*Matching, Stat
 		// unmatched it is still the highest, so only a vertex whose pick
 		// was just matched moves its cursor.
 		launch(n, func(lo, hi int) {
-			for v := int32(lo); v < int32(hi); v++ {
-				if retired[v] || mate[cand[v]] == Unmatched {
-					continue
-				}
-				ns := g.Neighbors(v)
-				c := cur[v]
-				for c >= 0 && mate[ns[c]] != Unmatched {
-					c--
-				}
-				cur[v] = c
-				if c >= 0 {
-					cand[v] = ns[c]
-				} else {
-					cand[v] = Unmatched
+			for i := lo >> 6; i<<6 < hi; i++ {
+				for word := atomic.LoadUint64(&live[i]) & chunkBits(i, lo, hi); word != 0; word &= word - 1 {
+					v := int32(i<<6 | bits.TrailingZeros64(word))
+					if mate[cand[v]] == Unmatched {
+						continue
+					}
+					ns := g.Neighbors(v)
+					c := cur[v]
+					for c >= 0 && mate[ns[c]] != Unmatched {
+						c--
+					}
+					cur[v] = c
+					if c >= 0 {
+						cand[v] = ns[c]
+					} else {
+						cand[v] = Unmatched
+					}
 				}
 			}
 		})
 		// Kernel 2: handshake on mutual local maxima.
 		launch(n, func(lo, hi int) {
-			for v := int32(lo); v < int32(hi); v++ {
-				if retired[v] {
-					continue
+			var k int64
+			for i := lo >> 6; i<<6 < hi; i++ {
+				for word := atomic.LoadUint64(&live[i]) & chunkBits(i, lo, hi); word != 0; word &= word - 1 {
+					v := int32(i<<6 | bits.TrailingZeros64(word))
+					w := cand[v]
+					if w != Unmatched && v < w && cand[w] == v {
+						mate[v] = w
+						mate[w] = v
+						k++
+					}
 				}
-				w := cand[v]
-				if w != Unmatched && v < w && cand[w] == v {
-					mate[v] = w
-					mate[w] = v
-					matched.Add(1)
-				}
+			}
+			if k > 0 {
+				matched.Add(k)
 			}
 		})
 		// Kernel 3: retirement (vertices that matched or ran out of live
-		// neighbors leave the graph).
+		// neighbors leave the graph). A chunk boundary can split a word,
+		// so each word's retiring bits are cleared with a CAS loop.
 		droppedOut.Store(0)
 		launch(n, func(lo, hi int) {
-			for v := lo; v < hi; v++ {
-				if retired[v] {
+			var k int64
+			for i := lo >> 6; i<<6 < hi; i++ {
+				var gone uint64
+				for word := atomic.LoadUint64(&live[i]) & chunkBits(i, lo, hi); word != 0; word &= word - 1 {
+					b := bits.TrailingZeros64(word)
+					if v := i<<6 | b; mate[v] != Unmatched || cand[v] == Unmatched {
+						gone |= 1 << uint(b)
+					}
+				}
+				if gone == 0 {
 					continue
 				}
-				if mate[v] != Unmatched || cand[v] == Unmatched {
-					retired[v] = true
-					droppedOut.Add(1)
+				for {
+					old := atomic.LoadUint64(&live[i])
+					if atomic.CompareAndSwapUint64(&live[i], old, old&^gone) {
+						break
+					}
 				}
+				k += int64(bits.OnesCount64(gone))
+			}
+			if k > 0 {
+				droppedOut.Add(k)
 			}
 		})
 		// With sorted lists the highest-id live vertex and its pick always
@@ -139,6 +165,19 @@ func lmax(g *graph.Graph, machine *bsp.Machine, sp *trace.Span) (*Matching, Stat
 	}
 	st.Matched = matched.Load()
 	return m, st
+}
+
+// chunkBits masks word i of a bitset over [0, n) to the bits of [lo, hi),
+// the part of the word that a kernel chunk owns.
+func chunkBits(i, lo, hi int) uint64 {
+	mask := ^uint64(0)
+	if base := i << 6; base < lo {
+		mask <<= uint(lo - base)
+	}
+	if end := i<<6 + 64; end > hi {
+		mask &= ^uint64(0) >> uint(end-hi)
+	}
+	return mask
 }
 
 // LMAXSolver returns LMAX on machine as an Algorithm; seed is unused, as

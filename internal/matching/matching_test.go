@@ -363,13 +363,36 @@ func referenceGraphs() map[string]*graph.Graph {
 	return graphs
 }
 
-// checkAgainstReference runs solve on referenceGraphs at 1, 2 and 7
-// workers and requires the reference's mates, rounds, matched count and
-// per-round progress every time.
-func checkAgainstReference(t *testing.T, solve func(g *graph.Graph) (*Matching, Stats), ref func(g *graph.Graph) ([]int32, Stats)) {
+// sparseForest is a forest on n vertices in which few vertices stay live
+// for long: an id-ordered path through every stride-th vertex, which LMAX
+// resolves one match per round from the top, and three-vertex paths over
+// the other vertices, which retire within two rounds. After round two the
+// live vertices are one in stride, spread over every word of a bitset.
+func sparseForest(n, stride int) *graph.Graph {
+	b := graph.NewBuilder(n)
+	var rest []int32
+	for v := 0; v < n; v++ {
+		switch {
+		case v%stride != 0:
+			rest = append(rest, int32(v))
+		case v > 0:
+			b.AddEdge(int32(v-stride), int32(v))
+		}
+	}
+	for i := 0; i+2 < len(rest); i += 3 {
+		b.AddEdge(rest[i], rest[i+1])
+		b.AddEdge(rest[i+1], rest[i+2])
+	}
+	return b.Build()
+}
+
+// checkAgainstReference runs solve on graphs at 1, 2 and 7 workers and
+// requires the reference's mates, rounds, matched count and per-round
+// progress every time.
+func checkAgainstReference(t *testing.T, graphs map[string]*graph.Graph, solve func(g *graph.Graph) (*Matching, Stats), ref func(g *graph.Graph) ([]int32, Stats)) {
 	t.Helper()
 	defer par.SetWorkers(0)
-	for name, g := range referenceGraphs() {
+	for name, g := range graphs {
 		mate, want := ref(g)
 		for _, w := range []int{1, 2, 7} {
 			par.SetWorkers(w)
@@ -391,17 +414,22 @@ func checkAgainstReference(t *testing.T, solve func(g *graph.Graph) (*Matching, 
 }
 
 func TestGMMatchesReference(t *testing.T) {
-	checkAgainstReference(t, GM, gmReference)
+	checkAgainstReference(t, referenceGraphs(), GM, gmReference)
 }
 
 func TestGreedyRandomMatchesReference(t *testing.T) {
-	checkAgainstReference(t,
+	checkAgainstReference(t, referenceGraphs(),
 		func(g *graph.Graph) (*Matching, Stats) { return GreedyRandom(g, 5) },
 		func(g *graph.Graph) ([]int32, Stats) { return greedyRandomReference(g, 5) })
 }
 
+// TestLMAXMatchesReference adds a sparse-live forest whose n = 12,345 is
+// not a multiple of 64, so at 2 and 7 workers chunk boundaries split live
+// words and neighbouring chunks retire bits of one word concurrently.
 func TestLMAXMatchesReference(t *testing.T) {
-	checkAgainstReference(t,
+	graphs := referenceGraphs()
+	graphs["sparse-forest"] = sparseForest(12345, 37)
+	checkAgainstReference(t, graphs,
 		func(g *graph.Graph) (*Matching, Stats) { return LMAX(g, bsp.New(), 1) },
 		lmaxReference)
 }

@@ -231,3 +231,33 @@ func BenchmarkFilterCompact(b *testing.B) {
 		}
 	})
 }
+
+// BenchmarkRangeBackToBack measures what a solver round pays per loop:
+// back-to-back Range calls with a one-add body, the shape of a
+// virtual-GPU kernel or a frontier pass, pooled at the default worker
+// count (GOMAXPROCS) against one worker. The pooled loop is faster only
+// when handing chunks to the pool and meeting at the barrier cost less
+// than the chunks they move off the caller; under GOMAXPROCS=1 both run
+// inline.
+func BenchmarkRangeBackToBack(b *testing.B) {
+	defer SetWorkers(0)
+	data := make([]int32, 90_000)
+	body := func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			data[i]++
+		}
+	}
+	for _, n := range []int{4096, 16_384, 90_000} {
+		for _, side := range []struct {
+			name    string
+			workers int
+		}{{"Pooled", 0}, {"OneWorker", 1}} {
+			b.Run(fmt.Sprintf("%s/n=%d", side.name, n), func(b *testing.B) {
+				SetWorkers(side.workers)
+				for i := 0; i < b.N; i++ {
+					Range(n, body)
+				}
+			})
+		}
+	}
+}

@@ -1,10 +1,12 @@
 package par
 
 import (
+	"bytes"
 	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // TestPoolSpawnsNoGoroutinesPerCall drives many parallel loops and checks
@@ -193,13 +195,7 @@ func TestDoRunsEveryIndexInParallel(t *testing.T) {
 	// Unlike For, Do must not fall into the sequential cutoff for small k:
 	// with workers > 1 it must be able to overlap two coarse tasks. Verify
 	// by rendezvous: two tasks that each wait for the other to start.
-	var started atomic.Int32
-	Do(2, func(i int) {
-		started.Add(1)
-		for started.Load() < 2 {
-			runtime.Gosched()
-		}
-	})
+	Do(2, rendezvous(2))
 }
 
 func TestStatsCounters(t *testing.T) {
@@ -287,4 +283,150 @@ func TestFilterTwoPassMatchesSequential(t *testing.T) {
 			}
 		}
 	}
+}
+
+// waitParked waits until nothing spins in the pool and no wake-up is
+// queued, and fails if that takes a second after the last loop: a worker
+// drains the wake-ups of finished loops at once, and every spinner gives
+// up within spinWindow. (With more workers than processors, wake-ups for
+// loops the caller finished alone queue up; a later loop that needs a
+// second goroutine must not find the queue full.)
+func waitParked(t *testing.T) {
+	t.Helper()
+	deadline := time.Now().Add(time.Second)
+	for pool.spinning.Load() != 0 || len(pool.tasks) != 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("a second after the last loop, %d goroutines spin and %d wake-ups are queued",
+				pool.spinning.Load(), len(pool.tasks))
+		}
+		time.Sleep(spinWindow)
+	}
+}
+
+// recordMax raises *most to the number of goroutines spinning now.
+func recordMax(most *atomic.Int32) {
+	s := pool.spinning.Load()
+	for {
+		m := most.Load()
+		if s <= m || most.CompareAndSwap(m, s) {
+			return
+		}
+	}
+}
+
+// The spin tests set GOMAXPROCS to 2 themselves, so the spinning paths run
+// on any host: at GOMAXPROCS 1 nothing spins.
+
+// rendezvous is a Do body that holds each of k indices until all k have
+// started, so they run on k goroutines: the caller and k-1 workers.
+func rendezvous(k int32) func(i int) {
+	var started atomic.Int32
+	return func(i int) {
+		started.Add(1)
+		for started.Load() < k {
+			runtime.Gosched()
+		}
+	}
+}
+
+// TestPoolParksAfterLastLoop: a worker that ran out of chunks spins for
+// the next loop, and parks once no loop comes.
+func TestPoolParksAfterLastLoop(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	defer SetWorkers(0)
+	SetWorkers(2)
+	spun := false
+	for k := 0; k < 20 && !spun; k++ {
+		waitParked(t)
+		Do(2, rendezvous(2))
+		deadline := time.Now().Add(spinWindow)
+		for !spun && time.Now().Before(deadline) {
+			spun = pool.spinning.Load() > 0
+		}
+	}
+	// On one CPU the worker's spin can pass while this goroutine waits
+	// for the CPU.
+	if !spun && runtime.NumCPU() >= 2 {
+		t.Fatal("the worker of 20 loops never spun after its chunk")
+	}
+	waitParked(t)
+}
+
+// TestSpinCapHoldsWithManyWorkers: seven workers on two processors, as the
+// determinism tests run on a 2-CPU host. Six workers finish chunks at
+// once, but at most two goroutines may spin. (Without the cap, this
+// counts six.)
+func TestSpinCapHoldsWithManyWorkers(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	defer SetWorkers(0)
+	SetWorkers(7)
+	var most atomic.Int32
+	var sink atomic.Int64
+	for k := 0; k < 1000; k++ {
+		Range(1<<16, func(lo, hi int) {
+			var acc int64
+			for i := lo; i < hi; i++ {
+				acc += int64(i) * int64(i)
+			}
+			sink.Add(acc)
+			recordMax(&most)
+		})
+		recordMax(&most)
+	}
+	if m := most.Load(); m > 2 {
+		t.Fatalf("%d goroutines spun at once on 2 processors", m)
+	}
+	waitParked(t)
+}
+
+// onPoolWorker reports whether the calling goroutine is a pool worker
+// rather than the caller of a loop.
+func onPoolWorker() bool {
+	buf := make([]byte, 4096)
+	return bytes.Contains(buf[:runtime.Stack(buf, false)], []byte("(*workerPool).worker"))
+}
+
+// TestPanicReRaisedWhileCallerSpins: a worker's chunk panics while the
+// caller, its own chunk done, spins at the barrier. The panic must reach
+// the caller every time.
+func TestPanicReRaisedWhileCallerSpins(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	defer SetWorkers(0)
+	SetWorkers(2)
+	spun := 0
+	for k := 0; k < 50; k++ {
+		// Every loop needs a worker for its rendezvous.
+		waitParked(t)
+		var callerSpins atomic.Bool
+		func() {
+			defer func() {
+				if r := recover(); r != "boom" {
+					t.Fatalf("run %d: recovered %v, want the worker's panic", k, r)
+				}
+			}()
+			meet := rendezvous(2)
+			Do(2, func(i int) {
+				meet(i)
+				if !onPoolWorker() {
+					return
+				}
+				// Only the caller can spin: the other workers are parked
+				// and this loop woke one. Wait for it at the barrier.
+				deadline := time.Now().Add(10 * time.Millisecond)
+				for pool.spinning.Load() == 0 && time.Now().Before(deadline) {
+				}
+				callerSpins.Store(pool.spinning.Load() > 0)
+				panic("boom")
+			})
+		}()
+		if callerSpins.Load() {
+			spun++
+		}
+	}
+	// On one CPU the caller's spin can end before the worker's thread
+	// runs again; on two it overlaps the panic nearly every time.
+	if spun == 0 && runtime.NumCPU() >= 2 {
+		t.Fatal("no panic arrived while the caller spun at the barrier")
+	}
+	t.Logf("%d of 50 panics arrived while the caller spun", spun)
 }
