@@ -79,10 +79,12 @@ decomp-smoke:
 	bash scripts/decomp_smoke.sh
 
 # Fuzz smoke: ten seconds each of FuzzSolve (every solver cell on decoded
-# graphs, one digest at 1, 2 and 7 workers) and the four graph parser
+# graphs, one digest at 1, 2 and 7 workers), FuzzSolveRequest (POST /solve
+# bodies through an in-process service) and the four graph parser
 # fuzzers. A failing input lands in the package's testdata/fuzz.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzSolve$$' -fuzztime=10s ./internal/core
+	$(GO) test -run='^$$' -fuzz='^FuzzSolveRequest$$' -fuzztime=10s ./internal/serve
 	$(GO) test -run='^$$' -fuzz='^FuzzReadEdgeList$$' -fuzztime=10s ./internal/graph
 	$(GO) test -run='^$$' -fuzz='^FuzzTextBinaryRoundTrip$$' -fuzztime=10s ./internal/graph
 	$(GO) test -run='^$$' -fuzz='^FuzzReadBinary$$' -fuzztime=10s ./internal/graph

@@ -73,17 +73,10 @@ func contract(g *graph.Graph, m *matching.Matching) *graph.Graph {
 		}
 	}
 	// Dense renumbering of representatives.
-	isRep := make([]int64, n)
-	par.For(n, func(i int) {
-		if rep[i] == int32(i) {
-			isRep[i] = 1
-		}
-	})
-	rank := par.ExclusiveSum(isRep)
-	b := graph.NewBuilder(int(rank[n]))
+	id, nc := par.DenseRelabel(rep, n)
+	b := graph.NewBuilder(nc)
 	for _, e := range g.Edges() {
-		cu, cv := int32(rank[rep[e.U]]), int32(rank[rep[e.V]])
-		b.AddEdge(cu, cv) // self loops from contracted pairs drop automatically
+		b.AddEdge(id[e.U], id[e.V]) // self loops from contracted pairs drop automatically
 	}
 	return b.Build()
 }

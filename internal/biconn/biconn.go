@@ -14,8 +14,6 @@
 package biconn
 
 import (
-	"sync/atomic"
-
 	"repro/internal/frontier"
 	"repro/internal/graph"
 	"repro/internal/par"
@@ -48,16 +46,16 @@ func Blocks(g *graph.Graph, sp *trace.Span) *Result {
 	// The union-find spans [0, n+m); tree edges use their child slot and
 	// alias their list slot to it, so queries by either id agree.
 	tree := (&frontier.Engine{PullDiv: frontier.NoPull, Span: sp}).BFSForest(g)
-	uf := newUnionFind(n + m)
+	uf := par.NewUnionFind(n + m)
 
 	// Alias list ids of tree edges to their child slot.
 	par.For(m, func(i int) {
 		e := edges[i]
 		switch {
 		case tree.Parent[e.U] == e.V:
-			uf.union(n+i, int(e.U))
+			uf.Union(int32(n+i), e.U)
 		case tree.Parent[e.V] == e.U:
-			uf.union(n+i, int(e.V))
+			uf.Union(int32(n+i), e.V)
 		}
 	})
 
@@ -73,29 +71,19 @@ func Blocks(g *graph.Graph, sp *trace.Span) *Result {
 			if tree.Level[x] < tree.Level[y] {
 				x, y = y, x
 			}
-			uf.union(n+i, int(x))
+			uf.Union(int32(n+i), x)
 			x = tree.Parent[x]
 		}
 	})
 
-	// Dense block labels per edge.
+	// Dense block labels per edge, ordered by each block's root.
 	r := &Result{
-		EdgeBlock:      make([]int32, m),
 		IsArticulation: make([]bool, n),
 		Edges:          edges,
 	}
-	rep := make([]int32, m)
-	par.For(m, func(i int) { rep[i] = int32(uf.find(n + i)) })
-	remap := map[int32]int32{}
-	for i := 0; i < m; i++ {
-		id, ok := remap[rep[i]]
-		if !ok {
-			id = int32(len(remap))
-			remap[rep[i]] = id
-		}
-		r.EdgeBlock[i] = id
-	}
-	r.NumBlocks = len(remap)
+	root := make([]int32, m)
+	par.For(m, func(i int) { root[i] = uf.Find(int32(n + i)) })
+	r.EdgeBlock, r.NumBlocks = par.DenseRelabel(root, n+m)
 
 	// Articulation points: incident edges in ≥ 2 distinct blocks.
 	first := make([]int32, n)
@@ -112,48 +100,4 @@ func Blocks(g *graph.Graph, sp *trace.Span) *Result {
 		mark(e.V, r.EdgeBlock[i])
 	}
 	return r
-}
-
-// unionFind is a lock-free union-find (CAS on parent pointers with path
-// halving). Without ranks the tree depth is not theoretically bounded, but
-// path halving keeps it shallow in practice for these workloads.
-type unionFind struct {
-	parent []int32
-}
-
-func newUnionFind(n int) *unionFind {
-	uf := &unionFind{parent: make([]int32, n)}
-	par.Iota(uf.parent)
-	return uf
-}
-
-func (uf *unionFind) find(x int) int {
-	for {
-		p := atomic.LoadInt32(&uf.parent[x])
-		if int(p) == x {
-			return x
-		}
-		gp := atomic.LoadInt32(&uf.parent[p])
-		if gp != p {
-			// Path halving; losing the race is harmless.
-			atomic.CompareAndSwapInt32(&uf.parent[x], p, gp)
-		}
-		x = int(p)
-	}
-}
-
-func (uf *unionFind) union(a, b int) {
-	for {
-		ra, rb := uf.find(a), uf.find(b)
-		if ra == rb {
-			return
-		}
-		// Point the larger root at the smaller (deterministic direction).
-		if ra < rb {
-			ra, rb = rb, ra
-		}
-		if atomic.CompareAndSwapInt32(&uf.parent[ra], int32(ra), int32(rb)) {
-			return
-		}
-	}
 }

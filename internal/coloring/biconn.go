@@ -3,6 +3,7 @@ package coloring
 import (
 	"repro/internal/biconn"
 	"repro/internal/graph"
+	"repro/internal/par"
 	"repro/internal/trace"
 )
 
@@ -21,7 +22,22 @@ func ColorBiconn(g *graph.Graph, eng Engine, parent *trace.Span) (*Coloring, Rep
 
 	n := g.NumVertices()
 	c := NewColoring(n)
-	cut, interior := gather2(n, func(i int) bool { return bc.IsArticulation[i] })
+	interior := par.Gather(n, func(lo, hi int, out []int32) []int32 {
+		for i := lo; i < hi; i++ {
+			if !bc.IsArticulation[i] {
+				out = append(out, int32(i))
+			}
+		}
+		return out
+	})
+	cut := par.Gather(n, func(lo, hi int, out []int32) []int32 {
+		for i := lo; i < hi; i++ {
+			if bc.IsArticulation[i] {
+				out = append(out, int32(i))
+			}
+		}
+		return out
+	})
 	sp := rep.Phase("solve/parts")
 	var in Stats
 	if len(interior) > 0 {

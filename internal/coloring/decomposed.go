@@ -113,7 +113,22 @@ func ColorDegk(g *graph.Graph, k int, eng Engine, parent *trace.Span) (*Coloring
 	rep.Decomposed(dsp)
 
 	c := NewColoring(n)
-	lowList, high := gather2(n, func(i int) bool { return label[i] == decomp.DegkLow })
+	high := par.Gather(n, func(lo, hi int, out []int32) []int32 {
+		for i := lo; i < hi; i++ {
+			if label[i] != decomp.DegkLow {
+				out = append(out, int32(i))
+			}
+		}
+		return out
+	})
+	lowList := par.Gather(n, func(lo, hi int, out []int32) []int32 {
+		for i := lo; i < hi; i++ {
+			if label[i] == decomp.DegkLow {
+				out = append(out, int32(i))
+			}
+		}
+		return out
+	})
 	sp := rep.Phase("solve/G_H")
 	var hi Stats
 	if len(high) > 0 {
@@ -128,30 +143,6 @@ func ColorDegk(g *graph.Graph, k int, eng Engine, parent *trace.Span) (*Coloring
 	}
 	rep.EndPhase(sp, lo.Rounds)
 	return c, rep
-}
-
-// gather2 splits [0, n) by pred into (true, false) vertex lists, in id
-// order, with a single parallel pass.
-func gather2(n int, pred func(i int) bool) (yes, no []int32) {
-	nc := par.NumChunks(n)
-	yesBufs := make([][]int32, nc)
-	noBufs := make([][]int32, nc)
-	par.RangeIdx(n, func(w, lo, hi int) {
-		var y, nn []int32
-		for i := lo; i < hi; i++ {
-			if pred(i) {
-				y = append(y, int32(i))
-			} else {
-				nn = append(nn, int32(i))
-			}
-		}
-		yesBufs[w], noBufs[w] = y, nn
-	})
-	for w := 0; w < nc; w++ {
-		yes = append(yes, yesBufs[w]...)
-		no = append(no, noBufs[w]...)
-	}
-	return yes, no
 }
 
 // mergeColors transfers a subgraph coloring into the global array.

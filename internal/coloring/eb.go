@@ -30,9 +30,6 @@ func (eb *EB) Exec(sp *trace.Span) func(n int, body func(lo, hi int)) {
 	return eb.machine.In(sp)
 }
 
-// Machine exposes the underlying virtual device (for stats accounting).
-func (eb *EB) Machine() *bsp.Machine { return eb.machine }
-
 // Fresh colors all of g, untraced.
 func (eb *EB) Fresh(g *graph.Graph) (*Coloring, Stats) { return Fresh(g, eb, nil) }
 

@@ -85,21 +85,20 @@ func FindBridges(g *graph.Graph, parent *trace.Span) *BridgeInfo {
 	})
 	markSpan.End()
 
-	// Unmarked tree edges are the bridges. Gather per chunk.
-	nc := par.NumChunks(n)
-	bufs := make([][]graph.Edge, nc)
-	par.RangeIdx(n, func(w, lo, hi int) {
-		var out []graph.Edge
+	// Unmarked tree edges are the bridges, listed by child vertex.
+	child := par.Gather(n, func(lo, hi int, out []int32) []int32 {
 		for i := lo; i < hi; i++ {
 			if tree.Parent[i] >= 0 && !covered.Test(i) {
-				out = append(out, graph.Edge{U: int32(i), V: tree.Parent[i]}.Canon())
+				out = append(out, int32(i))
 			}
 		}
-		bufs[w] = out
+		return out
 	})
-	for _, b := range bufs {
-		bi.Bridges = append(bi.Bridges, b...)
-	}
+	bi.Bridges = make([]graph.Edge, len(child))
+	par.For(len(child), func(i int) {
+		v := child[i]
+		bi.Bridges[i] = graph.Edge{U: v, V: tree.Parent[v]}.Canon()
+	})
 	bi.parent = tree.Parent
 	bi.covered = covered
 	sp.Add("bridges", int64(len(bi.Bridges)))

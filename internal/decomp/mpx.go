@@ -199,17 +199,6 @@ func MPX(g *graph.Graph, beta float64, seed uint64) *Result {
 
 	// Compact center ids to dense ball indices: rank of the center
 	// among all centers in id order.
-	isCenter := make([]int32, n)
-	par.For(n, func(i int) {
-		if center[i] == int32(i) {
-			isCenter[i] = 1
-		}
-	})
-	rank := par.ExclusiveSum32(isCenter)
-	label := make([]int32, n)
-	par.For(n, func(i int) {
-		label[i] = int32(rank[center[i]])
-	})
-	r.Label = label
+	r.Label, _ = par.DenseRelabel(center, n)
 	return r
 }

@@ -54,9 +54,8 @@ type Engine struct {
 
 	started  bool
 	lastPull bool
-	// Pushes, Pulls and Switches count this engine's rounds by direction
-	// and the transitions between them.
-	Pushes, Pulls, Switches int
+	// Pushes and Pulls count this engine's rounds by direction.
+	Pushes, Pulls int
 }
 
 // Frontier size and direction counters, published per EdgeMap round to
@@ -94,7 +93,6 @@ func (e *Engine) EdgeMap(g *graph.Graph, f *Subset, ops Ops) *Subset {
 		e.Pushes++
 	}
 	if switched {
-		e.Switches++
 		emSwitches.Inc()
 	}
 	emRounds.With(dir).Inc()
@@ -132,10 +130,7 @@ func edgeMapPush(g *graph.Graph, f *Subset, ops Ops) *Subset {
 	if ops.Dedup {
 		seen = par.NewBitset(n)
 	}
-	nc := par.NumChunks(nf)
-	bufs := make([][]int32, nc)
-	par.RangeIdx(nf, func(c, lo, hi int) {
-		var out []int32
+	next := par.Gather(nf, func(lo, hi int, out []int32) []int32 {
 		for i := lo; i < hi; i++ {
 			u := vs[i]
 			for _, v := range g.Neighbors(u) {
@@ -149,16 +144,8 @@ func edgeMapPush(g *graph.Graph, f *Subset, ops Ops) *Subset {
 				}
 			}
 		}
-		bufs[c] = out
+		return out
 	})
-	total := 0
-	for _, b := range bufs {
-		total += len(b)
-	}
-	next := make([]int32, 0, total)
-	for _, b := range bufs {
-		next = append(next, b...)
-	}
 	par.SortInt32(next)
 	return newSorted(n, next)
 }
@@ -175,10 +162,7 @@ func edgeMapPush(g *graph.Graph, f *Subset, ops Ops) *Subset {
 func edgeMapPull(g *graph.Graph, f *Subset, ops Ops) *Subset {
 	n := g.NumVertices()
 	in := f.Bitset()
-	nc := par.NumChunks(n)
-	bufs := make([][]int32, nc)
-	par.RangeIdx(n, func(c, lo, hi int) {
-		var out []int32
+	next := par.Gather(n, func(lo, hi int, out []int32) []int32 {
 		for v := lo; v < hi; v++ {
 			dst := int32(v)
 			if ops.Cond != nil && !ops.Cond(dst) {
@@ -198,15 +182,7 @@ func edgeMapPull(g *graph.Graph, f *Subset, ops Ops) *Subset {
 				}
 			}
 		}
-		bufs[c] = out
+		return out
 	})
-	total := 0
-	for _, b := range bufs {
-		total += len(b)
-	}
-	next := make([]int32, 0, total)
-	for _, b := range bufs {
-		next = append(next, b...)
-	}
 	return newSorted(n, next)
 }

@@ -34,39 +34,11 @@ func newSorted(n int, verts []int32) *Subset {
 // Empty returns the empty subset of [0, n).
 func Empty(n int) *Subset { return &Subset{n: n} }
 
-// All returns the full subset {0, …, n-1}.
-func All(n int) *Subset {
-	verts := make([]int32, n)
-	par.Iota(verts)
-	return newSorted(n, verts)
-}
-
-// Universe reports n, the size of the vertex universe.
-func (s *Subset) Universe() int { return s.n }
-
 // Size reports the number of members.
 func (s *Subset) Size() int { return s.size }
 
 // IsEmpty reports whether the subset has no members.
 func (s *Subset) IsEmpty() bool { return s.size == 0 }
-
-// Contains reports membership of v, using whichever representation is
-// already materialized (the bitset if both are).
-func (s *Subset) Contains(v int32) bool {
-	if s.bits != nil {
-		return s.bits.Test(int(v))
-	}
-	lo, hi := 0, len(s.verts)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if s.verts[mid] < v {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo < len(s.verts) && s.verts[lo] == v
-}
 
 // Vertices returns the members in ascending order, materializing the
 // sparse representation from the bitset if needed. Callers must not
@@ -75,24 +47,16 @@ func (s *Subset) Vertices() []int32 {
 	if s.verts != nil || s.size == 0 {
 		return s.verts
 	}
-	// Gather set bits per chunk; chunks cover [0, n) in index order, so the
-	// concatenation is sorted and identical under any worker count.
-	nc := par.NumChunks(s.n)
-	bufs := make([][]int32, nc)
-	par.RangeIdx(s.n, func(c, lo, hi int) {
-		var out []int32
+	// Chunks cover [0, n) in index order, so the gather is sorted and
+	// identical under any worker count.
+	s.verts = par.Gather(s.n, func(lo, hi int, out []int32) []int32 {
 		for v := lo; v < hi; v++ {
 			if s.bits.Test(v) {
 				out = append(out, int32(v))
 			}
 		}
-		bufs[c] = out
+		return out
 	})
-	verts := make([]int32, 0, s.size)
-	for _, b := range bufs {
-		verts = append(verts, b...)
-	}
-	s.verts = verts
 	return s.verts
 }
 

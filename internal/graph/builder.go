@@ -26,9 +26,6 @@ func (b *Builder) SetNumVertices(n int) {
 	}
 }
 
-// NumVertices reports the current vertex count.
-func (b *Builder) NumVertices() int { return b.n }
-
 // AddEdge records the undirected edge {u, v}. Self loops are ignored. The
 // vertex count grows to cover both endpoints.
 func (b *Builder) AddEdge(u, v int32) {

@@ -1,79 +1,30 @@
 package graph
 
-import (
-	"sync/atomic"
-
-	"repro/internal/par"
-)
+import "repro/internal/par"
 
 // ConnectedComponents labels every vertex with a component id in
-// [0, numComponents) using parallel label propagation with pointer-jumping
-// style shortcutting (a standard Shiloach–Vishkin flavored CC). Component
-// ids are dense and assigned in order of each component's smallest vertex.
+// [0, numComponents): a parallel pass unites the endpoints of every edge
+// under par's union-find, whose roots are each component's smallest
+// vertex, and the roots become dense ids. Ids are therefore assigned in
+// order of each component's smallest vertex, under any worker count.
 func ConnectedComponents(g *Graph) (label []int32, numComponents int) {
 	n := g.NumVertices()
-	comp := make([]int32, n)
-	par.Iota(comp)
-	if n == 0 {
-		return comp, 0
-	}
-	for {
-		var changed int32
-		// Hook: every vertex adopts the minimum label in its closed
-		// neighborhood.
-		par.Range(n, func(lo, hi int) {
-			local := int32(0)
-			for i := lo; i < hi; i++ {
-				v := int32(i)
-				cv := atomic.LoadInt32(&comp[i])
-				for _, w := range g.Neighbors(v) {
-					cw := atomic.LoadInt32(&comp[w])
-					if cw < cv {
-						par.MinInt32Atomic(&comp[i], cw)
-						cv = cw
-						local = 1
-					}
+	uf := par.NewUnionFind(n)
+	// Each edge is united once, from its larger endpoint; lists need not
+	// be sorted (raw .scsr files may carry unsorted ones).
+	par.Range(n, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			v := int32(i)
+			for _, w := range g.Neighbors(v) {
+				if w < v {
+					uf.Union(v, w)
 				}
 			}
-			if local != 0 {
-				atomic.StoreInt32(&changed, 1)
-			}
-		})
-		// Shortcut: comp[v] = comp[comp[v]] until fixpoint for this round.
-		par.For(n, func(i int) {
-			c := atomic.LoadInt32(&comp[i])
-			for {
-				cc := atomic.LoadInt32(&comp[c])
-				if cc == c {
-					break
-				}
-				c = cc
-			}
-			atomic.StoreInt32(&comp[i], c)
-		})
-		if changed == 0 {
-			break
-		}
-	}
-	return densifyLabels(comp)
-}
-
-// densifyLabels renumbers arbitrary representative labels to dense ids
-// ordered by first appearance (i.e. by each class's smallest vertex).
-func densifyLabels(rep []int32) ([]int32, int) {
-	n := len(rep)
-	isRep := make([]int64, n)
-	par.For(n, func(i int) {
-		if int(rep[i]) == i {
-			isRep[i] = 1
 		}
 	})
-	rank := par.ExclusiveSum(isRep)
-	out := make([]int32, n)
-	par.For(n, func(i int) {
-		out[i] = int32(rank[rep[i]])
-	})
-	return out, int(rank[n])
+	root := make([]int32, n)
+	par.For(n, func(i int) { root[i] = uf.Find(int32(i)) })
+	return par.DenseRelabel(root, n)
 }
 
 // Connect returns g if it is already connected; otherwise it returns a new

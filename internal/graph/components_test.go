@@ -1,7 +1,10 @@
 package graph
 
 import (
+	"slices"
 	"testing"
+
+	"repro/internal/par"
 )
 
 // sequentialCC is the oracle: BFS labeling.
@@ -77,6 +80,49 @@ func TestConnectedComponentsMatchesOracle(t *testing.T) {
 	}
 }
 
+// reversedLists returns g with every adjacency list in descending order,
+// as a raw .scsr file may carry them.
+func reversedLists(g *Graph) *Graph {
+	adj := slices.Clone(g.adj)
+	for v := 0; v < g.NumVertices(); v++ {
+		slices.Reverse(adj[g.off[v]:g.off[v+1]])
+	}
+	return &Graph{off: g.off, adj: adj}
+}
+
+// TestConnectedComponentsEqualBFSLabels: the labels are exactly the serial
+// BFS labelling's, ids ordered by each component's smallest vertex, at
+// several worker counts.
+func TestConnectedComponentsEqualBFSLabels(t *testing.T) {
+	defer par.SetWorkers(0)
+	scattered := NewBuilder(5000) // triangles among isolated vertices
+	for v := int32(0); v+6 < 5000; v += 7 {
+		scattered.AddEdge(v+5, v+1)
+		scattered.AddEdge(v+1, v+3)
+		scattered.AddEdge(v+3, v+5)
+	}
+	cases := []struct {
+		name string
+		g    *Graph
+	}{
+		{"many components", randomGraph(20000, 9000, 4)},
+		{"isolated vertices", scattered.Build()},
+		{"100k path", RelabelRandom(path(100000), 5)},
+		{"unsorted lists", reversedLists(randomGraph(20000, 15000, 6))},
+	}
+	for _, c := range cases {
+		want, wantN := sequentialCC(c.g)
+		for _, w := range []int{1, 2, 7} {
+			par.SetWorkers(w)
+			got, n := ConnectedComponents(c.g)
+			if n != wantN || !slices.Equal(got, want) {
+				t.Fatalf("%s, w=%d: %d components, want %d; labels equal: %v",
+					c.name, w, n, wantN, slices.Equal(got, want))
+			}
+		}
+	}
+}
+
 func TestConnectedComponentsLabelsDense(t *testing.T) {
 	g := randomGraph(1000, 500, 3)
 	label, nc := ConnectedComponents(g)
@@ -126,8 +172,8 @@ func TestConnectDisconnected(t *testing.T) {
 }
 
 func TestConnectedComponentsLargeParallel(t *testing.T) {
-	// Two large far-apart components exercise the parallel hook/shortcut
-	// loop over multiple chunks.
+	// Two large far-apart components exercise the parallel union pass
+	// over multiple chunks.
 	n := 100000
 	b := NewBuilder(2 * n)
 	for i := 0; i < n-1; i++ {

@@ -286,7 +286,7 @@ func (b *extBuilder) emitPhase(path string, spills []*spillBucket) (BinaryHeader
 		return BinaryHeader{}, err
 	}
 	sw := bufio.NewWriterSize(out, 1<<20)
-	if err := writeInt64sLE(sw, b.off); err != nil {
+	if err := writeWordsLE(sw, b.off); err != nil {
 		return BinaryHeader{}, err
 	}
 	if b.compress {
@@ -296,7 +296,7 @@ func (b *extBuilder) emitPhase(path string, spills []*spillBucket) (BinaryHeader
 		if _, err := sw.Write(pre[:]); err != nil {
 			return BinaryHeader{}, err
 		}
-		if err := writeUint64sLE(sw, b.ends); err != nil {
+		if err := writeWordsLE(sw, b.ends); err != nil {
 			return BinaryHeader{}, err
 		}
 	}

@@ -109,10 +109,10 @@ func (g *Graph) AvgDegree() float64 {
 func (g *Graph) Edges() []Edge {
 	n := g.NumVertices()
 	// Count forward arcs per vertex, prefix-sum, fill.
-	cnt := make([]int64, n)
+	cnt := make([]int32, n)
 	par.For(n, func(i int) {
 		v := int32(i)
-		var c int64
+		var c int32
 		for _, w := range g.Neighbors(v) {
 			if w > v {
 				c++
@@ -120,7 +120,7 @@ func (g *Graph) Edges() []Edge {
 		}
 		cnt[i] = c
 	})
-	off := par.ExclusiveSum(cnt)
+	off := par.ExclusiveSum32(cnt)
 	edges := make([]Edge, off[n])
 	par.For(n, func(i int) {
 		v := int32(i)

@@ -102,11 +102,11 @@ func TestRelabelRandomIsomorphic(t *testing.T) {
 
 func TestBuilderNumVerticesAddEdges(t *testing.T) {
 	b := NewBuilder(3)
-	if b.NumVertices() != 3 {
-		t.Fatal("NumVertices")
-	}
 	b.AddEdges([]Edge{{0, 1}, {1, 2}, {2, 2}})
 	g := b.Build()
+	if g.NumVertices() != 3 {
+		t.Fatalf("built %d vertices, want 3", g.NumVertices())
+	}
 	if g.NumEdges() != 2 {
 		t.Fatalf("AddEdges produced %d edges", g.NumEdges())
 	}

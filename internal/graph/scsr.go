@@ -233,24 +233,27 @@ func encodeListInto(dst []byte, v int32, ns []int32) int {
 }
 
 // encodeAdjacency compresses g's adjacency into per-block payloads: a
-// parallel size pass, an exclusive sum, then a parallel encode pass into a
-// single payload buffer. ends[b] is the payload end offset of block b.
+// parallel size pass, a serial running sum over the block sizes (one per
+// blockSize vertices), then a parallel encode pass into a single payload
+// buffer. ends[b] is the payload end offset of block b.
 func encodeAdjacency(g *Graph, blockSize int) (ends []uint64, payload []byte) {
 	n := g.NumVertices()
 	numBlocks := (n + blockSize - 1) / blockSize
 	if numBlocks == 0 {
 		return nil, nil
 	}
-	sizes := make([]int64, numBlocks)
+	offs := make([]int64, numBlocks+1)
 	par.For(numBlocks, func(b int) {
 		lo, hi := b*blockSize, min((b+1)*blockSize, n)
 		var sz int64
 		for v := lo; v < hi; v++ {
 			sz += encodedListSize(int32(v), g.Neighbors(int32(v)))
 		}
-		sizes[b] = sz
+		offs[b+1] = sz
 	})
-	offs := par.ExclusiveSum(sizes)
+	for b := 0; b < numBlocks; b++ {
+		offs[b+1] += offs[b]
+	}
 	payload = make([]byte, offs[numBlocks])
 	ends = make([]uint64, numBlocks)
 	par.For(numBlocks, func(b int) {
@@ -417,7 +420,7 @@ func WriteBinary(w io.Writer, g *Graph, opt BinaryOptions) error {
 		if _, err := w.Write(hb[:]); err != nil {
 			return err
 		}
-		if err := writeInt64sLE(w, off); err != nil {
+		if err := writeWordsLE(w, off); err != nil {
 			return err
 		}
 		var pre [8]byte
@@ -426,7 +429,7 @@ func WriteBinary(w io.Writer, g *Graph, opt BinaryOptions) error {
 		if _, err := w.Write(pre[:]); err != nil {
 			return err
 		}
-		if err := writeUint64sLE(w, ends); err != nil {
+		if err := writeWordsLE(w, ends); err != nil {
 			return err
 		}
 		_, err := w.Write(payload)
@@ -438,10 +441,10 @@ func WriteBinary(w io.Writer, g *Graph, opt BinaryOptions) error {
 	if _, err := w.Write(hb[:]); err != nil {
 		return err
 	}
-	if err := writeInt64sLE(w, off); err != nil {
+	if err := writeWordsLE(w, off); err != nil {
 		return err
 	}
-	return writeInt32sLE(w, g.adj)
+	return writeWordsLE(w, g.adj)
 }
 
 // WriteBinaryFile writes g to path as .scsr, syncing before returning.
@@ -469,52 +472,18 @@ func WriteBinaryFile(path string, g *Graph, opt BinaryOptions) error {
 // wordChunk is the staging-buffer size for endian-safe word serialization.
 const wordChunk = 1 << 16
 
-// writeInt64sLE writes words as little-endian int64s through a fixed
-// staging buffer (no dependence on host byte order or heap layout).
-func writeInt64sLE(w io.Writer, ws []int64) error {
-	buf := make([]byte, 0, wordChunk*8)
+// writeWordsLE writes words as little-endian integers of their own width
+// through a fixed staging buffer (no dependence on host byte order or
+// heap layout).
+func writeWordsLE[T int32 | int64 | uint64](w io.Writer, ws []T) error {
+	width := binary.Size(T(0))
+	buf := make([]byte, 0, wordChunk*width)
 	for _, v := range ws {
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(v))
-		if len(buf) == cap(buf) {
-			if _, err := w.Write(buf); err != nil {
-				return err
-			}
-			buf = buf[:0]
+		if width == 8 {
+			buf = binary.LittleEndian.AppendUint64(buf, uint64(v))
+		} else {
+			buf = binary.LittleEndian.AppendUint32(buf, uint32(v))
 		}
-	}
-	if len(buf) > 0 {
-		if _, err := w.Write(buf); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// writeUint64sLE is writeInt64sLE for unsigned words.
-func writeUint64sLE(w io.Writer, ws []uint64) error {
-	buf := make([]byte, 0, wordChunk*8)
-	for _, v := range ws {
-		buf = binary.LittleEndian.AppendUint64(buf, v)
-		if len(buf) == cap(buf) {
-			if _, err := w.Write(buf); err != nil {
-				return err
-			}
-			buf = buf[:0]
-		}
-	}
-	if len(buf) > 0 {
-		if _, err := w.Write(buf); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// writeInt32sLE writes words as little-endian int32s.
-func writeInt32sLE(w io.Writer, ws []int32) error {
-	buf := make([]byte, 0, wordChunk*4)
-	for _, v := range ws {
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(v))
 		if len(buf) == cap(buf) {
 			if _, err := w.Write(buf); err != nil {
 				return err
@@ -565,17 +534,16 @@ func decodeInt64sLE(b []byte) []int64 {
 	return ws
 }
 
-// decodeInt32sLE converts a little-endian byte section to int32 words.
+// decodeInt32sLE converts a little-endian byte section of len(ws) int32
+// words into ws.
 //
 //lint:hotpath
-func decodeInt32sLE(b []byte) []int32 {
-	ws := make([]int32, len(b)/4)
+func decodeInt32sLE(ws []int32, b []byte) {
 	par.Range(len(ws), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			ws[i] = int32(binary.LittleEndian.Uint32(b[i*4:]))
 		}
 	})
-	return ws
 }
 
 // ReadBinary reads a .scsr stream fully into heap memory. It works on any
@@ -616,8 +584,7 @@ func ReadBinary(r io.Reader) (*Graph, error) {
 			return nil, err
 		}
 	} else {
-		raw := decodeInt32sLE(adjBytes)
-		copy(adj, raw)
+		decodeInt32sLE(adj, adjBytes)
 		if bad := par.Count(len(adj), func(i int) bool {
 			return adj[i] < 0 || int(adj[i]) >= n
 		}); bad != 0 {
@@ -653,6 +620,29 @@ func (bg *BinaryGraph) Close() error {
 	return munmapBytes(m)
 }
 
+// readFileHeader reads and checks the header of a .scsr file opened at
+// its start — magic, check word, version, section geometry — and that the
+// file is exactly as long as the header describes. The header is returned
+// whenever it parsed, also with a size error.
+func readFileHeader(f *os.File) (BinaryHeader, error) {
+	fi, err := f.Stat()
+	if err != nil {
+		return BinaryHeader{}, err
+	}
+	var hb [scsrHeaderSize]byte
+	if _, err := io.ReadFull(f, hb[:]); err != nil {
+		return BinaryHeader{}, fmt.Errorf("graph: scsr header truncated: %w", err)
+	}
+	hdr, err := parseBinaryHeader(hb[:])
+	if err != nil {
+		return BinaryHeader{}, err
+	}
+	if fi.Size() != hdr.totalBytes() {
+		return hdr, fmt.Errorf("graph: scsr file is %d bytes, header describes %d", fi.Size(), hdr.totalBytes())
+	}
+	return hdr, nil
+}
+
 // OpenBinary opens a .scsr file. Raw adjacency on a little-endian host is
 // mapped zero-copy: the returned graph's offset and adjacency arrays alias
 // the page cache, loading is O(1), and the kernel shares the pages across
@@ -667,24 +657,14 @@ func OpenBinary(path string) (*BinaryGraph, error) {
 		return nil, err
 	}
 	defer f.Close()
-	fi, err := f.Stat()
+	hdr, err := readFileHeader(f)
 	if err != nil {
 		return nil, err
 	}
-	var hb [scsrHeaderSize]byte
-	if _, err := io.ReadFull(f, hb[:]); err != nil {
-		return nil, fmt.Errorf("graph: scsr header truncated: %w", err)
-	}
-	hdr, err := parseBinaryHeader(hb[:])
-	if err != nil {
-		return nil, err
-	}
-	if fi.Size() != hdr.totalBytes() {
-		return nil, fmt.Errorf("graph: scsr file is %d bytes, header describes %d", fi.Size(), hdr.totalBytes())
-	}
+	size := hdr.totalBytes()
 
 	if !hdr.Compressed && hostLittleEndian && mmapSupported {
-		m, merr := mmapRO(f, int(fi.Size()))
+		m, merr := mmapRO(f, int(size))
 		if merr == nil {
 			off := int64View(m[hdr.OffStart : hdr.OffStart+hdr.OffBytes])
 			adj := int32View(m[hdr.AdjStart : hdr.AdjStart+hdr.AdjBytes])
@@ -692,7 +672,7 @@ func OpenBinary(path string) (*BinaryGraph, error) {
 				munmapBytes(m)
 				return nil, cerr
 			}
-			observeBinaryOpen("mmap", fi.Size(), 0)
+			observeBinaryOpen("mmap", size, 0)
 			g := &Graph{off: off, adj: adj, fp: hdr.Fingerprint}
 			return &BinaryGraph{Graph: g, Hdr: hdr, mapping: m}, nil
 		}
@@ -710,7 +690,7 @@ func OpenBinary(path string) (*BinaryGraph, error) {
 	if hdr.Compressed {
 		disposition = "decode"
 	}
-	observeBinaryOpen(disposition, fi.Size(), time.Since(start))
+	observeBinaryOpen(disposition, size, time.Since(start))
 	return &BinaryGraph{Graph: g, Hdr: hdr}, nil
 }
 
@@ -726,20 +706,9 @@ func VerifyBinaryFile(path string) (BinaryHeader, error) {
 		return BinaryHeader{}, err
 	}
 	defer f.Close()
-	fi, err := f.Stat()
+	hdr, err := readFileHeader(f)
 	if err != nil {
-		return BinaryHeader{}, err
-	}
-	var hb [scsrHeaderSize]byte
-	if _, err := io.ReadFull(f, hb[:]); err != nil {
-		return BinaryHeader{}, fmt.Errorf("graph: scsr header truncated: %w", err)
-	}
-	hdr, err := parseBinaryHeader(hb[:])
-	if err != nil {
-		return BinaryHeader{}, err
-	}
-	if fi.Size() != hdr.totalBytes() {
-		return hdr, fmt.Errorf("graph: scsr file is %d bytes, header describes %d", fi.Size(), hdr.totalBytes())
+		return hdr, err
 	}
 	if _, err := f.Seek(0, io.SeekStart); err != nil {
 		return hdr, err

@@ -5,6 +5,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 )
 
@@ -128,6 +129,31 @@ func TestVerifyBinaryFile(t *testing.T) {
 		if hdr.NumVertices != 400 || hdr.Fingerprint != g.Fingerprint() {
 			t.Fatalf("verify %+v: header %+v", opt, hdr)
 		}
+	}
+}
+
+// TestReadBinaryRawDecodesInPlace: a heap load of a raw file holds its
+// sections once as read and once decoded into the graph's arrays; a
+// second decoded copy of the adjacency makes three.
+func TestReadBinaryRawDecodesInPlace(t *testing.T) {
+	g := randomGraph(100000, 1000000, 9)
+	var buf bytes.Buffer
+	if err := WriteBinary(&buf, g, BinaryOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	sections := uint64(buf.Len() - scsrHeaderSize)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	got, err := ReadBinary(bytes.NewReader(buf.Bytes()))
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	graphsEqual(t, got, g)
+	// 2 copies plus readSection's 1 MiB probe fit under 2.5.
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > sections*5/2 {
+		t.Fatalf("ReadBinary allocated %d bytes for %d bytes of sections (%.2f copies)",
+			alloc, sections, float64(alloc)/float64(sections))
 	}
 }
 

@@ -26,6 +26,13 @@ import (
 // `symlint -write-alloc-baseline`); new ones must be justified with
 // `//lint:allow allocgate` on the allocation line or eliminated.
 //
+// A generic function cannot carry the mark: the compiler reports the
+// escapes of a generic body only while compiling the packages that
+// instantiate it, filed under the generic's source file, where no
+// package's gate looks. Allocgate reports //lint:hotpath on a function
+// with type parameters (its own or its receiver's) instead of passing it
+// silently.
+//
 // Escape analysis shifts between compiler releases, so the baseline
 // records the go major.minor it was produced with and the check skips
 // silently under any other toolchain. The analyzer shells out to the
@@ -70,7 +77,15 @@ func goMinorVersion() string {
 }
 
 func runAllocgate(p *Pass) error {
-	diags, dir, ok, err := allocDiagsFor(p)
+	hot := hotpathFuncs(p)
+	for _, h := range hot {
+		if h.generic {
+			p.Reportf(h.pos,
+				"//lint:hotpath on generic %s: escape analysis reports a generic body only where it is instantiated, so the gate cannot check it (drop the type parameters or the mark)",
+				h.name)
+		}
+	}
+	diags, dir, ok, err := allocDiagsFor(p, hot)
 	if err != nil || !ok {
 		return err
 	}
@@ -109,8 +124,7 @@ func runAllocgate(p *Pass) error {
 // allocDiagsFor compiles the pass package with -gcflags=-m and returns
 // the escape diagnostics attributed to hotpath functions. ok=false when
 // the package has no hotpath annotations (nothing to do, no compile).
-func allocDiagsFor(p *Pass) (diags []allocDiag, dir string, ok bool, err error) {
-	hot := hotpathFuncs(p)
+func allocDiagsFor(p *Pass, hot []hotpathFunc) (diags []allocDiag, dir string, ok bool, err error) {
 	if len(hot) == 0 {
 		return nil, "", false, nil
 	}
@@ -154,6 +168,8 @@ type hotpathFunc struct {
 	file               string
 	startLine, endLine int
 	tokFile            *token.File
+	pos                token.Pos // the function's name
+	generic            bool      // has type parameters, or its receiver does
 }
 
 // posAt converts a compiler file:line:col back into a token.Pos inside
@@ -189,11 +205,33 @@ func hotpathFuncs(p *Pass) []hotpathFunc {
 					startLine: start.Line,
 					endLine:   p.Fset.Position(fd.End()).Line,
 					tokFile:   p.Fset.File(fd.Pos()),
+					pos:       fd.Name.Pos(),
+					generic:   isGeneric(fd),
 				})
 			}
 		}
 	}
 	return out
+}
+
+// isGeneric reports whether fd declares type parameters or is a method
+// of a generic type (receiver T[P] or T[P, Q]).
+func isGeneric(fd *ast.FuncDecl) bool {
+	if fd.Type.TypeParams != nil && len(fd.Type.TypeParams.List) > 0 {
+		return true
+	}
+	if fd.Recv == nil || len(fd.Recv.List) == 0 {
+		return false
+	}
+	recv := fd.Recv.List[0].Type
+	if star, ok := recv.(*ast.StarExpr); ok {
+		recv = star.X
+	}
+	switch recv.(type) {
+	case *ast.IndexExpr, *ast.IndexListExpr:
+		return true
+	}
+	return false
 }
 
 // parseEscapeDiag splits one `-m` output line of the form
@@ -227,7 +265,7 @@ func WriteAllocBaseline(pkg *Package) (int, bool, error) {
 		Pkg:      pkg.Types,
 		Info:     pkg.Info,
 	}
-	diags, dir, ok, err := allocDiagsFor(pass)
+	diags, dir, ok, err := allocDiagsFor(pass, hotpathFuncs(pass))
 	if err != nil || !ok {
 		return 0, false, err
 	}

@@ -31,6 +31,16 @@ func TestAllocgateFixture(t *testing.T) {
 	RunFixture(t, Allocgate, "allocgate")
 }
 
+// TestAllocgateGenericFixture: a //lint:hotpath mark on a generic
+// function or a method of a generic type is a finding, since no package's
+// escape output attributes the generic body's allocations to it.
+func TestAllocgateGenericFixture(t *testing.T) {
+	if testing.Short() {
+		t.Skip("shells out to go build; skipped in -short")
+	}
+	RunFixture(t, Allocgate, "allocgategeneric")
+}
+
 // TestAllocgateBaselineFixture: the allocgatebase fixture's only hotpath
 // allocation is grandfathered in its committed allocgate.baseline.json,
 // so the analyzer must stay silent (the fixture has no want comments).

@@ -48,10 +48,7 @@ func avgDeg(edges int64, verts int64) float64 {
 func maskedPhase(g *graph.Graph, set *IndepSet, member func(i int) bool, solver Solver, sp *trace.Span) Stats {
 	n := g.NumVertices()
 	status := make([]State, n)
-	nc := par.NumChunks(n)
-	bufs := make([][]int32, nc)
-	par.RangeIdx(n, func(w, lo, hi int) {
-		var out []int32
+	active := par.Gather(n, func(lo, hi int, out []int32) []int32 {
 		for i := lo; i < hi; i++ {
 			if member(i) {
 				out = append(out, int32(i))
@@ -59,12 +56,8 @@ func maskedPhase(g *graph.Graph, set *IndepSet, member func(i int) bool, solver 
 				status[i] = StateOut
 			}
 		}
-		bufs[w] = out
+		return out
 	})
-	var active []int32
-	for _, b := range bufs {
-		active = append(active, b...)
-	}
 	return solver(g, status, set, active, sp)
 }
 
@@ -75,33 +68,23 @@ func maskedPhase(g *graph.Graph, set *IndepSet, member func(i int) bool, solver 
 func remainderPhase(g *graph.Graph, set *IndepSet, solver Solver, sp *trace.Span) Stats {
 	n := g.NumVertices()
 	status := make([]State, n)
-	par.For(n, func(i int) {
-		if set.In[i] {
-			status[i] = StateIn
-			return
-		}
-		for _, w := range g.Neighbors(int32(i)) {
-			if set.In[w] {
-				status[i] = StateOut
-				return
-			}
-		}
-	})
-	active := make([]int32, 0, n)
-	nc := par.NumChunks(n)
-	bufs := make([][]int32, nc)
-	par.RangeIdx(n, func(w, lo, hi int) {
-		var out []int32
+	active := par.Gather(n, func(lo, hi int, out []int32) []int32 {
+	vertices:
 		for i := lo; i < hi; i++ {
-			if status[i] == StateUndecided {
-				out = append(out, int32(i))
+			if set.In[i] {
+				status[i] = StateIn
+				continue
 			}
+			for _, w := range g.Neighbors(int32(i)) {
+				if set.In[w] {
+					status[i] = StateOut
+					continue vertices
+				}
+			}
+			out = append(out, int32(i))
 		}
-		bufs[w] = out
+		return out
 	})
-	for _, b := range bufs {
-		active = append(active, b...)
-	}
 	return solver(g, status, set, active, sp)
 }
 

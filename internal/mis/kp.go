@@ -26,8 +26,7 @@ const kpSeed = 0x927d5f3a
 // easily outperform algorithms for general graphs" (§V-C discussion).
 //
 // The masked run requires every active vertex to have at most two
-// *undecided* neighbors; KPDeg2 enforces the whole-graph degree bound for
-// standalone use.
+// *undecided* neighbors.
 func KPSolver() Solver {
 	return func(g *graph.Graph, status []State, set *IndepSet, active []int32, sp *trace.Span) Stats {
 		return localMinRun(g, kpSeed, par.Range, status, set, active, sp)
@@ -40,13 +39,4 @@ func KPSolverOn(machine *bsp.Machine) Solver {
 	return func(g *graph.Graph, status []State, set *IndepSet, active []int32, sp *trace.Span) Stats {
 		return localMinRun(g, kpSeed, machine.In(sp), status, set, active, sp)
 	}
-}
-
-// KPDeg2 computes an MIS of a graph with maximum degree ≤ 2. It panics on
-// denser inputs — callers must hand it the G_L part only.
-func KPDeg2(g *graph.Graph) (*IndepSet, Stats) {
-	if d := g.MaxDegree(); d > 2 {
-		panic("mis: KPDeg2 requires maximum degree ≤ 2")
-	}
-	return Fresh(g, KPSolver(), nil)
 }

@@ -186,7 +186,7 @@ func TestKPDeg2OnPathsAndCycles(t *testing.T) {
 		pathGraph(1), pathGraph(2), pathGraph(100), cycleGraph(3),
 		cycleGraph(100), cycleGraph(101), graph.NewBuilder(7).Build(),
 	} {
-		s, _ := KPDeg2(g)
+		s, _ := Fresh(g, KPSolver(), nil)
 		if err := Verify(g, s); err != nil {
 			t.Fatal(err)
 		}
@@ -200,26 +200,17 @@ func TestKPDeg2OnPathsAndCycles(t *testing.T) {
 	b.AddEdge(6, 7)
 	b.AddEdge(7, 8) // path 6-7-8
 	g := b.Build()
-	s, _ := KPDeg2(g)
+	s, _ := Fresh(g, KPSolver(), nil)
 	if err := Verify(g, s); err != nil {
 		t.Fatal(err)
 	}
 }
 
-func TestKPDeg2RejectsHighDegree(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic on degree-3 input")
-		}
-	}()
-	KPDeg2(starGraph(5))
-}
-
 func TestKPDeg2FewerRoundsThanVainChain(t *testing.T) {
 	// Rounds should be logarithmic-ish on a long path, not linear.
-	_, st := KPDeg2(pathGraph(100000))
+	_, st := Fresh(pathGraph(100000), KPSolver(), nil)
 	if st.Rounds > 60 {
-		t.Fatalf("KPDeg2 took %d rounds on a 100k-path", st.Rounds)
+		t.Fatalf("KP took %d rounds on a 100k-path", st.Rounds)
 	}
 }
 

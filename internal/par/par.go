@@ -1,6 +1,7 @@
 // Package par provides the shared-memory parallel runtime used by every
 // algorithm in this repository: chunked parallel loops, parallel reductions,
-// parallel prefix sums, atomic helpers, a concurrent bitset, and a splittable
+// a parallel prefix sum, ordered gathers and filters, a concurrent
+// union-find and dense relabelling, a concurrent bitset, and a
 // deterministic random number generator.
 //
 // The package plays the role of the paper's OpenMP-style 80-thread CPU
@@ -203,57 +204,13 @@ func MaxIndexed[T int | int32 | int64 | float64](n int, identity T, fn func(i in
 	})
 }
 
-// ExclusiveSum computes the exclusive prefix sum of src into a new slice of
-// length len(src)+1; the final element is the total. The scan is parallel:
-// per-chunk sums, a sequential pass over the (few) chunk totals, then a
-// parallel fill. Only the returned slice is allocated; chunk scratch comes
-// from a reusable arena.
-func ExclusiveSum(src []int64) []int64 {
-	n := len(src)
-	out := make([]int64, n+1)
-	if n == 0 {
-		return out
-	}
-	workers := Workers()
-	nc := numChunksFor(n, workers)
-	if nc == 1 {
-		var acc int64
-		for i, v := range src {
-			out[i] = acc
-			acc += v
-		}
-		out[n] = acc
-		return out
-	}
-	sums := i64Scratch.Get(nc)
-	runN(n, workers, func(c, lo, hi int) {
-		var acc int64
-		for i := lo; i < hi; i++ {
-			acc += src[i]
-		}
-		sums[c] = acc
-	})
-	var total int64
-	for c := 0; c < nc; c++ {
-		s := sums[c]
-		sums[c] = total
-		total += s
-	}
-	runN(n, workers, func(c, lo, hi int) {
-		acc := sums[c]
-		for i := lo; i < hi; i++ {
-			out[i] = acc
-			acc += src[i]
-		}
-	})
-	out[n] = total
-	i64Scratch.Put(sums)
-	return out
-}
-
-// ExclusiveSum32 is ExclusiveSum for int32 counts with int64 offsets, the
-// shape used when building CSR offsets from degree arrays. The widening
-// happens inside the scan passes — no temporary int64 copy of src is made.
+// ExclusiveSum32 computes the exclusive prefix sum of src into a new slice
+// of length len(src)+1; the final element is the total. Counts are int32
+// and offsets int64, the shape of CSR offsets built from degree arrays;
+// the widening happens inside the scan passes, so no int64 copy of src is
+// made. The scan is parallel: per-chunk sums, a sequential pass over the
+// (few) chunk totals, then a parallel fill. Only the returned slice is
+// allocated; chunk scratch comes from a reusable arena.
 //
 //lint:hotpath
 func ExclusiveSum32(src []int32) []int64 {
@@ -335,7 +292,7 @@ func Copy[T any](dst, src []T) {
 // for frontier/active-set compaction in the iterative solvers.
 //
 //lint:hotpath
-func Filter[T any](src []T, pred func(T) bool) []T {
+func Filter(src []int32, pred func(int32) bool) []int32 {
 	n := len(src)
 	if n == 0 {
 		return nil
@@ -349,7 +306,7 @@ func Filter[T any](src []T, pred func(T) bool) []T {
 				total++
 			}
 		}
-		out := make([]T, 0, total)
+		out := make([]int32, 0, total)
 		for i := 0; i < n; i++ {
 			if pred(src[i]) {
 				out = append(out, src[i])
@@ -373,7 +330,7 @@ func Filter[T any](src []T, pred func(T) bool) []T {
 		counts[c] = total
 		total += s
 	}
-	out := make([]T, total)
+	out := make([]int32, total)
 	runN(n, workers, func(c, lo, hi int) {
 		p := counts[c]
 		for i := lo; i < hi; i++ {
@@ -387,12 +344,54 @@ func Filter[T any](src []T, pred func(T) bool) []T {
 	return out
 }
 
-// MinInt32Atomic atomically stores min(current, v) at addr.
-func MinInt32Atomic(addr *int32, v int32) {
-	for {
-		cur := atomic.LoadInt32(addr)
-		if v >= cur || atomic.CompareAndSwapInt32(addr, cur, v) {
-			return
-		}
+// Gather runs body once on each chunk [lo, hi) of [0, n), in parallel,
+// and returns the chunk outputs concatenated in chunk order, in one slice
+// of exactly their total length. body appends the ids it selects from its
+// range to out (empty on entry) and returns it. Every index lies in
+// exactly one chunk and each chunk runs once, so body may have side
+// effects on the indices it visits. A body that emits ids in increasing
+// order yields a sorted result, identical under any worker count.
+//
+// Gather is the one-pass counterpart of Filter: it suits selections whose
+// test is costly or has side effects, at the price of per-chunk buffers.
+//
+//lint:hotpath
+func Gather(n int, body func(lo, hi int, out []int32) []int32) []int32 {
+	workers := Workers()
+	nc := numChunksFor(n, workers)
+	bufs := make([][]int32, nc)
+	runN(n, workers, func(c, lo, hi int) {
+		bufs[c] = body(lo, hi, nil)
+	})
+	total := 0
+	for _, b := range bufs {
+		total += len(b)
 	}
+	out := make([]int32, 0, total)
+	for _, b := range bufs {
+		out = append(out, b...)
+	}
+	return out
+}
+
+// DenseRelabel maps representatives to dense ids: for rep[i] in
+// [0, universe) it returns ids with ids[i] the rank of rep[i] among the
+// distinct values of rep, so ids run over [0, count) ordered by
+// representative, and count. Component labels, ball centers and block
+// roots all become dense ids this way.
+func DenseRelabel(rep []int32, universe int) (ids []int32, count int) {
+	// Many indices share a representative, so presence is marked with
+	// atomic stores; the load skips the store once a value is marked.
+	present := make([]int32, universe)
+	For(len(rep), func(i int) {
+		if p := &present[rep[i]]; atomic.LoadInt32(p) == 0 {
+			atomic.StoreInt32(p, 1)
+		}
+	})
+	rank := ExclusiveSum32(present)
+	ids = make([]int32, len(rep))
+	For(len(rep), func(i int) {
+		ids[i] = int32(rank[rep[i]])
+	})
+	return ids, int(rank[universe])
 }

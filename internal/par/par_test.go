@@ -124,8 +124,8 @@ func TestMaxIndexed(t *testing.T) {
 }
 
 func TestExclusiveSumMatchesSequential(t *testing.T) {
-	check := func(src []int64) bool {
-		got := ExclusiveSum(src)
+	check := func(src []int32) bool {
+		got := ExclusiveSum32(src)
 		if len(got) != len(src)+1 {
 			return false
 		}
@@ -134,29 +134,29 @@ func TestExclusiveSumMatchesSequential(t *testing.T) {
 			if got[i] != acc {
 				return false
 			}
-			acc += v
+			acc += int64(v)
 		}
 		return got[len(src)] == acc
 	}
 	// Edge cases.
-	for _, src := range [][]int64{nil, {}, {5}, {0, 0, 0}, {1, 2, 3, 4}} {
+	for _, src := range [][]int32{nil, {}, {5}, {0, 0, 0}, {1, 2, 3, 4}} {
 		if !check(src) {
-			t.Fatalf("ExclusiveSum wrong for %v", src)
+			t.Fatalf("ExclusiveSum32 wrong for %v", src)
 		}
 	}
-	// Large parallel case.
-	big := make([]int64, 300000)
+	// Large parallel case, with a total past int32.
+	big := make([]int32, 300000)
 	for i := range big {
-		big[i] = int64(i % 7)
+		big[i] = int32(i%7) << 16
 	}
 	if !check(big) {
-		t.Fatal("ExclusiveSum wrong for large input")
+		t.Fatal("ExclusiveSum32 wrong for large input")
 	}
 	// Property test over random small inputs.
 	if err := quick.Check(func(raw []uint16) bool {
-		src := make([]int64, len(raw))
+		src := make([]int32, len(raw))
 		for i, v := range raw {
-			src[i] = int64(v)
+			src[i] = int32(v)
 		}
 		return check(src)
 	}, nil); err != nil {
@@ -226,14 +226,6 @@ func TestFilterPreservesOrder(t *testing.T) {
 	}
 	if out := Filter(src, func(int32) bool { return false }); len(out) != 0 {
 		t.Fatal("Filter with false pred not empty")
-	}
-}
-
-func TestAtomicMinMax(t *testing.T) {
-	var v int32 = 100
-	For(10000, func(i int) { MinInt32Atomic(&v, int32(i%500)) })
-	if v != 0 {
-		t.Fatalf("MinInt32Atomic result %d", v)
 	}
 }
 

@@ -69,9 +69,3 @@ func (r *RNG) Intn(n int) int {
 func (r *RNG) Float64() float64 {
 	return float64(r.Uint64()>>11) / (1 << 53)
 }
-
-// Split returns a new generator whose stream is independent of r's
-// continuation, for handing to a parallel task.
-func (r *RNG) Split() *RNG {
-	return &RNG{state: r.Uint64() ^ 0x6a09e667f3bcc909}
-}

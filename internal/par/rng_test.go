@@ -86,21 +86,6 @@ func TestRNGFloat64Range(t *testing.T) {
 	}
 }
 
-func TestRNGSplitIndependent(t *testing.T) {
-	r := NewRNG(3)
-	s := r.Split()
-	// The split stream must differ from the parent's continuation.
-	same := 0
-	for i := 0; i < 64; i++ {
-		if r.Uint64() == s.Uint64() {
-			same++
-		}
-	}
-	if same > 1 {
-		t.Fatalf("split stream tracks parent (%d collisions)", same)
-	}
-}
-
 func TestZeroValueRNGUsable(t *testing.T) {
 	var r RNG
 	if r.Uint64() == 0 && r.Uint64() == 0 {

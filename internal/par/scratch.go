@@ -67,8 +67,8 @@ func (s *Scratch[T]) Put(b []T) {
 	s.mu.Unlock()
 }
 
-// i64Scratch backs the int64 per-chunk slots of ExclusiveSum,
-// ExclusiveSum32 and Filter.
+// i64Scratch backs the int64 per-chunk slots of ExclusiveSum32 and
+// Filter.
 var i64Scratch Scratch[int64]
 
 // typedScratch maps a type's identity to the shared Scratch instance used

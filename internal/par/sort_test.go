@@ -152,7 +152,7 @@ func TestSortSliceParallelPathForced(t *testing.T) {
 }
 
 func TestParallelPrimitivesUnderForcedWorkers(t *testing.T) {
-	// Drive the multi-chunk paths of RangeIdx / ExclusiveSum / NumChunks
+	// Drive the multi-chunk paths of RangeIdx / ExclusiveSum32 / NumChunks
 	// explicitly (the single-core default collapses them to one chunk).
 	defer SetWorkers(0)
 	SetWorkers(6)
@@ -168,17 +168,17 @@ func TestParallelPrimitivesUnderForcedWorkers(t *testing.T) {
 			t.Fatalf("chunk %d used %d times", w, s)
 		}
 	}
-	src := make([]int64, n)
+	src := make([]int32, n)
 	for i := range src {
-		src[i] = int64(i % 11)
+		src[i] = int32(i % 11)
 	}
-	got := ExclusiveSum(src)
+	got := ExclusiveSum32(src)
 	var acc int64
 	for i, v := range src {
 		if got[i] != acc {
 			t.Fatalf("prefix wrong at %d", i)
 		}
-		acc += v
+		acc += int64(v)
 	}
 	if got[n] != acc {
 		t.Fatal("total wrong")

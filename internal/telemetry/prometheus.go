@@ -65,8 +65,6 @@ func (f *family) write(b *strings.Builder) {
 			sample(b, f.name, nil, nil, "", "", m())
 		case *Counter:
 			sample(b, f.name, f.labelNames, m.labels, "", "", m.Value())
-		case *Gauge:
-			sample(b, f.name, f.labelNames, m.labels, "", "", m.Value())
 		case *Histogram:
 			var cum uint64
 			for i, bound := range m.buckets {

@@ -16,7 +16,7 @@ var update = flag.Bool("update", false, "rewrite golden files")
 // -update to regenerate testdata/exposition.golden.
 func TestPrometheusGolden(t *testing.T) {
 	r := NewRegistry()
-	r.Gauge("queue_depth", "Current queue depth.").Set(42)
+	r.GaugeFunc("queue_depth", "Current queue depth.", func() float64 { return 42 })
 
 	rv := r.CounterVec("rpc_requests_total", "RPC requests.", "method", "code")
 	rv.With("get", "200").Add(3)

@@ -1,6 +1,7 @@
 // Package telemetry is the live half of the observability layer: a
-// concurrent metrics registry (counters, gauges, fixed-bucket histograms
-// with quantile estimation, and funcs read at scrape time), the Go
+// concurrent metrics registry (counters, fixed-bucket histograms with
+// quantile estimation, and counters and gauges read from funcs at scrape
+// time), the Go
 // runtime and par worker-pool gauges, and an embedded HTTP server
 // exposing Prometheus text-format /metrics, /healthz, /debug/pprof/*, and
 // a live /trace JSON snapshot of the internal/trace span tree.
@@ -76,7 +77,6 @@ func newRegistry(on bool) *Registry {
 var (
 	off            atomic.Bool
 	inertCounter   = &Counter{on: &off}
-	inertGauge     = &Gauge{on: &off}
 	inertHistogram = &Histogram{on: &off}
 )
 
@@ -91,7 +91,7 @@ type family struct {
 	on         *atomic.Bool // the registry's switch
 
 	mu       sync.Mutex
-	children map[string]any // labelKey -> *Counter | *Gauge | *Histogram | func() float64
+	children map[string]any // labelKey -> *Counter | *Histogram | func() float64
 }
 
 // labelKey joins label values with a separator that cannot appear in a
@@ -139,8 +139,6 @@ func (f *family) child(values []string) any {
 	switch f.typ {
 	case "counter":
 		c = &Counter{on: f.on, labels: labels}
-	case "gauge":
-		c = &Gauge{on: f.on, labels: labels}
 	default:
 		c = &Histogram{on: f.on, labels: labels, buckets: f.buckets,
 			counts: make([]atomic.Uint64, len(f.buckets)+1)} // +1 for +Inf
@@ -188,30 +186,6 @@ func (c *Counter) Add(v float64) {
 
 // Value returns the current value.
 func (c *Counter) Value() float64 { return math.Float64frombits(c.bits.Load()) }
-
-// Gauge is an arbitrary value that can go up and down.
-type Gauge struct {
-	on     *atomic.Bool
-	labels []string
-	bits   atomic.Uint64
-}
-
-// Set replaces the value.
-func (g *Gauge) Set(v float64) {
-	if g.on.Load() {
-		g.bits.Store(math.Float64bits(v))
-	}
-}
-
-// Add accumulates v (negative to subtract).
-func (g *Gauge) Add(v float64) {
-	if g.on.Load() {
-		atomicAddFloat(&g.bits, v)
-	}
-}
-
-// Value returns the current value.
-func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 
 // atomicAddFloat adds v to a float64 stored as uint64 bits via CAS.
 func atomicAddFloat(bits *atomic.Uint64, v float64) {
@@ -317,28 +291,6 @@ func (v *CounterVec) With(labelValues ...string) *Counter {
 // created at init start recording once it is switched on.
 func (r *Registry) Counter(name, help string) *Counter {
 	return r.CounterVec(name, help).f.child(nil).(*Counter)
-}
-
-// GaugeVec is a gauge family with labels.
-type GaugeVec struct{ f *family }
-
-// GaugeVec registers (or returns) a labeled gauge family.
-func (r *Registry) GaugeVec(name, help string, labelNames ...string) *GaugeVec {
-	return &GaugeVec{r.lookup(name, help, "gauge", labelNames, nil)}
-}
-
-// With returns the gauge for the given label values, inert while the
-// registry is off (see CounterVec.With).
-func (v *GaugeVec) With(labelValues ...string) *Gauge {
-	if !v.f.on.Load() {
-		return inertGauge
-	}
-	return v.f.child(labelValues).(*Gauge)
-}
-
-// Gauge registers (or returns) an unlabeled gauge, bound like Counter.
-func (r *Registry) Gauge(name, help string) *Gauge {
-	return r.GaugeVec(name, help).f.child(nil).(*Gauge)
 }
 
 // HistogramVec is a histogram family with labels.

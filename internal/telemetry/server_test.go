@@ -52,7 +52,7 @@ func TestServerMetrics(t *testing.T) {
 	h := r.HistogramVec("symbreak_cell_seconds", "Cell time.", nil,
 		"problem", "algo", "arch", "graph")
 	h.With("MM", "MM-Rand", "CPU", "lp1").Observe(0.002)
-	r.Gauge("go_goroutines", "Goroutines.").Set(12)
+	r.GaugeFunc("go_goroutines", "Goroutines.", func() float64 { return 12 })
 
 	srv := startTestServer(t, r)
 	code, body := get(t, srv.URL()+"/metrics")
