@@ -45,8 +45,11 @@ func main() {
 		fatal(fmt.Errorf("-parts must be ≥ 1, got %d", *parts))
 	case tech == decomp.TechDegk && *k < 0:
 		fatal(fmt.Errorf("-k must be ≥ 0, got %d", *k))
-	case tech == decomp.TechMPX && !(*beta > 0):
-		fatal(fmt.Errorf("-beta must be > 0, got %v", *beta))
+	}
+	if tech == decomp.TechMPX {
+		if err := decomp.CheckMPXBeta(*beta); err != nil {
+			fatal(fmt.Errorf("-beta: %w", err))
+		}
 	}
 	var r *decomp.Result
 	start := time.Now()

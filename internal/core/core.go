@@ -167,10 +167,11 @@ func (o Options) withDefaults() Options {
 
 // Validate returns the error Solve would return for p under these
 // options, whose defaults must already be filled in (see Normalized): an
-// unknown strategy, RandParts < 1, DegK < 0, MPXBeta ≤ 0, or MIS under
-// DEGk (explicit or Table I's auto choice) with DegK ≠ 2, because its KP
-// solver handles G_L only at maximum degree 2. The serving layer calls it
-// on the options it keys a request by, before admission.
+// unknown strategy, RandParts < 1, DegK < 0, MIS under DEGk (explicit or
+// Table I's auto choice) with DegK ≠ 2, because its KP solver handles G_L
+// only at maximum degree 2, or an MPXBeta that decomp.CheckMPXBeta
+// rejects. The serving layer calls it on the options it keys a request
+// by, before admission.
 func (o Options) Validate(p Problem) error {
 	strategy := o.strategyFor(p)
 	switch {
@@ -180,10 +181,11 @@ func (o Options) Validate(p Problem) error {
 		return fmt.Errorf("core: RandParts must be ≥ 1, got %d", o.RandParts)
 	case o.DegK < 0:
 		return fmt.Errorf("core: DegK must be ≥ 0, got %d", o.DegK)
-	case o.MPXBeta <= 0:
-		return fmt.Errorf("core: MPXBeta must be > 0, got %v", o.MPXBeta)
 	case p == ProblemMIS && strategy == StrategyDegk && o.DegK != 2:
 		return fmt.Errorf("core: MIS-DEGk needs DegK = 2 (its KP solver handles degree ≤ 2), got %d", o.DegK)
+	}
+	if err := decomp.CheckMPXBeta(o.MPXBeta); err != nil {
+		return fmt.Errorf("core: %w", err)
 	}
 	return nil
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/bsp"
@@ -167,6 +168,22 @@ func TestSolveInvalidOptions(t *testing.T) {
 	}{{ProblemMIS, 2}, {ProblemMIS, 0}, {ProblemMM, 3}} {
 		if _, err := Solve(g, tc.p, Options{Strategy: StrategyDegk, DegK: tc.degK}); err != nil {
 			t.Fatalf("%v DEGk with DegK %d rejected: %v", tc.p, tc.degK, err)
+		}
+	}
+}
+
+// TestValidateMPXBeta: core's option check applies decomp.CheckMPXBeta,
+// so NaN, the infinities and rates whose start rounds overflow int32 are
+// errors (a 400 at /solve), while usable rates pass.
+func TestValidateMPXBeta(t *testing.T) {
+	for _, beta := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), 1e-9} {
+		if err := (Options{Strategy: StrategyMPX, MPXBeta: beta}).Normalized().Validate(ProblemMIS); err == nil {
+			t.Errorf("MPXBeta %v accepted", beta)
+		}
+	}
+	for _, beta := range []float64{0.2, 1e-6} {
+		if err := (Options{Strategy: StrategyMPX, MPXBeta: beta}).Normalized().Validate(ProblemMIS); err != nil {
+			t.Errorf("MPXBeta %v rejected: %v", beta, err)
 		}
 	}
 }

@@ -26,6 +26,26 @@ import (
 // enough that the start times stagger and round counts stay low.
 const DefaultMPXBeta = 0.2
 
+// MinMPXBeta is the smallest rate MPX runs at. A shift is
+// delta_v = −ln(u_v)/beta for a 53-bit uniform u_v in (0, 1], so
+// delta_v ≤ 53·ln 2/beta, and the largest start round ⌊maxDelta − delta_v⌋
+// is at most ⌊53·ln 2/beta⌋. Rounds are int32, and no vertex is claimed
+// after the largest start round (every vertex still unclaimed then seeds
+// its own ball). Holding that round to 2³⁰ keeps the float→int32
+// conversion in range, which Go leaves implementation-defined otherwise,
+// with half of int32 to spare: beta ≥ 53·ln 2/2³⁰ ≈ 3.42·10⁻⁸.
+const MinMPXBeta = 53 * math.Ln2 / (1 << 30)
+
+// CheckMPXBeta is the one check of an MPX rate: beta must be finite and at
+// least MinMPXBeta. MPXGrow panics on any other value; core's option
+// validation and cmd/decomp reject it as input.
+func CheckMPXBeta(beta float64) error {
+	if math.IsNaN(beta) || math.IsInf(beta, 0) || beta < MinMPXBeta {
+		return fmt.Errorf("MPX beta must be finite and ≥ %.3g, got %v", MinMPXBeta, beta)
+	}
+	return nil
+}
+
 // MPXInfo is the raw product of the ball-growing phase, before any
 // subgraph materialization — what the mask-based solvers and the validity
 // tests consume.
@@ -53,8 +73,8 @@ type MPXInfo struct {
 // any worker count. The phase is traced as an "mpx-grow" span under
 // parent, carrying the per-round frontier series (nil: untraced).
 func MPXGrow(g *graph.Graph, beta float64, seed uint64, parent *trace.Span) *MPXInfo {
-	if beta <= 0 {
-		panic(fmt.Sprintf("decomp: MPX with beta=%v", beta))
+	if err := CheckMPXBeta(beta); err != nil {
+		panic("decomp: " + err.Error())
 	}
 	info := &MPXInfo{}
 	sp := parent.Begin("mpx-grow")

@@ -1,6 +1,7 @@
 package decomp
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/graph"
@@ -172,13 +173,20 @@ func TestMPXBetaTradeoff(t *testing.T) {
 	}
 }
 
+// TestMPXPanicsOnBadBeta: MPXGrow panics on every rate CheckMPXBeta
+// rejects: zero, NaN, and 1e-9, whose start rounds (up to 53·ln 2/1e-9 ≈
+// 3.7·10¹⁰) do not fit in int32.
 func TestMPXPanicsOnBadBeta(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("beta = 0 accepted")
-		}
-	}()
-	MPXGrow(pathGraph(4), 0, 1, nil)
+	for _, beta := range []float64{0, math.NaN(), 1e-9} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("beta = %v accepted", beta)
+				}
+			}()
+			MPXGrow(pathGraph(4), beta, 1, nil)
+		}()
+	}
 }
 
 // TestParseTechniqueRoundTrip: every Technique's String() parses back to

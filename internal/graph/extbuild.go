@@ -17,6 +17,7 @@ import (
 	"io"
 	"math"
 	"os"
+	"slices"
 
 	"repro/internal/par"
 )
@@ -237,17 +238,10 @@ func (b *extBuilder) emitPhase(path string, spills []*spillBucket) (BinaryHeader
 	}
 	b.off = make([]int64, b.n+1)
 
-	hdr := BinaryHeader{
-		Version:     scsrVersion,
-		Compressed:  b.compress,
-		NumVertices: b.n,
-		OffStart:    scsrHeaderSize,
-		OffBytes:    uint64(b.n+1) * 8,
-	}
-	hdr.AdjStart = hdr.OffStart + hdr.OffBytes
+	hdr := newBinaryHeader(b.n, b.compress)
 	payloadStart := int64(hdr.AdjStart)
 	if b.compress {
-		payloadStart += int64(8 + numBlocks*8)
+		payloadStart += int64(blockIndexBytes(numBlocks))
 	}
 
 	out, err := os.Create(path)
@@ -275,11 +269,7 @@ func (b *extBuilder) emitPhase(path string, spills []*spillBucket) (BinaryHeader
 	}
 
 	hdr.NumArcs = b.off[b.n]
-	if b.compress {
-		hdr.AdjBytes = uint64(8+numBlocks*8) + uint64(b.payloadPos)
-	} else {
-		hdr.AdjBytes = uint64(b.payloadPos)
-	}
+	hdr.AdjBytes = uint64(payloadStart+b.payloadPos) - hdr.AdjStart
 
 	// Patch the deferred sections, now that their contents are known.
 	if _, err := out.Seek(int64(hdr.OffStart), io.SeekStart); err != nil {
@@ -290,13 +280,7 @@ func (b *extBuilder) emitPhase(path string, spills []*spillBucket) (BinaryHeader
 		return BinaryHeader{}, err
 	}
 	if b.compress {
-		var pre [8]byte
-		binary.LittleEndian.PutUint32(pre[0:4], uint32(b.blockSize))
-		binary.LittleEndian.PutUint32(pre[4:8], uint32(numBlocks))
-		if _, err := sw.Write(pre[:]); err != nil {
-			return BinaryHeader{}, err
-		}
-		if err := writeWordsLE(sw, b.ends); err != nil {
+		if err := writeBlockIndex(sw, b.blockSize, b.ends); err != nil {
 			return BinaryHeader{}, err
 		}
 	}
@@ -495,63 +479,38 @@ func (b *extBuilder) streamFingerprint(adjStart int64) (uint64, error) {
 	r := bufio.NewReaderSize(b.out, 1<<20)
 
 	if !b.compress {
-		words := make([]int32, 1<<20)
-		raw := make([]byte, len(words)*4)
-		remaining := b.off[b.n] * 4
-		for remaining > 0 {
-			chunk := int64(len(raw))
-			if chunk > remaining {
-				chunk = remaining
-			}
+		raw := alignedBytes(4 << 20)
+		for remaining := b.off[b.n] * 4; remaining > 0; {
+			chunk := min(int64(len(raw)), remaining)
 			if _, err := io.ReadFull(r, raw[:chunk]); err != nil {
 				return 0, err
 			}
-			k := int(chunk / 4)
-			for i := 0; i < k; i++ {
-				words[i] = int32(binary.LittleEndian.Uint32(raw[i*4:]))
-			}
-			fs.mixInt32s(words[:k])
+			fs.mixInt32s(words[int32](raw[:chunk]))
 			remaining -= chunk
 		}
 		return fs.sum(), nil
 	}
 
-	// Compressed: skip the preamble and index, then decode block by block
-	// into a reusable buffer, mixing each vertex's list in order.
-	if _, err := io.CopyN(io.Discard, r, int64(8+len(b.ends)*8)); err != nil {
+	// Compressed: skip the block index, then decode block by block into a
+	// reusable buffer, mixing the lists in order.
+	if _, err := io.CopyN(io.Discard, r, int64(blockIndexBytes(len(b.ends)))); err != nil {
 		return 0, err
 	}
 	var payload []byte
+	var adj []int32
 	var prevEnd uint64
-	var ns []int32
 	for blk, end := range b.ends {
-		blen := int(end - prevEnd)
-		if cap(payload) < blen {
-			payload = make([]byte, blen)
-		}
-		payload = payload[:blen]
+		payload = slices.Grow(payload[:0], int(end-prevEnd))[:end-prevEnd]
 		if _, err := io.ReadFull(r, payload); err != nil {
 			return 0, err
 		}
 		prevEnd = end
 		lo, hi := blk*b.blockSize, min((blk+1)*b.blockSize, b.n)
-		p := 0
-		for v := lo; v < hi; v++ {
-			deg := int(b.off[v+1] - b.off[v])
-			if cap(ns) < deg {
-				ns = make([]int32, deg)
-			}
-			ns = ns[:deg]
-			used, err := decodeList(payload[p:], int32(v), ns, b.n)
-			if err != nil {
-				return 0, err
-			}
-			p += used
-			fs.mixInt32s(ns)
+		adj = slices.Grow(adj[:0], int(b.off[hi]-b.off[lo]))[:b.off[hi]-b.off[lo]]
+		if err := decodeBlock(blk, payload, b.off, lo, hi, adj, b.n); err != nil {
+			return 0, err
 		}
-		if p != blen {
-			return 0, fmt.Errorf("graph: external build: block %d re-read consumed %d of %d bytes", blk, p, blen)
-		}
+		fs.mixInt32s(adj)
 	}
 	return fs.sum(), nil
 }

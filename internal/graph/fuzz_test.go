@@ -2,6 +2,8 @@ package graph
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -47,9 +49,11 @@ func FuzzReadEdgeList(f *testing.F) {
 }
 
 // FuzzTextBinaryRoundTrip drives the text parser into both binary
-// encodings and back, pinning the whole chain to the content fingerprint:
-// whatever the text parser accepts must survive text -> .scsr (raw and
-// compressed) -> memory bit-identically.
+// encodings and back through every load path, pinning the whole chain to
+// the content fingerprint: whatever the text parser accepts must load
+// bit-identically from a raw file through OpenBinary (mapped on unix),
+// from compressed files through OpenBinary, and from each file through
+// the heap read that VerifyBinaryFile and hosts without mmap take.
 func FuzzTextBinaryRoundTrip(f *testing.F) {
 	seeds := []string{
 		"3 2\n0 1\n1 2\n",
@@ -67,25 +71,38 @@ func FuzzTextBinaryRoundTrip(f *testing.F) {
 			return
 		}
 		want := g.Fingerprint()
+		p := filepath.Join(t.TempDir(), "g.scsr")
 		for _, opt := range []BinaryOptions{{}, {Compress: true}, {Compress: true, BlockSize: 3}} {
 			var buf bytes.Buffer
 			if werr := WriteBinary(&buf, g, opt); werr != nil {
 				t.Fatalf("%+v: write failed: %v", opt, werr)
 			}
-			g2, rerr := ReadBinary(bytes.NewReader(buf.Bytes()))
-			if rerr != nil {
-				t.Fatalf("%+v: round trip parse failed: %v", opt, rerr)
+			if werr := os.WriteFile(p, buf.Bytes(), 0o644); werr != nil {
+				t.Fatal(werr)
 			}
-			if got := fingerprintArrays(g2.NumVertices(), g2.canonicalOff(), g2.adj); got != want {
-				t.Fatalf("%+v: round trip fingerprint %#x, want %#x", opt, got, want)
+			bg, err := OpenBinary(p)
+			if err != nil {
+				t.Fatalf("OpenBinary %+v: %v", opt, err)
+			}
+			if got := fingerprintArrays(bg.NumVertices(), bg.canonicalOff(), bg.adj); got != want {
+				t.Fatalf("OpenBinary %+v: round trip fingerprint %#x, want %#x", opt, got, want)
+			}
+			if err := bg.Close(); err != nil {
+				t.Fatal(err)
+			}
+			// The header carries want, so VerifyBinaryFile's recomputed
+			// fingerprint checks the arrays its heap read loaded.
+			if _, err := VerifyBinaryFile(p); err != nil {
+				t.Fatalf("VerifyBinaryFile %+v: %v", opt, err)
 			}
 		}
 	})
 }
 
-// FuzzReadBinary throws arbitrary bytes at the binary reader: it must
-// reject or parse without panicking, and anything it accepts must
-// re-serialize to a stream that parses back to the same content.
+// FuzzReadBinary throws arbitrary bytes at the .scsr decoder, as a heap
+// read hands them over: it must reject or parse without panicking, and
+// anything it accepts must re-serialize to a file that decodes back to
+// the same content.
 func FuzzReadBinary(f *testing.F) {
 	addGraph := func(g *Graph, opt BinaryOptions) {
 		var buf bytes.Buffer
@@ -99,7 +116,7 @@ func FuzzReadBinary(f *testing.F) {
 	addGraph(path(40), BinaryOptions{Compress: true, BlockSize: 4})
 	f.Add([]byte("SCSR\r\n\x1a\n garbage"))
 	f.Fuzz(func(t *testing.T, in []byte) {
-		g, err := ReadBinary(bytes.NewReader(in))
+		g, err := readBinaryBytes(in)
 		if err != nil {
 			return
 		}
@@ -107,7 +124,7 @@ func FuzzReadBinary(f *testing.F) {
 		if werr := WriteBinary(&buf, g, BinaryOptions{}); werr != nil {
 			t.Fatalf("re-serialize failed: %v", werr)
 		}
-		g2, rerr := ReadBinary(bytes.NewReader(buf.Bytes()))
+		g2, rerr := readBinaryBytes(buf.Bytes())
 		if rerr != nil {
 			t.Fatalf("re-parse failed: %v", rerr)
 		}

@@ -40,6 +40,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"time"
 
 	"repro/internal/par"
@@ -171,14 +172,35 @@ func parseBinaryHeader(b []byte) (BinaryHeader, error) {
 	if !h.Compressed && h.AdjBytes != arcs*4 {
 		return BinaryHeader{}, fmt.Errorf("graph: scsr raw adjacency is %d bytes, want %d for %d arcs", h.AdjBytes, arcs*4, arcs)
 	}
+	// Bound what a decode allocates and slices by the file itself: a
+	// compressed section spends at least one payload byte per arc after
+	// its 8-byte preamble, and the sections must end within int64.
+	if h.Compressed && h.AdjBytes < 8+arcs {
+		return BinaryHeader{}, fmt.Errorf("graph: scsr compressed adjacency of %d bytes cannot hold %d arcs", h.AdjBytes, arcs)
+	}
+	if h.AdjBytes > math.MaxInt64-h.AdjStart {
+		return BinaryHeader{}, fmt.Errorf("graph: scsr adjacency size %d implausible", h.AdjBytes)
+	}
 	return h, nil
+}
+
+// newBinaryHeader returns the header of an n-vertex file with its section
+// geometry laid out; the writer fills in the arc count, the adjacency
+// section's size and the fingerprint.
+func newBinaryHeader(n int, compressed bool) BinaryHeader {
+	h := BinaryHeader{
+		Version:     scsrVersion,
+		Compressed:  compressed,
+		NumVertices: n,
+		OffStart:    scsrHeaderSize,
+		OffBytes:    uint64(n+1) * 8,
+	}
+	h.AdjStart = h.OffStart + h.OffBytes
+	return h
 }
 
 // totalBytes reports the exact file size the header describes.
 func (h BinaryHeader) totalBytes() int64 { return int64(h.AdjStart + h.AdjBytes) }
-
-// ---------------------------------------------------------------------------
-// Word views (zero-copy reinterpretation of little-endian byte sections).
 
 // canonicalOff returns the graph's offset array in its serialized form:
 // always n+1 entries, even for the zero-value empty graph.
@@ -298,43 +320,58 @@ func decodeList(buf []byte, v int32, dst []int32, n int) (int, error) {
 	return p, nil
 }
 
-// decodeAdjacencyInto decodes the compressed payload into adj, one block
-// per parallel task; degrees come from off. Returns the error at the
-// lowest failing block (deterministic under any worker count).
+// decodeBlock decodes compressed block blk — the lists of vertices
+// [lo, hi), stored in buf — into adj, which holds exactly those lists back
+// to back (degrees from off). Every id is checked against n, and the lists
+// must use up buf. The parallel decoder and the out-of-core builder's
+// fingerprint pass both decode through it.
 //
 //lint:hotpath
-func decodeAdjacencyInto(off []int64, adj []int32, n, blockSize int, ends []uint64, payload []byte) error {
-	numBlocks := len(ends)
-	return par.ForErr(numBlocks, func(b int) error {
+func decodeBlock(blk int, buf []byte, off []int64, lo, hi int, adj []int32, n int) error {
+	base := off[lo]
+	p := 0
+	for v := lo; v < hi; v++ {
+		used, err := decodeList(buf[p:], int32(v), adj[off[v]-base:off[v+1]-base], n)
+		if err != nil {
+			return err
+		}
+		p += used
+	}
+	if p != len(buf) {
+		return fmt.Errorf("graph: scsr block %d has %d trailing payload bytes", blk, len(buf)-p)
+	}
+	return nil
+}
+
+// decodeAdjacencyInto decodes the compressed payload into adj, one block
+// per parallel task; degrees come from off, and block b's payload ends at
+// the b-th little-endian word of index. Returns the error at the lowest
+// failing block (deterministic under any worker count).
+//
+//lint:hotpath
+func decodeAdjacencyInto(off []int64, adj []int32, n, blockSize int, index, payload []byte) error {
+	return par.ForErr(len(index)/8, func(b int) error {
 		lo, hi := b*blockSize, min((b+1)*blockSize, n)
 		var pstart uint64
 		if b > 0 {
-			pstart = ends[b-1]
+			pstart = binary.LittleEndian.Uint64(index[(b-1)*8:])
 		}
-		pend := ends[b]
+		pend := binary.LittleEndian.Uint64(index[b*8:])
 		if pstart > pend || pend > uint64(len(payload)) {
 			return fmt.Errorf("graph: scsr block %d payload [%d:%d) outside %d payload bytes", b, pstart, pend, len(payload))
 		}
-		buf := payload[pstart:pend]
-		p := 0
-		for v := lo; v < hi; v++ {
-			used, err := decodeList(buf[p:], int32(v), adj[off[v]:off[v+1]], n)
-			if err != nil {
-				return err
-			}
-			p += used
-		}
-		if p != len(buf) {
-			return fmt.Errorf("graph: scsr block %d has %d trailing payload bytes", b, len(buf)-p)
-		}
-		return nil
+		return decodeBlock(b, payload[pstart:pend], off, lo, hi, adj[off[lo]:off[hi]], n)
 	})
 }
 
+// blockIndexBytes is the size of a compressed section's prefix: block
+// size, block count, and one payload end offset per block.
+func blockIndexBytes(numBlocks int) uint64 { return 8 + 8*uint64(numBlocks) }
+
 // parseCompressedIndex validates the compressed-adjacency section prefix
-// and returns the block size, the (copied) block end-offset index, and the
-// payload bytes.
-func parseCompressedIndex(sec []byte, n int) (blockSize int, ends []uint64, payload []byte, err error) {
+// and returns the block size, the block end-offset index (left in place;
+// decodeAdjacencyInto checks each block's bounds) and the payload bytes.
+func parseCompressedIndex(sec []byte, n int) (blockSize int, index, payload []byte, err error) {
 	if len(sec) < 8 {
 		return 0, nil, nil, fmt.Errorf("graph: scsr compressed section truncated (%d bytes)", len(sec))
 	}
@@ -347,22 +384,17 @@ func parseCompressedIndex(sec []byte, n int) (blockSize int, ends []uint64, payl
 	if want := (n + blockSize - 1) / blockSize; numBlocks != want {
 		return 0, nil, nil, fmt.Errorf("graph: scsr block count %d, want %d for %d vertices / block size %d", numBlocks, want, n, blockSize)
 	}
-	indexBytes := numBlocks * 8
-	if len(sec) < 8+indexBytes {
+	indexEnd := blockIndexBytes(numBlocks)
+	if uint64(len(sec)) < indexEnd {
 		return 0, nil, nil, fmt.Errorf("graph: scsr block index truncated")
 	}
-	ends = make([]uint64, numBlocks)
-	for b := range ends {
-		ends[b] = le.Uint64(sec[8+b*8 : 16+b*8])
-		if b > 0 && ends[b] < ends[b-1] {
-			return 0, nil, nil, fmt.Errorf("graph: scsr block index not monotone at block %d", b)
+	index, payload = sec[8:indexEnd], sec[indexEnd:]
+	if numBlocks > 0 {
+		if last := le.Uint64(index[len(index)-8:]); last != uint64(len(payload)) {
+			return 0, nil, nil, fmt.Errorf("graph: scsr block index ends at %d, payload is %d bytes", last, len(payload))
 		}
 	}
-	payload = sec[8+indexBytes:]
-	if numBlocks > 0 && ends[numBlocks-1] != uint64(len(payload)) {
-		return 0, nil, nil, fmt.Errorf("graph: scsr block index ends at %d, payload is %d bytes", ends[numBlocks-1], len(payload))
-	}
-	return blockSize, ends, payload, nil
+	return blockSize, index, payload, nil
 }
 
 // checkOffsets verifies the structural invariants of a loaded offset
@@ -390,53 +422,21 @@ func checkOffsets(off []int64, arcs int64) error {
 // allocation-bounded (raw adjacency is emitted from the graph's own arrays
 // through a fixed-size chunk buffer).
 func WriteBinary(w io.Writer, g *Graph, opt BinaryOptions) error {
-	n := g.NumVertices()
 	off := g.canonicalOff()
-	fp := g.fp
-	if fp == 0 {
-		fp = fingerprintArrays(n, off, g.adj)
+	hdr := newBinaryHeader(g.NumVertices(), opt.Compress)
+	hdr.NumArcs = int64(len(g.adj))
+	hdr.Fingerprint = g.Fingerprint()
+	hdr.AdjBytes = uint64(len(g.adj)) * 4
+	blockSize := opt.BlockSize
+	if blockSize <= 0 {
+		blockSize = DefaultBlockSize
 	}
-	hdr := BinaryHeader{
-		Version:     scsrVersion,
-		Compressed:  opt.Compress,
-		NumVertices: n,
-		NumArcs:     int64(len(g.adj)),
-		Fingerprint: fp,
-		OffStart:    scsrHeaderSize,
-		OffBytes:    uint64(n+1) * 8,
-	}
-	hdr.AdjStart = hdr.OffStart + hdr.OffBytes
-
 	var ends []uint64
 	var payload []byte
 	if opt.Compress {
-		bs := opt.BlockSize
-		if bs <= 0 {
-			bs = DefaultBlockSize
-		}
-		ends, payload = encodeAdjacency(g, bs)
-		hdr.AdjBytes = uint64(8 + len(ends)*8 + len(payload))
-		hb := hdr.marshal()
-		if _, err := w.Write(hb[:]); err != nil {
-			return err
-		}
-		if err := writeWordsLE(w, off); err != nil {
-			return err
-		}
-		var pre [8]byte
-		binary.LittleEndian.PutUint32(pre[0:4], uint32(bs))
-		binary.LittleEndian.PutUint32(pre[4:8], uint32(len(ends)))
-		if _, err := w.Write(pre[:]); err != nil {
-			return err
-		}
-		if err := writeWordsLE(w, ends); err != nil {
-			return err
-		}
-		_, err := w.Write(payload)
-		return err
+		ends, payload = encodeAdjacency(g, blockSize)
+		hdr.AdjBytes = blockIndexBytes(len(ends)) + uint64(len(payload))
 	}
-
-	hdr.AdjBytes = uint64(len(g.adj)) * 4
 	hb := hdr.marshal()
 	if _, err := w.Write(hb[:]); err != nil {
 		return err
@@ -444,7 +444,26 @@ func WriteBinary(w io.Writer, g *Graph, opt BinaryOptions) error {
 	if err := writeWordsLE(w, off); err != nil {
 		return err
 	}
-	return writeWordsLE(w, g.adj)
+	if !opt.Compress {
+		return writeWordsLE(w, g.adj)
+	}
+	if err := writeBlockIndex(w, blockSize, ends); err != nil {
+		return err
+	}
+	_, err := w.Write(payload)
+	return err
+}
+
+// writeBlockIndex writes a compressed section's prefix (blockIndexBytes):
+// WriteBinary and the out-of-core builder both emit it here.
+func writeBlockIndex(w io.Writer, blockSize int, ends []uint64) error {
+	var pre [8]byte
+	binary.LittleEndian.PutUint32(pre[0:4], uint32(blockSize))
+	binary.LittleEndian.PutUint32(pre[4:8], uint32(len(ends)))
+	if _, err := w.Write(pre[:]); err != nil {
+		return err
+	}
+	return writeWordsLE(w, ends)
 }
 
 // WriteBinaryFile writes g to path as .scsr, syncing before returning.
@@ -502,89 +521,44 @@ func writeWordsLE[T int32 | int64 | uint64](w io.Writer, ws []T) error {
 // ---------------------------------------------------------------------------
 // Reading.
 
-// readSection reads exactly totalBytes from r. It reads a probe chunk
-// before committing to the full allocation, so a truncated stream with an
-// inflated header fails fast instead of allocating the declared size.
-func readSection(r io.Reader, totalBytes int64) ([]byte, error) {
-	probe := totalBytes
-	if probe > 1<<20 {
-		probe = 1 << 20
-	}
-	head := make([]byte, probe)
-	if _, err := io.ReadFull(r, head); err != nil {
-		return nil, fmt.Errorf("graph: scsr section truncated: %w", err)
-	}
-	if probe == totalBytes {
-		return head, nil
-	}
-	buf := make([]byte, totalBytes)
-	copy(buf, head)
-	if _, err := io.ReadFull(r, buf[probe:]); err != nil {
-		return nil, fmt.Errorf("graph: scsr section truncated: %w", err)
-	}
-	return buf, nil
-}
-
-// decodeInt64sLE converts a little-endian byte section to int64 words.
-func decodeInt64sLE(b []byte) []int64 {
-	ws := make([]int64, len(b)/8)
-	for i := range ws {
-		ws[i] = int64(binary.LittleEndian.Uint64(b[i*8:]))
-	}
-	return ws
-}
-
-// decodeInt32sLE converts a little-endian byte section of len(ws) int32
-// words into ws.
+// decodeBinary builds the graph that a whole .scsr file's bytes describe.
+// Every load goes through it: OpenBinary's mapping or heap read,
+// VerifyBinaryFile's heap read, and the tests' copies. b must be 8-aligned,
+// as a mapping and alignedBytes are. Raw sections become the graph's
+// arrays in place (see words), so a load holds one copy of the file; a
+// compressed file's adjacency is decoded and its offsets copied out, so
+// the graph does not keep b alive.
 //
-//lint:hotpath
-func decodeInt32sLE(ws []int32, b []byte) {
-	par.Range(len(ws), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			ws[i] = int32(binary.LittleEndian.Uint32(b[i*4:]))
-		}
-	})
-}
-
-// ReadBinary reads a .scsr stream fully into heap memory. It works on any
-// reader and any host byte order; OpenBinary is the file-path entry point
-// that upgrades to zero-copy mmap when possible. The loaded sections are
-// structurally validated (monotone offsets, in-range sorted-input-safe
-// adjacency ids), so a corrupt file errors here instead of crashing a
-// solver later.
-func ReadBinary(r io.Reader) (*Graph, error) {
-	var hb [scsrHeaderSize]byte
-	if _, err := io.ReadFull(r, hb[:]); err != nil {
-		return nil, fmt.Errorf("graph: scsr header truncated: %w", err)
-	}
-	hdr, err := parseBinaryHeader(hb[:])
+// Every load checks the header, that b is exactly as long as the header
+// describes, and monotone offsets; compressed lists are range-checked as
+// they decode. Raw adjacency ids are checked unless mapped is set: opening
+// a mapped file stays O(n) and touches no adjacency page, which keeps an
+// O(m) scan out of the daemon's boot (DESIGN.md §5d).
+func decodeBinary(b []byte, mapped bool) (*Graph, error) {
+	hdr, err := parseBinaryHeader(b)
 	if err != nil {
 		return nil, err
 	}
-	offBytes, err := readSection(r, int64(hdr.OffBytes))
-	if err != nil {
-		return nil, err
+	if int64(len(b)) != hdr.totalBytes() {
+		return nil, fmt.Errorf("graph: scsr file is %d bytes, header describes %d", len(b), hdr.totalBytes())
 	}
-	off := decodeInt64sLE(offBytes)
+	off := words[int64](b[hdr.OffStart:hdr.AdjStart])
 	if err := checkOffsets(off, hdr.NumArcs); err != nil {
 		return nil, err
 	}
-	adjBytes, err := readSection(r, int64(hdr.AdjBytes))
-	if err != nil {
-		return nil, err
-	}
-	n := hdr.NumVertices
-	adj := make([]int32, hdr.NumArcs)
+	n, sec := hdr.NumVertices, b[hdr.AdjStart:]
+	var adj []int32
 	if hdr.Compressed {
-		blockSize, ends, payload, perr := parseCompressedIndex(adjBytes, n)
-		if perr != nil {
-			return nil, perr
-		}
-		if err := decodeAdjacencyInto(off, adj, n, blockSize, ends, payload); err != nil {
+		blockSize, index, payload, err := parseCompressedIndex(sec, n)
+		if err != nil {
 			return nil, err
 		}
-	} else {
-		decodeInt32sLE(adj, adjBytes)
+		off = slices.Clone(off)
+		adj = make([]int32, hdr.NumArcs)
+		if err := decodeAdjacencyInto(off, adj, n, blockSize, index, payload); err != nil {
+			return nil, err
+		}
+	} else if adj = words[int32](sec); !mapped {
 		if bad := par.Count(len(adj), func(i int) bool {
 			return adj[i] < 0 || int(adj[i]) >= n
 		}); bad != 0 {
@@ -592,6 +566,16 @@ func ReadBinary(r io.Reader) (*Graph, error) {
 		}
 	}
 	return &Graph{off: off, adj: adj, fp: hdr.Fingerprint}, nil
+}
+
+// readBinaryFile loads the .scsr file f, which readFileHeader found to be
+// size bytes long, from one read into 8-aligned heap memory.
+func readBinaryFile(f *os.File, size int64) (*Graph, error) {
+	b := alignedBytes(size)
+	if _, err := f.ReadAt(b, 0); err != nil {
+		return nil, fmt.Errorf("graph: scsr read: %w", err)
+	}
+	return decodeBinary(b, false)
 }
 
 // BinaryGraph is a Graph loaded from a .scsr file, plus the parsed header
@@ -645,11 +629,12 @@ func readFileHeader(f *os.File) (BinaryHeader, error) {
 
 // OpenBinary opens a .scsr file. Raw adjacency on a little-endian host is
 // mapped zero-copy: the returned graph's offset and adjacency arrays alias
-// the page cache, loading is O(1), and the kernel shares the pages across
-// processes. Compressed adjacency (or a big-endian host, or an mmap
-// failure) falls back to a heap load via ReadBinary. The header's
-// fingerprint is carried onto the graph, so Fingerprint() never re-hashes
-// a binary-loaded graph.
+// the page cache, loading is O(n) (offsets are checked; adjacency pages
+// are not touched), and the kernel shares the pages across processes.
+// Compressed adjacency (or a big-endian host, or an mmap failure) is
+// loaded from one heap read of the file. The header's fingerprint is
+// carried onto the graph, so Fingerprint() never re-hashes a
+// binary-loaded graph.
 func OpenBinary(path string) (*BinaryGraph, error) {
 	start := time.Now()
 	f, err := os.Open(path)
@@ -664,25 +649,19 @@ func OpenBinary(path string) (*BinaryGraph, error) {
 	size := hdr.totalBytes()
 
 	if !hdr.Compressed && hostLittleEndian && mmapSupported {
-		m, merr := mmapRO(f, int(size))
-		if merr == nil {
-			off := int64View(m[hdr.OffStart : hdr.OffStart+hdr.OffBytes])
-			adj := int32View(m[hdr.AdjStart : hdr.AdjStart+hdr.AdjBytes])
-			if cerr := checkOffsets(off, hdr.NumArcs); cerr != nil {
+		if m, merr := mmapRO(f, int(size)); merr == nil {
+			g, err := decodeBinary(m, true)
+			if err != nil {
 				munmapBytes(m)
-				return nil, cerr
+				return nil, err
 			}
 			observeBinaryOpen("mmap", size, 0)
-			g := &Graph{off: off, adj: adj, fp: hdr.Fingerprint}
 			return &BinaryGraph{Graph: g, Hdr: hdr, mapping: m}, nil
 		}
-		// mmap failed (exotic fs, resource limits): fall through to heap.
+		// mmap failed (exotic fs, resource limits): fall through to a read.
 	}
 
-	if _, err := f.Seek(0, io.SeekStart); err != nil {
-		return nil, err
-	}
-	g, err := ReadBinary(bufio.NewReaderSize(f, 1<<20))
+	g, err := readBinaryFile(f, size)
 	if err != nil {
 		return nil, err
 	}
@@ -698,8 +677,8 @@ func OpenBinary(path string) (*BinaryGraph, error) {
 // and version, section geometry against the file size, monotone offsets,
 // full structural invariants of the decoded graph (sorted symmetric
 // loop-free adjacency), and a recomputed fingerprint matched against the
-// header. The heap decode path is used deliberately so verification does
-// not depend on the mmap fast path it certifies.
+// header. The file is read into the heap deliberately, so verification
+// does not depend on the mmap fast path it certifies.
 func VerifyBinaryFile(path string) (BinaryHeader, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -710,10 +689,7 @@ func VerifyBinaryFile(path string) (BinaryHeader, error) {
 	if err != nil {
 		return hdr, err
 	}
-	if _, err := f.Seek(0, io.SeekStart); err != nil {
-		return hdr, err
-	}
-	g, err := ReadBinary(bufio.NewReaderSize(f, 1<<20))
+	g, err := readBinaryFile(f, hdr.totalBytes())
 	if err != nil {
 		return hdr, err
 	}
@@ -778,7 +754,7 @@ var (
 		"Graph bytes loaded from disk, by on-disk format (text, metis, scsr).", "format")
 	mOpens = telemetry.Default.CounterVec(
 		"symbreak_graph_open_total",
-		"Binary graph opens by adjacency disposition: mmap (zero-copy mapped), decode (varint adjacency decoded to heap), read (raw sections copied to heap).", "disposition")
+		"Binary graph opens by adjacency disposition: mmap (zero-copy mapped), decode (varint adjacency decoded to heap), read (raw file read once into the heap, its sections used in place).", "disposition")
 	mDecodeSeconds = telemetry.Default.Histogram(
 		"symbreak_graph_decode_seconds",
 		"Wall time materializing a graph from disk into memory (not observed for zero-copy mmap opens).", nil)

@@ -2,7 +2,9 @@ package graph
 
 import (
 	"bytes"
+	"encoding/binary"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -63,9 +65,9 @@ func TestBinaryRoundTrip(t *testing.T) {
 			if err := WriteBinary(&buf, g, opt); err != nil {
 				t.Fatalf("%s %+v: WriteBinary: %v", name, opt, err)
 			}
-			got, err := ReadBinary(bytes.NewReader(buf.Bytes()))
+			got, err := readBinaryBytes(buf.Bytes())
 			if err != nil {
-				t.Fatalf("%s %+v: ReadBinary: %v", name, opt, err)
+				t.Fatalf("%s %+v: decode: %v", name, opt, err)
 			}
 			graphsEqual(t, got, g)
 			if got.Fingerprint() != g.Fingerprint() {
@@ -132,28 +134,100 @@ func TestVerifyBinaryFile(t *testing.T) {
 	}
 }
 
-// TestReadBinaryRawDecodesInPlace: a heap load of a raw file holds its
-// sections once as read and once decoded into the graph's arrays; a
-// second decoded copy of the adjacency makes three.
+// readBinaryBytes loads a .scsr image as a heap read does: copied into
+// 8-aligned memory and decoded with every read-load check.
+func readBinaryBytes(in []byte) (*Graph, error) {
+	b := alignedBytes(int64(len(in)))
+	copy(b, in)
+	return decodeBinary(b, false)
+}
+
+// TestReadBinaryRawDecodesInPlace: a heap load through the read path
+// (VerifyBinaryFile's, whose checks allocate nothing) holds one copy. A
+// raw file's sections are the graph's arrays where they were read (1.00×
+// the file); a compressed file is read once beside the arrays its
+// adjacency decodes into (1.56× the arrays on this graph), its offsets
+// copied out so the file's bytes can be freed.
 func TestReadBinaryRawDecodesInPlace(t *testing.T) {
 	g := randomGraph(100000, 1000000, 9)
-	var buf bytes.Buffer
-	if err := WriteBinary(&buf, g, BinaryOptions{}); err != nil {
-		t.Fatal(err)
+	arrays := uint64(len(g.off)*8 + len(g.adj)*4)
+	dir := t.TempDir()
+	for _, tc := range []struct {
+		name  string
+		opt   BinaryOptions
+		limit float64 // bytes allocated per byte of the file (raw) or of the arrays
+	}{
+		{"raw", BinaryOptions{}, 1.1},
+		{"compressed", BinaryOptions{Compress: true}, 1.6},
+	} {
+		p := filepath.Join(dir, tc.name+".scsr")
+		if err := WriteBinaryFile(p, g, tc.opt); err != nil {
+			t.Fatal(err)
+		}
+		fi, err := os.Stat(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		base, of := uint64(fi.Size()), "the file"
+		if tc.opt.Compress {
+			base, of = arrays, "the graph's arrays"
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err = VerifyBinaryFile(p)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		alloc := after.TotalAlloc - before.TotalAlloc
+		if ratio := float64(alloc) / float64(base); ratio > tc.limit {
+			t.Fatalf("%s: a heap load allocated %d bytes, %.2f× %s (%d bytes), want ≤ %.1f×",
+				tc.name, alloc, ratio, of, base, tc.limit)
+		}
+		t.Logf("%s: %d bytes allocated, %.2f× %s", tc.name, alloc, float64(alloc)/float64(base), of)
 	}
-	sections := uint64(buf.Len() - scsrHeaderSize)
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	got, err := ReadBinary(bytes.NewReader(buf.Bytes()))
-	runtime.ReadMemStats(&after)
-	if err != nil {
-		t.Fatal(err)
-	}
-	graphsEqual(t, got, g)
-	// 2 copies plus readSection's 1 MiB probe fit under 2.5.
-	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > sections*5/2 {
-		t.Fatalf("ReadBinary allocated %d bytes for %d bytes of sections (%.2f copies)",
-			alloc, sections, float64(alloc)/float64(sections))
+}
+
+// TestBinarySizeMismatchFailsBeforeAllocating: a file one byte short or one
+// byte long fails on the mapped path (OpenBinary of a raw file) and on the
+// read path (OpenBinary of a compressed one, VerifyBinaryFile of either)
+// from its header and size alone, before any section is allocated;
+// VerifyBinaryFile still returns the header it parsed.
+func TestBinarySizeMismatchFailsBeforeAllocating(t *testing.T) {
+	g := randomGraph(20000, 100000, 4)
+	dir := t.TempDir()
+	for _, opt := range []BinaryOptions{{}, {Compress: true}} {
+		var buf bytes.Buffer
+		if err := WriteBinary(&buf, g, opt); err != nil {
+			t.Fatal(err)
+		}
+		valid := buf.Bytes()
+		for _, tc := range []struct {
+			name string
+			b    []byte
+		}{
+			{"short", valid[:len(valid)-1]},
+			{"long", append(valid[:len(valid):len(valid)], 0)},
+		} {
+			p := filepath.Join(dir, tc.name+".scsr")
+			if err := os.WriteFile(p, tc.b, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			_, openErr := OpenBinary(p)
+			hdr, verifyErr := VerifyBinaryFile(p)
+			runtime.ReadMemStats(&after)
+			if openErr == nil || verifyErr == nil {
+				t.Fatalf("%s %+v: accepted (open %v, verify %v)", tc.name, opt, openErr, verifyErr)
+			}
+			if hdr.NumVertices != g.NumVertices() || hdr.Fingerprint != g.Fingerprint() {
+				t.Fatalf("%s %+v: VerifyBinaryFile returned header %+v with its size error", tc.name, opt, hdr)
+			}
+			if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 64<<10 {
+				t.Fatalf("%s %+v: rejecting allocated %d bytes; the offset section alone is %d", tc.name, opt, alloc, len(g.off)*8)
+			}
+		}
 	}
 }
 
@@ -167,7 +241,7 @@ func TestBinaryRejectsCorruption(t *testing.T) {
 
 	// Truncations at every section boundary and mid-section.
 	for _, cut := range []int{0, 4, scsrHeaderSize - 1, scsrHeaderSize, scsrHeaderSize + 17, len(valid) - 1} {
-		if _, err := ReadBinary(bytes.NewReader(valid[:cut])); err == nil {
+		if _, err := readBinaryBytes(valid[:cut]); err == nil {
 			t.Fatalf("truncation at %d accepted", cut)
 		}
 	}
@@ -175,15 +249,47 @@ func TestBinaryRejectsCorruption(t *testing.T) {
 	for pos := 0; pos < scsrHeaderSize; pos++ {
 		mut := append([]byte(nil), valid...)
 		mut[pos] ^= 0x41
-		if _, err := ReadBinary(bytes.NewReader(mut)); err == nil {
+		if _, err := readBinaryBytes(mut); err == nil {
 			t.Fatalf("header corruption at byte %d accepted", pos)
 		}
 	}
 	// Adjacency id out of range.
 	mut := append([]byte(nil), valid...)
 	mut[len(mut)-1] = 0x7f // high byte of the last int32 neighbor
-	if _, err := ReadBinary(bytes.NewReader(mut)); err == nil {
+	if _, err := readBinaryBytes(mut); err == nil {
 		t.Fatal("out-of-range adjacency id accepted")
+	}
+
+	// Headers describing more than the file holds are rejected before a
+	// section is sliced or allocated: an adjacency size that wraps the
+	// file size past 2⁶⁴ back to AdjStart−8, and a compressed arc count
+	// above one arc per payload byte (offsets [0, 2²⁶], 17 section bytes).
+	wrapped := newBinaryHeader(1, true)
+	wrapped.AdjBytes = math.MaxUint64 - 7
+	inflated := newBinaryHeader(1, true)
+	inflated.NumArcs, inflated.AdjBytes = 1<<26, 17
+	le := binary.LittleEndian
+	body := le.AppendUint64(le.AppendUint64(nil, 0), 1<<26)
+	body = le.AppendUint64(le.AppendUint32(le.AppendUint32(body, 1024), 1), 1)
+	for _, tc := range []struct {
+		name string
+		h    BinaryHeader
+		body []byte
+	}{
+		{"wrapped", wrapped, make([]byte, 8)},
+		{"inflated", inflated, append(body, 0)},
+	} {
+		hb := tc.h.marshal()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := readBinaryBytes(append(hb[:], tc.body...))
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Fatalf("%s header accepted", tc.name)
+		}
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 64<<10 {
+			t.Fatalf("%s header: rejecting allocated %d bytes", tc.name, alloc)
+		}
 	}
 
 	// On-disk flips that keep structure valid must fail verification.
@@ -198,13 +304,22 @@ func TestBinaryRejectsCorruption(t *testing.T) {
 		t.Fatal("content flip passed verification")
 	}
 
-	// A file whose size disagrees with the header is rejected by OpenBinary.
-	p2 := filepath.Join(dir, "short.scsr")
-	if err := os.WriteFile(p2, valid[:len(valid)-4], 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := OpenBinary(p2); err == nil {
-		t.Fatal("size-mismatched file opened")
+	// A mapped open checks offsets only, so it stays O(n): an out-of-range
+	// id maps, and only the read path (VerifyBinaryFile) rejects it.
+	if mmapSupported && hostLittleEndian {
+		mut = append([]byte(nil), valid...)
+		mut[len(mut)-1] = 0x7f
+		if err := os.WriteFile(p, mut, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		bg, err := OpenBinary(p)
+		if err != nil || !bg.Mapped() {
+			t.Fatalf("mapped open scanned the adjacency: %v", err)
+		}
+		bg.Close()
+		if _, err := VerifyBinaryFile(p); err == nil {
+			t.Fatal("out-of-range adjacency id passed verification")
+		}
 	}
 }
 

@@ -1,12 +1,15 @@
 package graph
 
-// Zero-copy reinterpretation of mapped .scsr sections as word slices. Only
-// the mmap fast path uses these: the sections start at offsets that are
-// multiples of 8 within a page-aligned mapping, so the casts are aligned,
-// and the host must be little-endian for the on-disk words to be the
-// in-memory representation (checked via hostLittleEndian before use).
+// Word access to .scsr sections in place. Section starts are multiples of
+// 8 within an 8-aligned file image (a page-aligned mapping, or the heap
+// buffer alignedBytes returns), so on a little-endian host the on-disk
+// words are the in-memory representation and a section is viewed, not
+// copied.
 
-import "unsafe"
+import (
+	"slices"
+	"unsafe"
+)
 
 // hostLittleEndian reports whether the running host stores integers
 // little-endian (true on every platform Go currently targets except a few
@@ -16,20 +19,28 @@ var hostLittleEndian = func() bool {
 	return *(*byte)(unsafe.Pointer(&x)) == 1
 }()
 
-// int64View reinterprets an 8-aligned little-endian byte section as
-// []int64 without copying. The returned slice aliases b.
-func int64View(b []byte) []int64 {
-	if len(b) == 0 {
+// alignedBytes returns n zeroed heap bytes backed by uint64 words, so a
+// .scsr image read into them has 8-aligned sections.
+func alignedBytes(n int64) []byte {
+	if n == 0 {
 		return nil
 	}
-	return unsafe.Slice((*int64)(unsafe.Pointer(unsafe.SliceData(b))), len(b)/8)
+	ws := make([]uint64, (n+7)/8)
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(ws))), n)
 }
 
-// int32View reinterprets a 4-aligned little-endian byte section as
-// []int32 without copying. The returned slice aliases b.
-func int32View(b []byte) []int32 {
+// words returns the little-endian words of the aligned section b as a []T
+// that aliases b. A big-endian host, which never maps a file, first
+// byte-swaps each word of its heap copy in place.
+func words[T int32 | int64](b []byte) []T {
 	if len(b) == 0 {
 		return nil
 	}
-	return unsafe.Slice((*int32)(unsafe.Pointer(unsafe.SliceData(b))), len(b)/4)
+	size := int(unsafe.Sizeof(T(0)))
+	if !hostLittleEndian {
+		for i := 0; i < len(b); i += size {
+			slices.Reverse(b[i : i+size])
+		}
+	}
+	return unsafe.Slice((*T)(unsafe.Pointer(unsafe.SliceData(b))), len(b)/size)
 }

@@ -24,7 +24,10 @@ import (
 // whose (function, message) count exceeds the baseline is a finding.
 // Grandfathered allocations live in the baseline (regenerate with
 // `symlint -write-alloc-baseline`); new ones must be justified with
-// `//lint:allow allocgate` on the allocation line or eliminated.
+// `//lint:allow allocgate` on the allocation line or eliminated. A
+// baseline entry that allows more than the build reports (an allocation
+// removed, or its function deleted) is a stale allowance and a finding
+// too, so a baseline is never looser than the code.
 //
 // A generic function cannot carry the mark: the compiler reports the
 // escapes of a generic body only while compiling the packages that
@@ -117,6 +120,21 @@ func runAllocgate(p *Pass) error {
 		p.Reportf(d.pos,
 			"new heap allocation in //lint:hotpath %s: %s (add to %s via symlint -write-alloc-baseline only with a benchmark justification)",
 			d.fn, d.message, allocBaselineFile)
+	}
+	for _, e := range baseline.Entries {
+		key := e.Func + "\x00" + e.Message
+		if allowed[key] <= seen[key] {
+			continue
+		}
+		pos := p.Files[0].Package // where a deleted function's entry is reported
+		for _, h := range hot {
+			if h.name == e.Func {
+				pos = h.pos
+			}
+		}
+		p.Reportf(pos,
+			"stale allowance in %s for %s: %s (allows %d, the build reports %d); regenerate with `symlint -write-alloc-baseline`",
+			allocBaselineFile, e.Func, e.Message, allowed[key], seen[key])
 	}
 	return nil
 }

@@ -51,6 +51,19 @@ func TestAllocgateBaselineFixture(t *testing.T) {
 	RunFixture(t, Allocgate, "allocgatebase")
 }
 
+// TestAllocgateStaleFixture: the allocgatestale fixture's baseline allows
+// more than its build reports, for a live function and for a deleted one;
+// both entries are stale allowances.
+func TestAllocgateStaleFixture(t *testing.T) {
+	if testing.Short() {
+		t.Skip("shells out to go build; skipped in -short")
+	}
+	if v := goMinorVersion(); v != "go1.24" {
+		t.Skipf("the fixture's baseline is for go1.24; allocgate skips it under %s", v)
+	}
+	RunFixture(t, Allocgate, "allocgatestale")
+}
+
 // TestDetflowCatchesWhatDetrandMisses pins the reason detflow exists: the
 // detflowgap fixture stores a laundered rand draw into a solution field.
 // Its only nondeterminism lives in another package, so the one-level

@@ -445,6 +445,7 @@ func TestSolveErrorCodes(t *testing.T) {
 		{"parts above vertices", `{"graph":"ring","problem":"color","algo":"rand","params":{"parts":65}}`, http.StatusBadRequest},
 		{"mis degk with k 3", `{"graph":"ring","problem":"mis","algo":"degk","params":{"k":3}}`, http.StatusBadRequest},
 		{"mis auto with k 3", `{"graph":"ring","problem":"mis","algo":"auto","params":{"k":3}}`, http.StatusBadRequest},
+		{"mpx beta below its floor", `{"graph":"ring","problem":"mis","algo":"mpx","params":{"beta":1e-9}}`, http.StatusBadRequest},
 		{"no graph", `{"problem":"mm"}`, http.StatusBadRequest},
 		{"unknown graph", `{"graph":"nope","problem":"mm"}`, http.StatusNotFound},
 		{"both sources", `{"graph":"ring","edges":[[0,1]],"problem":"mm"}`, http.StatusConflict},

@@ -42,6 +42,8 @@ done <<'EOF'
 -technique labelprop
 -technique rand -parts 0
 -technique mpx -beta 0
+-technique mpx -beta 1e-9
+-technique mpx -beta NaN
 -technique degk -k -1
 -technique multilevel -parts 0
 EOF
