@@ -53,7 +53,7 @@ const DefaultLaunchOverhead = 10 * time.Microsecond
 // Machine is a virtual bulk-synchronous manycore processor. It runs
 // kernels on the par package's workers and charges DefaultLaunchOverhead
 // per launch on its simulated clock. A Machine may be reused across
-// algorithms; ResetStats clears its counters between experiments.
+// algorithms.
 type Machine struct {
 	launches   atomic.Int64
 	threadsRun atomic.Int64
@@ -120,11 +120,4 @@ func (m *Machine) Stats() Stats {
 		KernelTime: kt,
 		SimTime:    kt + time.Duration(launches)*DefaultLaunchOverhead,
 	}
-}
-
-// ResetStats zeroes the counters.
-func (m *Machine) ResetStats() {
-	m.launches.Store(0)
-	m.threadsRun.Store(0)
-	m.kernelTime.Store(0)
 }

@@ -382,21 +382,6 @@ func SolveVerified(g *graph.Graph, p Problem, opt Options) (*Result, error) {
 	return res, nil
 }
 
-// fnv1a64 parameters for SolutionDigest.
-const (
-	fnvOffset64 = 0xcbf29ce484222325
-	fnvPrime64  = 0x100000001b3
-)
-
-func digestMix(h, v uint64) uint64 {
-	for i := 0; i < 8; i++ {
-		h ^= v & 0xff
-		h *= fnvPrime64
-		v >>= 8
-	}
-	return h
-}
-
 // SolutionDigest returns a 64-bit FNV-1a content hash of the solution
 // payload — the Mate, Color, or In array, tagged by problem kind. Because
 // every solver is deterministic under (seed, options) for any worker
@@ -405,26 +390,26 @@ func digestMix(h, v uint64) uint64 {
 // returns it in every /solve response and the end-to-end tests compare it
 // across servers. Returns 0 for a Result holding no solution.
 func (r *Result) SolutionDigest() uint64 {
-	h := uint64(fnvOffset64)
+	h := uint64(graph.FNVOffset64)
 	switch {
 	case r.Matching != nil:
-		h = digestMix(h, uint64(ProblemMM))
+		h = graph.FNVMix64(h, uint64(ProblemMM))
 		for _, m := range r.Matching.Mate {
-			h = digestMix(h, uint64(uint32(m)))
+			h = graph.FNVMix64(h, uint64(uint32(m)))
 		}
 	case r.Coloring != nil:
-		h = digestMix(h, uint64(ProblemColor))
+		h = graph.FNVMix64(h, uint64(ProblemColor))
 		for _, c := range r.Coloring.Color {
-			h = digestMix(h, uint64(uint32(c)))
+			h = graph.FNVMix64(h, uint64(uint32(c)))
 		}
 	case r.IndepSet != nil:
-		h = digestMix(h, uint64(ProblemMIS))
+		h = graph.FNVMix64(h, uint64(ProblemMIS))
 		for _, in := range r.IndepSet.In {
 			var b uint64
 			if in {
 				b = 1
 			}
-			h = digestMix(h, b)
+			h = graph.FNVMix64(h, b)
 		}
 	default:
 		return 0

@@ -86,12 +86,6 @@ func FromEdges(n int, edges []Edge) *Graph {
 	return fromCanonicalEdges(n, uniq)
 }
 
-// Reusable arenas for the builder's transient degree/cursor arrays.
-var (
-	degScratch par.Scratch[int32]
-	posScratch par.Scratch[int64]
-)
-
 // scatterParallelCutoff is the edge count below which the CSR scatter runs
 // sequentially: per-edge atomic adds only pay off once there is enough work
 // to share.
@@ -104,8 +98,7 @@ const scatterParallelCutoff = 1 << 15
 // graph is identical under any worker count.
 func fromCanonicalEdges(n int, edges []Edge) *Graph {
 	m := len(edges)
-	deg := degScratch.Get(n)
-	par.Fill(deg, 0)
+	deg := make([]int32, n)
 	parallel := par.Workers() > 1 && m >= scatterParallelCutoff
 	if parallel {
 		par.For(m, func(i int) {
@@ -120,9 +113,8 @@ func fromCanonicalEdges(n int, edges []Edge) *Graph {
 		}
 	}
 	off := par.ExclusiveSum32(deg)
-	degScratch.Put(deg)
 	adj := make([]int32, off[n])
-	pos := posScratch.Get(n)
+	pos := make([]int64, n)
 	par.Copy(pos, off[:n])
 	if parallel {
 		par.For(m, func(i int) {
@@ -138,7 +130,6 @@ func fromCanonicalEdges(n int, edges []Edge) *Graph {
 			pos[e.V]++
 		}
 	}
-	posScratch.Put(pos)
 	// Sort each adjacency list (parallel over vertices; slices.Sort runs
 	// an insertion sort on the short lists that dominate these graphs).
 	g := &Graph{off: off, adj: adj}

@@ -1,15 +1,17 @@
 package graph
 
-// fnvOffset64 and fnvPrime64 are the FNV-1a parameters; the hash is
+// FNVOffset64 and fnvPrime64 are the FNV-1a parameters; the hash is
 // computed inline (rather than through hash/fnv) so the CSR arrays are
 // mixed word-at-a-time without a byte-serialization pass.
 const (
-	fnvOffset64 = 0xcbf29ce484222325
+	FNVOffset64 = 0xcbf29ce484222325
 	fnvPrime64  = 0x100000001b3
 )
 
-// fnvMix64 folds one 64-bit word into an FNV-1a state byte by byte.
-func fnvMix64(h, v uint64) uint64 {
+// FNVMix64 folds one 64-bit word into an FNV-1a state byte by byte, least
+// significant byte first. Start from FNVOffset64. Graph fingerprints and
+// core's solution digests both mix their words with it.
+func FNVMix64(h, v uint64) uint64 {
 	for i := 0; i < 8; i++ {
 		h ^= v & 0xff
 		h *= fnvPrime64
@@ -42,12 +44,12 @@ func (g *Graph) Fingerprint() uint64 {
 // binary format's validation path (which must recompute the hash from raw
 // sections regardless of any cached value).
 func fingerprintArrays(n int, off []int64, adj []int32) uint64 {
-	h := fnvMix64(uint64(fnvOffset64), uint64(n))
+	h := FNVMix64(uint64(FNVOffset64), uint64(n))
 	for _, o := range off {
-		h = fnvMix64(h, uint64(o))
+		h = FNVMix64(h, uint64(o))
 	}
 	for _, v := range adj {
-		h = fnvMix64(h, uint64(v))
+		h = FNVMix64(h, uint64(v))
 	}
 	return h
 }
@@ -59,18 +61,18 @@ func fingerprintArrays(n int, off []int64, adj []int32) uint64 {
 type fingerprintState struct{ h uint64 }
 
 func newFingerprintState(n int) *fingerprintState {
-	return &fingerprintState{h: fnvMix64(uint64(fnvOffset64), uint64(n))}
+	return &fingerprintState{h: FNVMix64(uint64(FNVOffset64), uint64(n))}
 }
 
 func (s *fingerprintState) mixInt64s(ws []int64) {
 	for _, w := range ws {
-		s.h = fnvMix64(s.h, uint64(w))
+		s.h = FNVMix64(s.h, uint64(w))
 	}
 }
 
 func (s *fingerprintState) mixInt32s(ws []int32) {
 	for _, w := range ws {
-		s.h = fnvMix64(s.h, uint64(w))
+		s.h = FNVMix64(s.h, uint64(w))
 	}
 }
 

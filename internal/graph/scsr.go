@@ -91,7 +91,7 @@ type BinaryOptions struct {
 
 // fnv1aBytes hashes a byte slice with FNV-1a (the header check).
 func fnv1aBytes(b []byte) uint64 {
-	h := uint64(fnvOffset64)
+	h := uint64(FNVOffset64)
 	for _, c := range b {
 		h ^= uint64(c)
 		h *= fnvPrime64

@@ -6,11 +6,6 @@ import (
 	"repro/internal/par"
 )
 
-// Reusable arena for subgraph extraction's transient per-vertex local
-// ids. decomp materializes subgraphs on every decomposition, so it is hot
-// enough to be worth keeping warm.
-var idScratch par.Scratch[int32]
-
 // Sub is a materialized subgraph of a parent graph, with the local→global
 // vertex mapping needed to transfer solutions (matchings, colorings,
 // independent sets) computed on the subgraph back to the parent.
@@ -77,7 +72,7 @@ func PartitionByLabel(g *Graph, label []int32, k int) (parts []*Sub, cross *Sub)
 			running[l] += counts[w][l]
 		}
 	}
-	localID := idScratch.Get(n)
+	localID := make([]int32, n)
 	par.RangeIdx(n, func(w, lo, hi int) {
 		next := make([]int64, k)
 		copy(next, chunkBase[w])
@@ -98,8 +93,8 @@ func PartitionByLabel(g *Graph, label []int32, k int) (parts []*Sub, cross *Sub)
 	})
 
 	// Intra-part degrees and cross degrees.
-	intraDeg := degScratch.Get(n)
-	crossDeg := degScratch.Get(n)
+	intraDeg := make([]int32, n)
+	crossDeg := make([]int32, n)
 	par.For(n, func(i int) {
 		v := int32(i)
 		l := label[i]
@@ -119,11 +114,7 @@ func PartitionByLabel(g *Graph, label []int32, k int) (parts []*Sub, cross *Sub)
 	for l := 0; l < k; l++ {
 		parts[l] = buildPart(g, label, int32(l), toGlobal[l], localID, intraDeg)
 	}
-	idScratch.Put(localID)
-	degScratch.Put(intraDeg)
-
 	cross = buildCross(g, crossDeg, func(v, w int32) bool { return label[v] == label[w] })
-	degScratch.Put(crossDeg)
 	return parts, cross
 }
 
@@ -134,10 +125,9 @@ func PartitionByLabel(g *Graph, label []int32, k int) (parts []*Sub, cross *Sub)
 // once per arc.
 func buildPart[L comparable](g *Graph, label []L, l L, tg, localID, deg []int32) *Sub {
 	m := len(tg)
-	partDeg := degScratch.Get(m)
+	partDeg := make([]int32, m)
 	par.For(m, func(j int) { partDeg[j] = deg[tg[j]] })
 	off := par.ExclusiveSum32(partDeg)
-	degScratch.Put(partDeg)
 	adj := make([]int32, off[m])
 	par.For(m, func(j int) {
 		p := off[j]
@@ -156,7 +146,7 @@ func buildPart[L comparable](g *Graph, label []L, l L, tg, localID, deg []int32)
 // concurrent calls.
 func KeepEdges(g *Graph, keep func(u, v int32) bool) *Graph {
 	n := g.NumVertices()
-	deg := degScratch.Get(n)
+	deg := make([]int32, n)
 	par.For(n, func(i int) {
 		v := int32(i)
 		var d int32
@@ -168,7 +158,6 @@ func KeepEdges(g *Graph, keep func(u, v int32) bool) *Graph {
 		deg[i] = d
 	})
 	off := par.ExclusiveSum32(deg)
-	degScratch.Put(deg)
 	return &Graph{off: off, adj: fillEdges(g, nil, nil, off, keep, true)}
 }
 
@@ -179,13 +168,12 @@ func KeepEdges(g *Graph, keep func(u, v int32) bool) *Graph {
 func SplitEdges(g *Graph, keep func(u, v int32) bool) (kept *Graph, cross *Sub) {
 	kept = KeepEdges(g, keep)
 	n := g.NumVertices()
-	crossDeg := degScratch.Get(n)
+	crossDeg := make([]int32, n)
 	par.For(n, func(i int) {
 		v := int32(i)
 		crossDeg[i] = g.Degree(v) - kept.Degree(v)
 	})
 	cross = buildCross(g, crossDeg, keep)
-	degScratch.Put(crossDeg)
 	return kept, cross
 }
 
@@ -193,12 +181,10 @@ func SplitEdges(g *Graph, keep func(u, v int32) bool) (kept *Graph, cross *Sub) 
 // their per-vertex counts crossDeg.
 func buildCross(g *Graph, crossDeg []int32, keep func(v, w int32) bool) *Sub {
 	tg, localID := renumber(crossDeg)
-	deg := degScratch.Get(len(tg))
+	deg := make([]int32, len(tg))
 	par.For(len(tg), func(j int) { deg[j] = crossDeg[tg[j]] })
 	off := par.ExclusiveSum32(deg)
-	degScratch.Put(deg)
 	adj := fillEdges(g, tg, localID, off, keep, false)
-	idScratch.Put(localID)
 	return &Sub{G: &Graph{off: off, adj: adj}, ToGlobal: tg}
 }
 
@@ -229,8 +215,8 @@ func fillEdges(g *Graph, tg, localID []int32, off []int64, keep func(v, w int32)
 
 // renumber ranks the vertices v whose in[v] is not the zero value: tg
 // lists them in id order, and localID[v] is v's index in tg (set only for
-// those vertices; the caller returns localID to idScratch). A per-chunk
-// count gives each chunk its first rank, as in PartitionByLabel.
+// those vertices). A per-chunk count gives each chunk its first rank, as
+// in PartitionByLabel.
 func renumber[T comparable](in []T) (tg, localID []int32) {
 	var zero T
 	n := len(in)
@@ -248,7 +234,7 @@ func renumber[T comparable](in []T) (tg, localID []int32) {
 		first[w] += first[w-1]
 	}
 	tg = make([]int32, first[len(first)-1])
-	localID = idScratch.Get(n)
+	localID = make([]int32, n)
 	par.RangeIdx(n, func(w, lo, hi int) {
 		next := first[w]
 		for i := lo; i < hi; i++ {
@@ -301,7 +287,7 @@ func InducedSubgraph(g *Graph, member []bool) *Sub {
 		panic("graph: InducedSubgraph mask length mismatch")
 	}
 	tg, localID := renumber(member)
-	deg := degScratch.Get(n)
+	deg := make([]int32, n)
 	par.For(len(tg), func(j int) {
 		var d int32
 		for _, w := range g.Neighbors(tg[j]) {
@@ -311,8 +297,5 @@ func InducedSubgraph(g *Graph, member []bool) *Sub {
 		}
 		deg[tg[j]] = d
 	})
-	sub := buildPart(g, member, true, tg, localID, deg)
-	degScratch.Put(deg)
-	idScratch.Put(localID)
-	return sub
+	return buildPart(g, member, true, tg, localID, deg)
 }

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/par"
@@ -189,4 +190,43 @@ func TestPartitionLargeParallelPath(t *testing.T) {
 	if cross.NumEdges() != g.NumEdges() {
 		t.Fatal("all path edges must be cross edges")
 	}
+}
+
+// TestBuildsKeepNoHeap: the subgraph and CSR builders allocate their
+// temporaries per call, so once their results are dropped a collection
+// takes the heap back to where it was. A buffer kept between calls for
+// reuse, even a single n-sized int32 array, fails this.
+func TestBuildsKeepNoHeap(t *testing.T) {
+	const n = 1 << 19
+	g := cycle(n)
+	edges := g.Edges()
+	label := make([]int32, n)
+	member := make([]bool, n)
+	for i := range label {
+		label[i] = int32(i % 3)
+		member[i] = i%3 != 0
+	}
+	keep := func(u, v int32) bool { return (u^v)&2 == 0 }
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for r := 0; r < 3; r++ {
+		PartitionByLabel(g, label, 3)
+		SplitEdges(g, keep)
+		InducedSubgraph(g, member)
+		FromEdges(n, edges)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	grew := int64(after.HeapAlloc) - int64(before.HeapAlloc)
+	if grew > n {
+		t.Fatalf("the heap grew %d bytes across the builds, want at most %d", grew, n)
+	}
+	t.Logf("heap grew %d bytes", grew)
+	// The inputs stay live across both readings, so their collection
+	// cannot hide a retained buffer.
+	runtime.KeepAlive(g)
+	runtime.KeepAlive(edges)
+	runtime.KeepAlive(label)
+	runtime.KeepAlive(member)
 }

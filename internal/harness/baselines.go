@@ -9,8 +9,8 @@ import (
 	"slices"
 	"time"
 
-	"repro/internal/bsp"
 	"repro/internal/coloring"
+	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/matching"
 	"repro/internal/mis"
@@ -60,11 +60,7 @@ func matchingBaselines(cfg Config) *Table {
 			m, _ := matching.IsraeliItai(g, cfg.Seed)
 			cardII = m.Cardinality()
 		})
-		machine := bsp.New()
-		lmax := timeRun(cfg, func() {
-			machine.ResetStats()
-			matching.LMAX(g, machine, cfg.Seed)
-		})
+		lmax := measure(cfg, g, spec, core.ProblemMM, core.StrategyBaseline, core.ArchGPU).Time
 		mmrand := timeRun(cfg, func() {
 			matching.MMRand(g, spec.MMRandPartsCPU, cfg.Seed, matching.GMSolver(), cfg.Trace)
 		})

@@ -27,7 +27,7 @@ func spawnRangeIdx(n, workers int, fn func(w, lo, hi int)) {
 	if workers > n {
 		workers = n
 	}
-	if workers == 1 || n < minGrain {
+	if workers == 1 || n < seqCutoff {
 		fn(0, 0, n)
 		return
 	}

@@ -54,7 +54,7 @@ func TestGatherOrderAndVisits(t *testing.T) {
 	defer SetWorkers(0)
 	for _, w := range []int{1, 2, 7} {
 		SetWorkers(w)
-		for _, n := range []int{0, 1, minGrain - 1, minGrain, 200000} {
+		for _, n := range []int{0, 1, seqCutoff - 1, seqCutoff, 200000} {
 			if err := gatherCase(n); err != nil {
 				t.Fatalf("w=%d: %v", w, err)
 			}

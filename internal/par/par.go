@@ -9,8 +9,15 @@
 // a call splits the index space into adaptively sized chunks that the caller
 // and parked pool workers claim dynamically, so no goroutines are spawned and
 // no scheduler teardown is paid per call. The number of workers defaults to
-// runtime.GOMAXPROCS(0) and can be overridden globally with SetWorkers (for
-// scaling experiments) or per-call with the *N variants.
+// runtime.GOMAXPROCS(0) and can be overridden process-wide with SetWorkers
+// (for scaling experiments); there are no per-call worker counts.
+//
+// Workers help on a best-effort basis: a wake-up is dropped when the
+// pool's queue is full, and the caller then runs every index itself. A
+// loop body must therefore never wait for another index of the same loop.
+//
+// Each call allocates its own temporaries, such as one slot per chunk, and
+// nothing in the package keeps a buffer for reuse between calls.
 //
 // Chunk boundaries depend only on the loop length and the worker setting,
 // never on scheduling, so per-chunk scratch indexed by RangeIdx's chunk index
@@ -89,7 +96,7 @@ func MaxChunks(n int) int {
 	if n <= 0 {
 		return 0
 	}
-	if workers <= 1 || n < minGrain {
+	if workers <= 1 || n < seqCutoff {
 		return 1
 	}
 	byGrain := (n + minAdaptiveGrain - 1) / minAdaptiveGrain
@@ -114,8 +121,7 @@ func Reduce[T any](n int, identity T, fn func(i int) T, combine func(a, b T) T) 
 		}
 		return acc
 	}
-	s := scratchFor[T]()
-	parts := s.Get(nc)
+	parts := make([]T, nc)
 	runN(n, workers, func(c, lo, hi int) {
 		acc := identity
 		for i := lo; i < hi; i++ {
@@ -127,7 +133,6 @@ func Reduce[T any](n int, identity T, fn func(i int) T, combine func(a, b T) T) 
 	for _, p := range parts {
 		acc = combine(acc, p)
 	}
-	s.Put(parts)
 	return acc
 }
 
@@ -209,8 +214,8 @@ func MaxIndexed[T int | int32 | int64 | float64](n int, identity T, fn func(i in
 // and offsets int64, the shape of CSR offsets built from degree arrays;
 // the widening happens inside the scan passes, so no int64 copy of src is
 // made. The scan is parallel: per-chunk sums, a sequential pass over the
-// (few) chunk totals, then a parallel fill. Only the returned slice is
-// allocated; chunk scratch comes from a reusable arena.
+// (few) chunk totals, then a parallel fill. Besides the returned slice it
+// allocates one int64 per chunk.
 //
 //lint:hotpath
 func ExclusiveSum32(src []int32) []int64 {
@@ -230,7 +235,7 @@ func ExclusiveSum32(src []int32) []int64 {
 		out[n] = acc
 		return out
 	}
-	sums := i64Scratch.Get(nc)
+	sums := make([]int64, nc)
 	runN(n, workers, func(c, lo, hi int) {
 		var acc int64
 		for i := lo; i < hi; i++ {
@@ -252,7 +257,6 @@ func ExclusiveSum32(src []int32) []int64 {
 		}
 	})
 	out[n] = total
-	i64Scratch.Put(sums)
 	return out
 }
 
@@ -314,7 +318,7 @@ func Filter(src []int32, pred func(int32) bool) []int32 {
 		}
 		return out
 	}
-	counts := i64Scratch.Get(nc)
+	counts := make([]int64, nc)
 	runN(n, workers, func(c, lo, hi int) {
 		var cnt int64
 		for i := lo; i < hi; i++ {
@@ -340,7 +344,6 @@ func Filter(src []int32, pred func(int32) bool) []int32 {
 			}
 		}
 	})
-	i64Scratch.Put(counts)
 	return out
 }
 

@@ -27,10 +27,9 @@ import (
 // dynamic claiming to absorb skew — but never below minAdaptiveGrain
 // elements, so tiny chunks cannot drown the claim counter in contention.
 const (
-	// minGrain is the sequential cutoff: loops over fewer elements run
-	// inline. (The name is historical; the per-chunk grain itself now
-	// adapts to n/workers instead of being fixed at this value.)
-	minGrain = 1024
+	// seqCutoff is the sequential cutoff: loops over fewer elements run
+	// inline.
+	seqCutoff = 1024
 
 	// chunksPerWorker is the oversubscription factor of the adaptive
 	// grain: each worker's share of the index space is split this many
@@ -49,7 +48,7 @@ const (
 )
 
 // grainFor returns the adaptive chunk size for an n-element loop run by
-// workers executors. Callers guarantee workers >= 2 and n >= minGrain.
+// workers executors. Callers guarantee workers >= 2 and n >= seqCutoff.
 func grainFor(n, workers int) int {
 	g := n / (workers * chunksPerWorker)
 	if g < minAdaptiveGrain {
@@ -69,7 +68,7 @@ func numChunksFor(n, workers int) int {
 	if workers > n {
 		workers = n
 	}
-	if workers <= 1 || n < minGrain {
+	if workers <= 1 || n < seqCutoff {
 		return 1
 	}
 	g := grainFor(n, workers)
@@ -146,10 +145,11 @@ type workerPool struct {
 	spinning atomic.Int32 // workers and callers inside spin
 }
 
-// poolQueueDepth bounds pending wake-ups. When the queue is full every
-// worker is already busy, so additional wake-ups could not add
-// parallelism anyway — the dispatcher just skips them and the caller
-// absorbs the work through dynamic claiming.
+// poolQueueDepth bounds pending wake-ups. Sends never block: when the
+// queue is full the dispatcher skips the remaining wake-ups and the caller
+// absorbs the work through dynamic claiming. A wake-up for a loop that
+// has already finished stays queued until a worker takes it, so a full
+// queue does not mean every worker is busy.
 const poolQueueDepth = 1024
 
 var pool = workerPool{tasks: make(chan *task, poolQueueDepth)}
@@ -232,7 +232,7 @@ func runN(n, workers int, fn func(chunk, lo, hi int)) {
 	if workers > n {
 		workers = n
 	}
-	if workers <= 1 || n < minGrain {
+	if workers <= 1 || n < seqCutoff {
 		recordSeq()
 		fn(0, 0, n)
 		return
@@ -280,11 +280,14 @@ wake:
 	}
 }
 
-// Do runs fn(i) for every i in [0, k) in parallel with one chunk per
-// index and no sequential cutoff. It is meant for coarse-grained work —
-// sorting runs, merging blocks, per-subgraph phases — where each index is
-// substantial and k is small; For's grain policy would run such loops
-// sequentially because k is far below the cutoff.
+// Do runs fn(i) for every i in [0, k) with one chunk per index and no
+// sequential cutoff. It is meant for coarse-grained work — sorting runs,
+// merging blocks, per-subgraph phases — where each index is substantial
+// and k is small; For's grain policy would run such loops sequentially
+// because k is far below the cutoff. The indices run in parallel only as
+// far as workers pick up their wake-ups: when the pool's queue is full the
+// wake-up is dropped and the caller runs every index itself, so fn(i) must
+// never wait for another index.
 func Do(k int, fn func(i int)) {
 	if k <= 0 {
 		return

@@ -137,7 +137,7 @@ func TestAdaptiveGrain(t *testing.T) {
 		t.Fatalf("grainFor(2048, 8) = %d, want floor %d", g, minAdaptiveGrain)
 	}
 	for _, tc := range []struct{ n, w int }{
-		{1024, 2}, {4096, 3}, {1 << 20, 7}, {12345, 16}, {minGrain, 2},
+		{1024, 2}, {4096, 3}, {1 << 20, 7}, {12345, 16}, {seqCutoff, 2},
 	} {
 		nc := numChunksFor(tc.n, tc.w)
 		if nc < 1 || nc > chunksPerWorker*tc.w+1 {
@@ -149,8 +149,8 @@ func TestAdaptiveGrain(t *testing.T) {
 		}
 	}
 	// Below the sequential cutoff everything is one chunk.
-	if nc := numChunksFor(minGrain-1, 8); nc != 1 {
-		t.Fatalf("numChunksFor(%d, 8) = %d, want 1", minGrain-1, nc)
+	if nc := numChunksFor(seqCutoff-1, 8); nc != 1 {
+		t.Fatalf("numChunksFor(%d, 8) = %d, want 1", seqCutoff-1, nc)
 	}
 }
 
@@ -224,39 +224,6 @@ func TestStatsCounters(t *testing.T) {
 	For(1<<20, func(i int) {})
 	if st := SnapshotStats(); st.Tasks != 0 {
 		t.Fatalf("stats collected while disabled: %+v", st)
-	}
-}
-
-func TestScratchReusesBuffers(t *testing.T) {
-	var s Scratch[int64]
-	b1 := s.Get(100)
-	if len(b1) != 100 {
-		t.Fatalf("Get(100) returned len %d", len(b1))
-	}
-	s.Put(b1)
-	b2 := s.Get(50)
-	if &b1[0] != &b2[0] {
-		t.Fatal("Scratch did not reuse the returned buffer")
-	}
-	b3 := s.Get(200) // nothing retained is big enough
-	if len(b3) != 200 {
-		t.Fatalf("Get(200) returned len %d", len(b3))
-	}
-	s.Put(b2)
-	s.Put(b3)
-	// Retention is bounded.
-	for i := 0; i < 3*scratchMaxFree; i++ {
-		s.Put(make([]int64, 8))
-	}
-	s.mu.Lock()
-	free := len(s.free)
-	s.mu.Unlock()
-	if free > scratchMaxFree {
-		t.Fatalf("arena retains %d buffers, cap is %d", free, scratchMaxFree)
-	}
-	// The typed registry hands back one shared arena per type.
-	if scratchFor[int32]() != scratchFor[int32]() {
-		t.Fatal("scratchFor returned distinct arenas for one type")
 	}
 }
 

@@ -21,7 +21,7 @@ func SortSlice[T any](data []T, less func(a, b T) bool) {
 			return 0
 		}
 	}
-	if workers == 1 || n < 4*minGrain {
+	if workers == 1 || n < 4*seqCutoff {
 		slices.SortFunc(data, cmp)
 		return
 	}

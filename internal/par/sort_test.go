@@ -8,7 +8,7 @@ import (
 )
 
 func TestSortSliceMatchesStdlib(t *testing.T) {
-	sizes := []int{0, 1, 2, 100, minGrain * 4, minGrain*4 + 1, 250000}
+	sizes := []int{0, 1, 2, 100, seqCutoff * 4, seqCutoff*4 + 1, 250000}
 	for _, n := range sizes {
 		r := NewRNG(uint64(n) + 7)
 		a := make([]int32, n)
@@ -132,7 +132,7 @@ func TestSortSliceParallelPathForced(t *testing.T) {
 	defer SetWorkers(0)
 	for _, w := range []int{2, 3, 5, 8} {
 		SetWorkers(w)
-		for _, n := range []int{4*minGrain + 13, 100001} {
+		for _, n := range []int{4*seqCutoff + 13, 100001} {
 			r := NewRNG(uint64(w*n) + 1)
 			a := make([]int32, n)
 			for i := range a {
