@@ -3,7 +3,7 @@ GO ?= go
 # bench-gate: max allowed slowdown (percent) before the gate fails.
 GATE_THRESHOLD ?= 2
 
-.PHONY: build test race vet lint perfbench-check bench-smoke bench-gate bench-par serve-demo serve-smoke convert-smoke decomp-smoke fuzz-smoke fmt fmt-check
+.PHONY: build test race vet lint perfbench-check bench-smoke bench-gate bench-par bench-decomp serve-demo serve-smoke convert-smoke decomp-smoke fuzz-smoke fmt fmt-check
 
 build:
 	$(GO) build ./...
@@ -53,6 +53,12 @@ bench-gate:
 bench-par:
 	$(GO) test -run='^$$' -bench='ForSpawn|RangeSkewed|RangeBackToBack|ExclusiveSum32|FilterCompact' -benchtime=100x ./internal/par/
 	$(GO) test -run='^$$' -bench='BuilderFromEdges|PartitionByLabel' -benchtime=10x ./internal/graph/
+
+# Decomposition sub-phase probe: the BFS forest, the LCA walks, the
+# splits and MPX's growing and start order, each timed alone on the six
+# paper-grid instances at scale 1.0 (BenchmarkDecompPhases).
+bench-decomp:
+	$(GO) test -run='^$$' -bench='DecompPhases' -benchtime=10x ./internal/decomp/
 
 # Live-telemetry demo: a figure run with the HTTP server up for manual
 # inspection — curl localhost:9090/metrics, /trace, /debug/pprof/ while

@@ -97,15 +97,11 @@ func MPXGrow(g *graph.Graph, beta float64, seed uint64, parent *trace.Span) *MPX
 	})
 
 	// Vertices ordered by (start round, id): a cursor walks this once,
-	// seeding each round's new centers in ascending id order.
-	order := make([]int32, n)
-	par.Iota(order)
-	par.SortSlice(order, func(a, b int32) bool {
-		if start[a] != start[b] {
-			return start[a] < start[b]
-		}
-		return a < b
-	})
+	// seeding each round's new centers in ascending id order. Start
+	// rounds are small at the default beta (about 60 on the paper's
+	// graphs), but reach 2³⁰ as beta nears MinMPXBeta, so the order is a
+	// radix order, linear in n for any beta.
+	order := par.OrderByKey(start)
 
 	center := make([]int32, n)
 	round := make([]int32, n)

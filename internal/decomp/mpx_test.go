@@ -2,6 +2,7 @@ package decomp
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
 	"repro/internal/graph"
@@ -207,5 +208,29 @@ func TestParseTechniqueRoundTrip(t *testing.T) {
 	}
 	if _, err := ParseTechnique("nope"); err == nil {
 		t.Fatal("unknown technique accepted")
+	}
+}
+
+// TestMPXGrowMemoryBoundedAtMinBeta: at MinMPXBeta the start rounds spread
+// over hundreds of millions, yet ordering them must stay linear in n: one
+// MPXGrow on a 1,000-vertex graph allocates under 1 MiB in all. A counting
+// array over the start rounds' range would take hundreds of megabytes.
+func TestMPXGrowMemoryBoundedAtMinBeta(t *testing.T) {
+	g := randomGraph(1000, 4000, 9)
+	MPXGrow(g, MinMPXBeta, 1, nil) // start the pool's workers first
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	info := MPXGrow(g, MinMPXBeta, 1, nil)
+	runtime.ReadMemStats(&after)
+	var maxStart int32
+	for _, d := range info.Delta {
+		maxStart = max(maxStart, int32(info.MaxDelta-d))
+	}
+	if maxStart < 1<<24 {
+		t.Fatalf("largest start round %d: the test needs a wide range", maxStart)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+		t.Fatalf("MPXGrow at beta %.3g allocated %d bytes for 1,000 vertices (largest start round %d), want < 1 MiB",
+			MinMPXBeta, got, maxStart)
 	}
 }

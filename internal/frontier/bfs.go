@@ -40,19 +40,20 @@ func (e *Engine) BFSForest(g *graph.Graph) *Tree {
 		Parent: make([]int32, n),
 		Level:  make([]int32, n),
 	}
-	label, nc := graph.ConnectedComponents(g)
-	roots := make([]int32, 0, nc)
+	// The union-find's roots are the components' smallest vertices,
+	// gathered in id order.
+	uf := graph.ComponentForest(g)
 	visited := par.NewBitset(n)
-	// Component ids are dense and assigned in order of each component's
-	// smallest vertex, so in index order a component's root is the first
-	// vertex carrying the next unseen id.
-	for v := 0; v < n; v++ {
-		if int(label[v]) == len(roots) {
-			visited.Set(v)
-			t.Parent[v] = -1
-			roots = append(roots, int32(v))
+	roots := par.Gather(n, func(lo, hi int, out []int32) []int32 {
+		for i := lo; i < hi; i++ {
+			if v := int32(i); uf.Find(v) == v {
+				visited.Set(i)
+				t.Parent[i] = -1
+				out = append(out, v)
+			}
 		}
-	}
+		return out
+	})
 
 	for f := New(n, roots); !f.IsEmpty(); {
 		t.Depth++

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/graph"
+	"repro/internal/par"
 )
 
 // forestLevels is the oracle for BFSForest: a sequential queue BFS from
@@ -138,6 +139,45 @@ func TestBFSForestCoversDisconnected(t *testing.T) {
 	// smallest vertex.
 	if want := []int32{0, 2, 5, 6, 7, 8, 9}; !equalVerts(roots, want) {
 		t.Fatalf("roots %v, want %v", roots, want)
+	}
+}
+
+// TestBFSForestRootsAreComponentMinima: the forest's roots, taken from
+// the union-find, are the first vertex of each ConnectedComponents label,
+// on graphs whose many components interleave their ids, at 1, 2 and 7
+// workers.
+func TestBFSForestRootsAreComponentMinima(t *testing.T) {
+	defer par.SetWorkers(0)
+	for _, g := range []*graph.Graph{
+		randomGraph(20000, 9000, 5),
+		randomGraph(3000, 2500, 6),
+		randomGraph(1000, 0, 7),
+	} {
+		label, nc := graph.ConnectedComponents(g)
+		var want []int32
+		for v, l := range label {
+			if int(l) == len(want) {
+				want = append(want, int32(v))
+			}
+		}
+		if len(want) != nc {
+			t.Fatalf("%d component minima for %d components", len(want), nc)
+		}
+		for _, w := range []int{1, 2, 7} {
+			par.SetWorkers(w)
+			tr := (&Engine{}).BFSForest(g)
+			checkTree(t, g, tr)
+			var roots []int32
+			for v, p := range tr.Parent {
+				if p == -1 {
+					roots = append(roots, int32(v))
+				}
+			}
+			if !equalVerts(roots, want) {
+				t.Fatalf("%d workers, %d vertices: %d roots, want the %d component minima",
+					w, g.NumVertices(), len(roots), len(want))
+			}
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"cmp"
 	"slices"
 	"sync/atomic"
 
@@ -70,11 +71,11 @@ func FromEdges(n int, edges []Edge) *Graph {
 	// construction, outside all measured algorithm sections. The parallel
 	// merge sort delegates to the standard library on small inputs or a
 	// single core.
-	par.SortSlice(scratch, func(a, b Edge) bool {
+	par.SortSlice(scratch, func(a, b Edge) int {
 		if a.U != b.U {
-			return a.U < b.U
+			return cmp.Compare(a.U, b.U)
 		}
-		return a.V < b.V
+		return cmp.Compare(a.V, b.V)
 	})
 	uniq := scratch[:0]
 	for i, e := range scratch {

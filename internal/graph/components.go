@@ -3,11 +3,21 @@ package graph
 import "repro/internal/par"
 
 // ConnectedComponents labels every vertex with a component id in
-// [0, numComponents): a parallel pass unites the endpoints of every edge
-// under par's union-find, whose roots are each component's smallest
-// vertex, and the roots become dense ids. Ids are therefore assigned in
-// order of each component's smallest vertex, under any worker count.
+// [0, numComponents): the roots of ComponentForest, each component's
+// smallest vertex, become dense ids. Ids are therefore assigned in order
+// of each component's smallest vertex, under any worker count.
 func ConnectedComponents(g *Graph) (label []int32, numComponents int) {
+	n := g.NumVertices()
+	uf := ComponentForest(g)
+	root := make([]int32, n)
+	par.For(n, func(i int) { root[i] = uf.Find(int32(i)) })
+	return par.DenseRelabel(root, n)
+}
+
+// ComponentForest unites the endpoints of every edge under par's
+// union-find in one parallel pass, so its sets are g's connected
+// components and each set's root is the component's smallest vertex.
+func ComponentForest(g *Graph) *par.UnionFind {
 	n := g.NumVertices()
 	uf := par.NewUnionFind(n)
 	// Each edge is united once, from its larger endpoint; lists need not
@@ -22,9 +32,7 @@ func ConnectedComponents(g *Graph) (label []int32, numComponents int) {
 			}
 		}
 	})
-	root := make([]int32, n)
-	par.For(n, func(i int) { root[i] = uf.Find(int32(i)) })
-	return par.DenseRelabel(root, n)
+	return uf
 }
 
 // Connect returns g if it is already connected; otherwise it returns a new

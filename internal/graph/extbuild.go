@@ -12,6 +12,7 @@ package graph
 
 import (
 	"bufio"
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -315,11 +316,11 @@ func (b *extBuilder) processBucket(sb *spillBucket) error {
 		return err
 	}
 	os.Remove(sb.path)
-	par.SortSlice(arcs, func(a, c arc) bool {
+	par.SortSlice(arcs, func(a, c arc) int {
 		if a.src != c.src {
-			return a.src < c.src
+			return cmp.Compare(a.src, c.src)
 		}
-		return a.dst < c.dst
+		return cmp.Compare(a.dst, c.dst)
 	})
 	// Dedup in place (duplicates of an arc always share a source vertex,
 	// so per-bucket dedup is global dedup).

@@ -148,3 +148,59 @@ func TestBuildersMatchBruteForce(t *testing.T) {
 		}
 	}
 }
+
+// perArcKeep is the reference kept graph: a degree pass and a fill pass
+// that test keep on every arc.
+func perArcKeep(g *Graph, keep func(u, v int32) bool) *Graph {
+	n := g.NumVertices()
+	off := make([]int64, n+1)
+	var adj []int32
+	for v := int32(0); int(v) < n; v++ {
+		for _, w := range g.Neighbors(v) {
+			if keep(v, w) {
+				adj = append(adj, w)
+			}
+		}
+		off[v+1] = int64(len(adj))
+	}
+	return &Graph{off: off, adj: adj}
+}
+
+// TestSplitsMatchPerArcFill: KeepEdges and SplitEdges, which copy a list
+// whole when it keeps every arc and return g itself when nothing is cut,
+// build the arrays of the per-arc fill, also on unsorted lists, when keep
+// cuts nothing, everything, one edge or a random half, at 1, 2 and 7
+// workers.
+func TestSplitsMatchPerArcFill(t *testing.T) {
+	defer par.SetWorkers(0)
+	base := randomGraph(30000, 120000, 9)
+	cut := base.Edges()[len(base.Edges())/3]
+	keeps := map[string]func(u, v int32) bool{
+		"nothing":     func(u, v int32) bool { return true },
+		"everything":  func(u, v int32) bool { return false },
+		"one-edge":    func(u, v int32) bool { return Edge{u, v}.Canon() != cut },
+		"random-half": func(u, v int32) bool { return par.Hash2(4, int64(min(u, v)), int64(max(u, v)))&1 == 0 },
+	}
+	for _, g := range []*Graph{base, reversedLists(base)} {
+		for name, keep := range keeps {
+			want := perArcKeep(g, keep)
+			for _, w := range []int{1, 2, 7} {
+				par.SetWorkers(w)
+				only := KeepEdges(g, keep)
+				kept, cross := SplitEdges(g, keep)
+				for what, got := range map[string]*Graph{"KeepEdges": only, "SplitEdges": kept} {
+					if !slices.Equal(got.off, want.off) || !slices.Equal(got.adj, want.adj) {
+						t.Fatalf("%s, %d workers: %s differs from the per-arc fill", name, w, what)
+					}
+				}
+				if (name == "nothing") != (only == g) || (name == "nothing") != (kept == g) {
+					t.Fatalf("%s, %d workers: kept graph is g: %v, want %v", name, w, kept == g, name == "nothing")
+				}
+				if kept.NumEdges()+cross.NumEdges() != g.NumEdges() {
+					t.Fatalf("%s, %d workers: kept %d + cross %d edges, g has %d", name, w,
+						kept.NumEdges(), cross.NumEdges(), g.NumEdges())
+				}
+			}
+		}
+	}
+}

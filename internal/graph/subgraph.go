@@ -2,6 +2,7 @@ package graph
 
 import (
 	"fmt"
+	"sort"
 
 	"repro/internal/par"
 )
@@ -39,65 +40,15 @@ func PartitionByLabel(g *Graph, label []int32, k int) (parts []*Sub, cross *Sub)
 		panic(fmt.Sprintf("graph: PartitionByLabel label length %d, graph has %d vertices", len(label), n))
 	}
 
-	// Local id of v within its part = rank of v among same-labeled vertices.
-	// Computed with a per-chunk counting pass + prefix sums per label, so
-	// ids stay monotone in global order.
-	nc := par.NumChunks(n)
-	counts := make([][]int64, nc) // counts[chunk][lbl]
-	par.RangeIdx(n, func(w, lo, hi int) {
-		c := make([]int64, k)
-		for i := lo; i < hi; i++ {
-			l := label[i]
-			if l < 0 || int(l) >= k {
-				panic(fmt.Sprintf("graph: label %d out of range [0,%d)", l, k))
-			}
-			c[l]++
-		}
-		counts[w] = c
-	})
-	partSize := make([]int64, k)
-	for _, c := range counts {
-		for l := 0; l < k; l++ {
-			partSize[l] += c[l]
-		}
-	}
-	// chunkBase[w][l] = number of label-l vertices before chunk w.
-	chunkBase := make([][]int64, nc)
-	running := make([]int64, k)
-	for w := 0; w < nc; w++ {
-		base := make([]int64, k)
-		copy(base, running)
-		chunkBase[w] = base
-		for l := 0; l < k; l++ {
-			running[l] += counts[w][l]
-		}
-	}
-	localID := make([]int32, n)
-	par.RangeIdx(n, func(w, lo, hi int) {
-		next := make([]int64, k)
-		copy(next, chunkBase[w])
-		for i := lo; i < hi; i++ {
-			l := label[i]
-			localID[i] = int32(next[l])
-			next[l]++
-		}
-	})
-
-	// ToGlobal per part.
-	toGlobal := make([][]int32, k)
-	for l := 0; l < k; l++ {
-		toGlobal[l] = make([]int32, partSize[l])
-	}
-	par.For(n, func(i int) {
-		toGlobal[label[i]][localID[i]] = int32(i)
-	})
-
 	// Intra-part degrees and cross degrees.
 	intraDeg := make([]int32, n)
 	crossDeg := make([]int32, n)
 	par.For(n, func(i int) {
 		v := int32(i)
 		l := label[i]
+		if l < 0 || int(l) >= k {
+			panic(fmt.Sprintf("graph: label %d out of range [0,%d)", l, k))
+		}
 		var in, cr int32
 		for _, w := range g.Neighbors(v) {
 			if label[w] == l {
@@ -110,9 +61,24 @@ func PartitionByLabel(g *Graph, label []int32, k int) (parts []*Sub, cross *Sub)
 		crossDeg[i] = cr
 	})
 
+	// Part l's vertices are the l-th bucket of the stable order by label,
+	// so they run in id order, and a vertex's local id is its position
+	// within the bucket.
+	order := par.OrderByKey(label)
+	first := make([]int, k+1)
+	for l := range first {
+		first[l] = sort.Search(n, func(p int) bool { return int(label[order[p]]) >= l })
+	}
+	localID := make([]int32, n)
+	par.For(n, func(p int) {
+		v := order[p]
+		localID[v] = int32(p - first[label[v]])
+	})
+
 	parts = make([]*Sub, k)
 	for l := 0; l < k; l++ {
-		parts[l] = buildPart(g, label, int32(l), toGlobal[l], localID, intraDeg)
+		tg := order[first[l]:first[l+1]:first[l+1]]
+		parts[l] = buildPart(g, label, int32(l), tg, localID, intraDeg)
 	}
 	cross = buildCross(g, crossDeg, func(v, w int32) bool { return label[v] == label[w] })
 	return parts, cross
@@ -142,7 +108,8 @@ func buildPart[L comparable](g *Graph, label []L, l L, tg, localID, deg []int32)
 }
 
 // KeepEdges returns the graph of the edges {u, v} of g with keep(u, v)
-// true, over every vertex id of g. keep must be symmetric and safe for
+// true, over every vertex id of g: g itself when keep holds for every
+// edge, since graphs are immutable. keep must be symmetric and safe for
 // concurrent calls.
 func KeepEdges(g *Graph, keep func(u, v int32) bool) *Graph {
 	n := g.NumVertices()
@@ -158,6 +125,9 @@ func KeepEdges(g *Graph, keep func(u, v int32) bool) *Graph {
 		deg[i] = d
 	})
 	off := par.ExclusiveSum32(deg)
+	if off[n] == g.NumArcs() {
+		return g
+	}
 	return &Graph{off: off, adj: fillEdges(g, nil, nil, off, keep, true)}
 }
 
@@ -191,6 +161,7 @@ func buildCross(g *Graph, crossDeg []int32, keep func(v, w int32) bool) *Sub {
 // fillEdges copies, for local vertex j (global id tg[j], or j itself when
 // tg is nil), the neighbours w with keep(v, w) == want into adjacency
 // offsets off, renamed through localID (kept as is when localID is nil).
+// A list that keeps every neighbour unrenamed is copied whole.
 func fillEdges(g *Graph, tg, localID []int32, off []int64, keep func(v, w int32) bool, want bool) []int32 {
 	m := len(off) - 1
 	adj := make([]int32, off[m])
@@ -200,7 +171,12 @@ func fillEdges(g *Graph, tg, localID []int32, off []int64, keep func(v, w int32)
 			v = tg[j]
 		}
 		p := off[j]
-		for _, w := range g.Neighbors(v) {
+		nbrs := g.Neighbors(v)
+		if localID == nil && off[j+1]-p == int64(len(nbrs)) {
+			copy(adj[p:off[j+1]], nbrs)
+			return
+		}
+		for _, w := range nbrs {
 			if keep(v, w) == want {
 				if localID != nil {
 					w = localID[w]
@@ -215,8 +191,7 @@ func fillEdges(g *Graph, tg, localID []int32, off []int64, keep func(v, w int32)
 
 // renumber ranks the vertices v whose in[v] is not the zero value: tg
 // lists them in id order, and localID[v] is v's index in tg (set only for
-// those vertices). A per-chunk count gives each chunk its first rank, as
-// in PartitionByLabel.
+// those vertices). A per-chunk count gives each chunk its first rank.
 func renumber[T comparable](in []T) (tg, localID []int32) {
 	var zero T
 	n := len(in)

@@ -1,8 +1,8 @@
 // Package par provides the shared-memory parallel runtime used by every
 // algorithm in this repository: chunked parallel loops, parallel reductions,
-// a parallel prefix sum, ordered gathers and filters, a concurrent
-// union-find and dense relabelling, a concurrent bitset, and a
-// deterministic random number generator.
+// a parallel prefix sum, ordered gathers and filters, a parallel sort and
+// a stable radix order, a concurrent union-find and dense relabelling, a
+// concurrent bitset, and a deterministic random number generator.
 //
 // The package plays the role of the paper's OpenMP-style 80-thread CPU
 // runtime. Loops run on a persistent pool of worker goroutines (see pool.go):

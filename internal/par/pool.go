@@ -185,6 +185,11 @@ func (p *workerPool) worker() {
 	}
 }
 
+// testHookSpinHold, when set, is asked each time a spin's window has
+// passed whether the spin should go on. Tests set it to make a spin
+// outlast an event that the scheduler would otherwise time.
+var testHookSpinHold atomic.Pointer[func() bool]
+
 // spin polls done until it returns true or spinWindow passes, yielding
 // the processor between clock checks. It returns at once when GOMAXPROCS
 // is 1, or when GOMAXPROCS goroutines already spin: a spinner holds a
@@ -210,7 +215,9 @@ func (p *workerPool) spin(done func() bool) {
 			}
 		}
 		if time.Now().After(deadline) {
-			return
+			if hold := testHookSpinHold.Load(); hold == nil || !(*hold)() {
+				return
+			}
 		}
 		runtime.Gosched()
 	}

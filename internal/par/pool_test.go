@@ -355,15 +355,21 @@ func onPoolWorker() bool {
 
 // TestPanicReRaisedWhileCallerSpins: a worker's chunk panics while the
 // caller, its own chunk done, spins at the barrier. The panic must reach
-// the caller every time.
+// the caller every time. The spin hook holds the caller's spin open until
+// the worker has panicked, so the overlap does not depend on scheduling.
 func TestPanicReRaisedWhileCallerSpins(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	defer SetWorkers(0)
 	SetWorkers(2)
-	spun := 0
+	var held atomic.Bool
+	hold := func() bool { return held.Load() }
+	testHookSpinHold.Store(&hold)
+	defer testHookSpinHold.Store(nil)
 	for k := 0; k < 50; k++ {
-		// Every loop needs a worker for its rendezvous.
+		// Every loop needs a worker for its rendezvous, and no spin may be
+		// held while the last loop's worker parks.
 		waitParked(t)
+		held.Store(true)
 		var callerSpins atomic.Bool
 		func() {
 			defer func() {
@@ -378,22 +384,19 @@ func TestPanicReRaisedWhileCallerSpins(t *testing.T) {
 					return
 				}
 				// Only the caller can spin: the other workers are parked
-				// and this loop woke one. Wait for it at the barrier.
-				deadline := time.Now().Add(10 * time.Millisecond)
+				// and this loop woke one. Its spin is held, so it shows
+				// unless the caller never reaches the barrier.
+				deadline := time.Now().Add(10 * time.Second)
 				for pool.spinning.Load() == 0 && time.Now().Before(deadline) {
+					runtime.Gosched()
 				}
 				callerSpins.Store(pool.spinning.Load() > 0)
+				held.Store(false)
 				panic("boom")
 			})
 		}()
-		if callerSpins.Load() {
-			spun++
+		if !callerSpins.Load() {
+			t.Fatalf("run %d: the panic did not arrive while the caller spun at the barrier", k)
 		}
 	}
-	// On one CPU the caller's spin can end before the worker's thread
-	// runs again; on two it overlaps the panic nearly every time.
-	if spun == 0 && runtime.NumCPU() >= 2 {
-		t.Fatal("no panic arrived while the caller spun at the barrier")
-	}
-	t.Logf("%d of 50 panics arrived while the caller spun", spun)
 }

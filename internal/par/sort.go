@@ -1,28 +1,37 @@
 package par
 
-import "slices"
+import (
+	"cmp"
+	"math/bits"
+	"slices"
+)
 
-// SortSlice sorts data by less using a parallel merge sort: the slice is
-// split into worker-count runs sorted concurrently with the (non-reflective)
-// standard-library pdqsort, then merged pairwise in parallel rounds. Stable
-// ordering is not guaranteed (callers needing stability sort on a unique
-// key). Used by the graph builder, where edge-list sorting dominates
-// construction time on multi-million-edge instances.
-func SortSlice[T any](data []T, less func(a, b T) bool) {
+// SortSlice sorts data by cmp, a three-way comparison as in
+// slices.SortFunc, using a parallel merge sort: the slice is split into
+// worker-count runs sorted concurrently with the standard-library pdqsort,
+// then merged pairwise in parallel rounds. Stable ordering is not
+// guaranteed (callers needing stability sort on a unique key). Used by the
+// graph builders, where edge-list sorting dominates construction time on
+// multi-million-edge instances.
+func SortSlice[T any](data []T, cmp func(a, b T) int) {
+	mergeSort(data, func(run []T) { slices.SortFunc(run, cmp) }, cmp)
+}
+
+// SortInt32 sorts an int32 slice in parallel: the same runs and merge as
+// SortSlice, with each run sorted by the ordered pdqsort, which compares
+// without a function call.
+func SortInt32(data []int32) {
+	mergeSort(data, slices.Sort[[]int32], cmp.Compare[int32])
+}
+
+// mergeSort sorts data with sortRun, on the whole slice when it is small
+// or one worker runs, otherwise on one run per worker, merging the sorted
+// runs pairwise by cmp.
+func mergeSort[T any](data []T, sortRun func([]T), cmp func(a, b T) int) {
 	n := len(data)
 	workers := Workers()
-	cmp := func(a, b T) int {
-		switch {
-		case less(a, b):
-			return -1
-		case less(b, a):
-			return 1
-		default:
-			return 0
-		}
-	}
 	if workers == 1 || n < 4*seqCutoff {
-		slices.SortFunc(data, cmp)
+		sortRun(data)
 		return
 	}
 	// Split into runs. Each run is coarse work, so the runs go through Do
@@ -36,7 +45,7 @@ func SortSlice[T any](data []T, less func(a, b T) bool) {
 		bounds[i] = i * n / runs
 	}
 	Do(runs, func(r int) {
-		slices.SortFunc(data[bounds[r]:bounds[r+1]], cmp)
+		sortRun(data[bounds[r]:bounds[r+1]])
 	})
 	// Merge rounds: pair up adjacent runs until one remains.
 	buf := make([]T, n)
@@ -47,7 +56,7 @@ func SortSlice[T any](data []T, less func(a, b T) bool) {
 		pairs := (len(bounds) - 1) / 2
 		Do(pairs, func(p int) {
 			lo, mid, hi := bounds[2*p], bounds[2*p+1], bounds[2*p+2]
-			mergeInto(dst[lo:hi], src[lo:mid], src[mid:hi], less)
+			mergeInto(dst[lo:hi], src[lo:mid], src[mid:hi], cmp)
 		})
 		for p := 0; p < pairs; p++ {
 			nb = append(nb, bounds[2*p+2])
@@ -67,10 +76,10 @@ func SortSlice[T any](data []T, less func(a, b T) bool) {
 }
 
 // mergeInto merges sorted a and b into out (len(out) == len(a)+len(b)).
-func mergeInto[T any](out, a, b []T, less func(x, y T) bool) {
+func mergeInto[T any](out, a, b []T, cmp func(x, y T) int) {
 	i, j, k := 0, 0, 0
 	for i < len(a) && j < len(b) {
-		if less(b[j], a[i]) {
+		if cmp(b[j], a[i]) < 0 {
 			out[k] = b[j]
 			j++
 		} else {
@@ -83,7 +92,81 @@ func mergeInto[T any](out, a, b []T, less func(x, y T) bool) {
 	copy(out[k+len(a)-i:], b[j:])
 }
 
-// SortInt32 sorts an int32 slice in parallel.
-func SortInt32(data []int32) {
-	SortSlice(data, func(a, b int32) bool { return a < b })
+// radixBits is the digit width of OrderByKey's passes.
+const radixBits = 8
+
+// OrderByKey returns the indices of keys ordered by key, ties broken by
+// index: the permutation a stable sort of keys would apply. Keys must be
+// non-negative. It makes least-significant-digit radix passes over 8-bit
+// digits, as many as the largest key needs (none when every key is 0, at
+// most four), each a count per chunk and a stable scatter in chunk order.
+// So it costs O(n) time and memory per pass whatever the key range: a
+// counting array over the keys' values would not. The order does not
+// depend on the worker count.
+func OrderByKey(keys []int32) []int32 {
+	n := len(keys)
+	// The OR of the keys has the largest key's bit length, and the sign
+	// bit of any negative one.
+	all := Reduce(n, 0, func(i int) int32 { return keys[i] }, func(a, b int32) int32 { return a | b })
+	if all < 0 {
+		panic("par: OrderByKey on a negative key")
+	}
+	order := make([]int32, n)
+	passes := (bits.Len32(uint32(all)) + radixBits - 1) / radixBits
+	if passes == 0 {
+		Iota(order)
+		return order
+	}
+	const radix = 1 << radixBits
+	workers := Workers()
+	nc := numChunksFor(n, workers)
+	next := make([]int, nc*radix) // next[c*radix+d]: chunk c's next slot for digit d
+	// Passes alternate between two buffers; the last one writes order.
+	bufs := [2][]int32{order, nil}
+	if passes > 1 {
+		bufs[1] = make([]int32, n)
+		if passes%2 == 0 {
+			bufs[0], bufs[1] = bufs[1], bufs[0]
+		}
+	}
+	var src []int32 // nil: the identity, read by the first pass
+	for p := 0; p < passes; p++ {
+		shift := uint(p * radixBits)
+		dst := bufs[p%2]
+		runN(n, workers, func(c, lo, hi int) {
+			cnt := next[c*radix : (c+1)*radix]
+			clear(cnt)
+			for i := lo; i < hi; i++ {
+				v := int32(i)
+				if src != nil {
+					v = src[i]
+				}
+				cnt[keys[v]>>shift&(radix-1)]++
+			}
+		})
+		// Digit-major, chunk-minor offsets keep equal digits in index
+		// order, which makes each pass stable.
+		pos := 0
+		for d := 0; d < radix; d++ {
+			for c := 0; c < nc; c++ {
+				k := next[c*radix+d]
+				next[c*radix+d] = pos
+				pos += k
+			}
+		}
+		runN(n, workers, func(c, lo, hi int) {
+			slot := next[c*radix : (c+1)*radix]
+			for i := lo; i < hi; i++ {
+				v := int32(i)
+				if src != nil {
+					v = src[i]
+				}
+				d := keys[v] >> shift & (radix - 1)
+				dst[slot[d]] = v
+				slot[d]++
+			}
+		})
+		src = dst
+	}
+	return order
 }

@@ -1,6 +1,9 @@
 package par
 
 import (
+	"cmp"
+	"math"
+	"slices"
 	"sort"
 	"sync/atomic"
 	"testing"
@@ -83,11 +86,11 @@ func TestSortSliceStructKeys(t *testing.T) {
 	for i := range a {
 		a[i] = kv{int32(r.Intn(1000)), int32(i)}
 	}
-	SortSlice(a, func(x, y kv) bool {
+	SortSlice(a, func(x, y kv) int {
 		if x.k != y.k {
-			return x.k < y.k
+			return cmp.Compare(x.k, y.k)
 		}
-		return x.v < y.v
+		return cmp.Compare(x.v, y.v)
 	})
 	for i := 1; i < n; i++ {
 		if a[i-1].k > a[i].k || (a[i-1].k == a[i].k && a[i-1].v > a[i].v) {
@@ -183,4 +186,55 @@ func TestParallelPrimitivesUnderForcedWorkers(t *testing.T) {
 	if got[n] != acc {
 		t.Fatal("total wrong")
 	}
+}
+
+// TestOrderByKeyMatchesStableSort: OrderByKey is the permutation a stable
+// sort of the keys applies, on key sets that take zero to four radix
+// passes, at 1, 2 and 7 workers.
+func TestOrderByKeyMatchesStableSort(t *testing.T) {
+	defer SetWorkers(0)
+	keysOf := func(n int, key func(i int, r *RNG) int32) []int32 {
+		r := NewRNG(uint64(n) + 5)
+		keys := make([]int32, n)
+		for i := range keys {
+			keys[i] = key(i, r)
+		}
+		return keys
+	}
+	cases := map[string][]int32{
+		"empty":          nil,
+		"one":            {7},
+		"random-small":   keysOf(50000, func(_ int, r *RNG) int32 { return int32(r.Intn(60)) }),
+		"random-wide":    keysOf(30001, func(_ int, r *RNG) int32 { return int32(r.Uint64() >> 33) }),
+		"all-equal":      keysOf(20000, func(int, *RNG) int32 { return 3 }),
+		"all-zero":       keysOf(5000, func(int, *RNG) int32 { return 0 }),
+		"one-per-index":  keysOf(40000, func(i int, _ *RNG) int32 { return int32(40000 - i) }),
+		"empty-buckets":  keysOf(25000, func(_ int, r *RNG) int32 { return int32(r.Intn(5)) * 70001 }),
+		"max-int32":      keysOf(9000, func(_ int, r *RNG) int32 { return math.MaxInt32 - int32(r.Intn(3)) }),
+		"below-cutoff":   keysOf(seqCutoff-1, func(_ int, r *RNG) int32 { return int32(r.Intn(1 << 20)) }),
+		"two-digit-mix":  keysOf(12345, func(i int, r *RNG) int32 { return int32(i%2)<<8 | int32(r.Intn(4)) }),
+		"descending-max": keysOf(4096, func(i int, _ *RNG) int32 { return math.MaxInt32 - int32(i) }),
+	}
+	for name, keys := range cases {
+		want := make([]int32, len(keys))
+		for i := range want {
+			want[i] = int32(i)
+		}
+		sort.SliceStable(want, func(a, b int) bool { return keys[want[a]] < keys[want[b]] })
+		for _, w := range []int{1, 2, 7} {
+			SetWorkers(w)
+			if got := OrderByKey(keys); !slices.Equal(got, want) {
+				t.Fatalf("%s, %d workers: order differs from a stable sort", name, w)
+			}
+		}
+	}
+}
+
+func TestOrderByKeyPanicsOnNegativeKey(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("OrderByKey accepted a negative key")
+		}
+	}()
+	OrderByKey([]int32{4, 0, -1, 2})
 }

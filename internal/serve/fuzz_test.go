@@ -41,6 +41,7 @@ func FuzzSolveRequest(f *testing.F) {
 		`{"graph":"ring","problem":"mis","algo":"degk","params":{"k":3}}`,
 		`{"graph":"ring","problem":"color","algo":"mpx","params":{"beta":-0.5}}`,
 		`{"graph":"ring","problem":"mis","algo":"mpx","params":{"beta":1e-9}}`,
+		`{"graph":"ring","problem":"mm","algo":"mpx","params":{"beta":3.5e-8},"include_solution":true}`,
 		`{"graph":"ring","problem":"mm","colour":1}`,
 	} {
 		f.Add(body)
