@@ -12,9 +12,11 @@ test:
 	$(GO) test ./...
 
 # Race check over every package; -short skips only the lint suite and the
-# exhaustive small-graph solve.
+# exhaustive small-graph solve. The pool's tests run ten times more, since
+# the pool's faults depend on the schedule.
 race:
 	$(GO) test -race -short ./...
+	$(GO) test -race -count=10 -run 'Pool|Spin|Panic|Do|Nested|Concurrent' ./internal/par
 
 vet:
 	$(GO) vet ./...

@@ -28,7 +28,6 @@ import (
 
 func main() {
 	out := flag.String("out", "", "output file (default stdout; required for -format bin with -oocore)")
-	metis := flag.Bool("metis", false, "write METIS adjacency format (alias for -format metis)")
 	format := flag.String("format", "", "output format: text, metis, or bin (default: by -out extension, else text)")
 	compress := flag.Bool("compress", false, "with -format bin: delta+varint-compress the adjacency")
 	convert := flag.String("convert", "", "transcode an existing graph file instead of generating")
@@ -42,7 +41,7 @@ func main() {
 	scale := flag.Float64("scale", 1.0, "dataset scale factor")
 	flag.Parse()
 
-	f := resolveFormat(*format, *metis, *out)
+	f := resolveFormat(*format, *out)
 
 	if *oocore {
 		if f != "bin" {
@@ -91,17 +90,14 @@ func main() {
 }
 
 // resolveFormat picks the output format: explicit -format wins, then the
-// legacy -metis switch, then the -out extension.
-func resolveFormat(format string, metis bool, out string) string {
+// -out extension.
+func resolveFormat(format, out string) string {
 	if format != "" {
 		switch format {
 		case "text", "metis", "bin":
 			return format
 		}
 		fatal(fmt.Errorf("unknown format %q (want text, metis, or bin)", format))
-	}
-	if metis {
-		return "metis"
 	}
 	if graph.IsBinaryPath(out) {
 		return "bin"

@@ -291,7 +291,7 @@ func Solve(g *graph.Graph, p Problem, opt Options) (*Result, error) {
 func solveMM(g *graph.Graph, strategy Strategy, opt Options, parent *trace.Span) (*matching.Matching, trace.Report) {
 	alg, name := matching.GMSolver(), "GM"
 	if opt.Arch == ArchGPU {
-		alg, name = matching.LMAXSolver(opt.Machine, opt.Seed), "LMAX"
+		alg, name = matching.LMAXSolver(opt.Machine), "LMAX"
 	}
 	switch strategy {
 	case StrategyBridge:

@@ -180,9 +180,8 @@ func chunkBits(i, lo, hi int) uint64 {
 	return mask
 }
 
-// LMAXSolver returns LMAX on machine as an Algorithm; seed is unused, as
-// in LMAX.
-func LMAXSolver(machine *bsp.Machine, seed uint64) Algorithm {
+// LMAXSolver returns LMAX on machine as an Algorithm.
+func LMAXSolver(machine *bsp.Machine) Algorithm {
 	return func(g *graph.Graph, sp *trace.Span) (*Matching, Stats) {
 		return lmax(g, machine, sp)
 	}

@@ -213,7 +213,7 @@ func TestUnsortedAdjacencyPanicsInsteadOfHanging(t *testing.T) {
 	g := unsortedTriangle(t)
 	solvers := map[string]Algorithm{
 		"GM":   GMSolver(),
-		"LMAX": LMAXSolver(bsp.New(), 1),
+		"LMAX": LMAXSolver(bsp.New()),
 	}
 	for name, mm := range solvers {
 		done := make(chan any, 1)
@@ -499,7 +499,7 @@ func TestDecomposedMatchingsMaximal(t *testing.T) {
 	machine := bsp.New()
 	solvers := map[string]Algorithm{
 		"GM":   GMSolver(),
-		"LMAX": LMAXSolver(machine, 11),
+		"LMAX": LMAXSolver(machine),
 	}
 	for sname, mm := range solvers {
 		for gname, g := range testGraphs() {

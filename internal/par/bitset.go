@@ -2,8 +2,9 @@ package par
 
 import "sync/atomic"
 
-// Bitset is a fixed-size bitset safe for concurrent Set/Clear/Test through
-// atomic word operations. The zero value is unusable; create with NewBitset.
+// Bitset is a fixed-size bitset safe for concurrent Set, TestAndSet and
+// Test through atomic word operations; bits are never cleared. The zero
+// value is unusable; create with NewBitset.
 type Bitset struct {
 	words []uint64
 }
@@ -39,8 +40,8 @@ func (b *Bitset) TestAndSet(i int) bool {
 	}
 }
 
-// Test reports bit i. It is safe for concurrent use with Set/Clear, with the
-// usual racy-read semantics of a snapshot.
+// Test reports bit i. It is safe for concurrent use with Set and
+// TestAndSet, with the usual racy-read semantics of a snapshot.
 func (b *Bitset) Test(i int) bool {
 	return atomic.LoadUint64(&b.words[i>>6])&(uint64(1)<<uint(i&63)) != 0
 }

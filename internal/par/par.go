@@ -12,9 +12,10 @@
 // runtime.GOMAXPROCS(0) and can be overridden process-wide with SetWorkers
 // (for scaling experiments); there are no per-call worker counts.
 //
-// Workers help on a best-effort basis: a wake-up is dropped when the
-// pool's queue is full, and the caller then runs every index itself. A
-// loop body must therefore never wait for another index of the same loop.
+// Workers help on a best-effort basis: a loop offers its helper slots to
+// idle workers, and a busy pool, or a newer loop's offer replacing this
+// one's, leaves the caller to run every index no worker joined. A loop
+// body must therefore never wait for another index of the same loop.
 //
 // Each call allocates its own temporaries, such as one slot per chunk, and
 // nothing in the package keeps a buffer for reuse between calls.
@@ -110,18 +111,7 @@ func MaxChunks(n int) int {
 // under any worker count.
 func Reduce[T any](n int, identity T, fn func(i int) T, combine func(a, b T) T) T {
 	workers := Workers()
-	nc := numChunksFor(n, workers)
-	if nc == 0 {
-		return identity
-	}
-	if nc == 1 {
-		acc := identity
-		for i := 0; i < n; i++ {
-			acc = combine(acc, fn(i))
-		}
-		return acc
-	}
-	parts := make([]T, nc)
+	parts := make([]T, numChunksFor(n, workers))
 	runN(n, workers, func(c, lo, hi int) {
 		acc := identity
 		for i := lo; i < hi; i++ {
@@ -162,17 +152,6 @@ func Count(n int, pred func(i int) bool) int64 {
 func ForErr(n int, fn func(i int) error) error {
 	workers := Workers()
 	nc := numChunksFor(n, workers)
-	if nc == 0 {
-		return nil
-	}
-	if nc == 1 {
-		for i := 0; i < n; i++ {
-			if err := fn(i); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
 	errs := make([]error, nc)
 	failed := atomic.Int64{}
 	failed.Store(int64(nc))
@@ -221,20 +200,8 @@ func MaxIndexed[T int | int32 | int64 | float64](n int, identity T, fn func(i in
 func ExclusiveSum32(src []int32) []int64 {
 	n := len(src)
 	out := make([]int64, n+1)
-	if n == 0 {
-		return out
-	}
 	workers := Workers()
 	nc := numChunksFor(n, workers)
-	if nc == 1 {
-		var acc int64
-		for i, v := range src {
-			out[i] = acc
-			acc += int64(v)
-		}
-		out[n] = acc
-		return out
-	}
 	sums := make([]int64, nc)
 	runN(n, workers, func(c, lo, hi int) {
 		var acc int64
@@ -298,26 +265,8 @@ func Copy[T any](dst, src []T) {
 //lint:hotpath
 func Filter(src []int32, pred func(int32) bool) []int32 {
 	n := len(src)
-	if n == 0 {
-		return nil
-	}
 	workers := Workers()
 	nc := numChunksFor(n, workers)
-	if nc == 1 {
-		total := 0
-		for i := 0; i < n; i++ {
-			if pred(src[i]) {
-				total++
-			}
-		}
-		out := make([]int32, 0, total)
-		for i := 0; i < n; i++ {
-			if pred(src[i]) {
-				out = append(out, src[i])
-			}
-		}
-		return out
-	}
 	counts := make([]int64, nc)
 	runN(n, workers, func(c, lo, hi int) {
 		var cnt int64

@@ -2,6 +2,7 @@ package par
 
 import (
 	"fmt"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
@@ -86,16 +87,32 @@ func TestSetWorkersRoundTrip(t *testing.T) {
 	}
 }
 
+// edgeSizes are loop lengths around the sequential cutoff and the chunk
+// grain, and edgeWorkers the worker counts they run at: one chunk, one
+// chunk at the cutoff's edge, several chunks with a short last one.
+var (
+	edgeSizes   = []int{0, 1, seqCutoff - 1, seqCutoff, 4097, 123457}
+	edgeWorkers = []int{1, 2, 7}
+)
+
 func TestReduceMatchesSequential(t *testing.T) {
-	n := 123457
-	got := Reduce(n, 0, func(i int) int64 { return int64(i % 17) },
-		func(a, b int64) int64 { return a + b })
-	var want int64
-	for i := 0; i < n; i++ {
-		want += int64(i % 17)
-	}
-	if got != want {
-		t.Fatalf("Reduce = %d, want %d", got, want)
+	defer SetWorkers(0)
+	for _, w := range edgeWorkers {
+		SetWorkers(w)
+		for _, n := range edgeSizes {
+			var want int64
+			for i := 0; i < n; i++ {
+				want += int64(i % 17)
+			}
+			got := Reduce(n, 0, func(i int) int64 { return int64(i % 17) },
+				func(a, b int64) int64 { return a + b })
+			if got != want {
+				t.Fatalf("w=%d n=%d: Reduce = %d, want %d", w, n, got, want)
+			}
+			if got := Sum(n, func(i int) int64 { return int64(i % 17) }); got != want {
+				t.Fatalf("w=%d n=%d: Sum = %d, want %d", w, n, got, want)
+			}
+		}
 	}
 }
 
@@ -162,6 +179,15 @@ func TestExclusiveSumMatchesSequential(t *testing.T) {
 	}, nil); err != nil {
 		t.Fatal(err)
 	}
+	defer SetWorkers(0)
+	for _, w := range edgeWorkers {
+		SetWorkers(w)
+		for _, n := range edgeSizes {
+			if !check(big[:n]) {
+				t.Fatalf("w=%d: ExclusiveSum32 wrong for n=%d", w, n)
+			}
+		}
+	}
 }
 
 func TestExclusiveSum32(t *testing.T) {
@@ -226,6 +252,23 @@ func TestFilterPreservesOrder(t *testing.T) {
 	}
 	if out := Filter(src, func(int32) bool { return false }); len(out) != 0 {
 		t.Fatal("Filter with false pred not empty")
+	}
+	defer SetWorkers(0)
+	keep := func(v int32) bool { return v%5 == 1 || v%7 == 0 }
+	for _, w := range edgeWorkers {
+		SetWorkers(w)
+		for _, n := range edgeSizes {
+			got := Filter(src[:n], keep)
+			var want []int32
+			for _, v := range src[:n] {
+				if keep(v) {
+					want = append(want, v)
+				}
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("w=%d n=%d: Filter kept %d elements, want the %d of the sequential filter in order", w, n, len(got), len(want))
+			}
+		}
 	}
 }
 
@@ -323,6 +366,34 @@ func TestForErr(t *testing.T) {
 		})
 		if err == nil || err.Error() != "fail@0" {
 			t.Fatalf("w=%d: got %v, want fail@0", w, err)
+		}
+		// Every length visits each index once when nothing fails, and
+		// returns the lower of two failures otherwise.
+		for _, n := range edgeSizes {
+			visits := make([]int32, n)
+			if err := ForErr(n, func(i int) error {
+				atomic.AddInt32(&visits[i], 1)
+				return nil
+			}); err != nil {
+				t.Fatalf("w=%d n=%d: unexpected error %v", w, n, err)
+			}
+			for i, v := range visits {
+				if v != 1 {
+					t.Fatalf("w=%d n=%d: index %d ran %d times", w, n, i, v)
+				}
+			}
+			if n == 0 {
+				continue
+			}
+			err := ForErr(n, func(i int) error {
+				if i == n/2 || i == n-1 {
+					return fmt.Errorf("fail@%d", i)
+				}
+				return nil
+			})
+			if want := fmt.Sprintf("fail@%d", n/2); err == nil || err.Error() != want {
+				t.Fatalf("w=%d n=%d: got %v, want %s", w, n, err, want)
+			}
 		}
 	}
 }

@@ -8,18 +8,29 @@ import (
 )
 
 // The persistent worker pool. Loop primitives no longer spawn goroutines
-// per call: a call packages its body into a task, wakes parked pool
-// workers, and participates itself. The index space is split into chunks
-// (sized by the adaptive grain policy below) that executors claim with an
-// atomic counter, so a straggler chunk cannot serialize the tail the way
-// the old static one-chunk-per-worker split did on skewed workloads. The
+// per call: a call packages its body into a task, offers it to the pool,
+// and participates itself. The index space is split into chunks (sized by
+// the adaptive grain policy below) that executors claim with an atomic
+// counter, so a straggler chunk cannot serialize the tail the way the old
+// static one-chunk-per-worker split did on skewed workloads. The
 // completion barrier is a chunk count carried by the task — each task is
 // one generation of work; workers outlive every generation. Solvers issue
 // loops back to back, so both ends of a loop spin briefly before they
 // sleep, as an OpenMP runtime's idle threads do: a worker that ran out of
-// chunks polls the task channel for spinWindow before it parks in a
-// receive, and the caller at the barrier polls the task's count of
+// chunks polls the offer slot for spinWindow before it parks on the wake
+// channel, and the caller at the barrier polls the task's count of
 // unfinished chunks for spinWindow before it parks in the WaitGroup.
+//
+// The pool holds one offer slot: the newest loop's task, with a count of
+// helper slots. A caller fills the slot, then signals a one-deep wake
+// channel that carries no task. A worker takes a helper slot by atomic
+// decrement; the taker of the last clears the offer, and an earlier taker
+// passes the wake-up on. No wake-up is lost: a worker parks only after it
+// saw the slot empty, and a caller signals only after it filled the slot,
+// so some worker reads the slot after every fill. The caller withdraws its
+// offer once no chunk is left to claim. A newer loop's offer replaces an
+// older one's: the older loop keeps the helpers it has, and its caller
+// claims the rest.
 
 // Chunking policy. Loops shorter than seqCutoff run inline on the caller:
 // even a pooled hand-off costs more than the loop body. Above the cutoff
@@ -76,10 +87,10 @@ func numChunksFor(n, workers int) int {
 }
 
 // task is one parallel loop in flight: a generation of chunks claimed via
-// an atomic counter by the caller and any pool workers that picked the
-// task up. The WaitGroup counts chunks (not goroutines) and is the
-// barrier; left counts the same chunks for the caller to spin on before it
-// waits. Nothing is spawned on the task's behalf.
+// an atomic counter by the caller and any pool workers that took one of
+// its helper slots. The WaitGroup counts chunks (not goroutines) and is
+// the barrier; left counts the same chunks for the caller to spin on
+// before it waits. Nothing is spawned on the task's behalf.
 type task struct {
 	fn      func(chunk, lo, hi int)
 	n       int
@@ -87,6 +98,7 @@ type task struct {
 	nchunks int32
 	next    atomic.Int32
 	left    atomic.Int32
+	slots   atomic.Int32 // helper slots not yet taken
 	wg      sync.WaitGroup
 
 	pmu      sync.Mutex
@@ -136,23 +148,43 @@ func (t *task) participate() int {
 
 // workerPool is the process-wide set of persistent loop workers. Workers
 // are started lazily the first time a loop actually needs help and are
-// never torn down; an idle worker spins for spinWindow, then parks in a
-// channel receive.
+// never torn down; an idle worker spins on the offer slot for spinWindow,
+// then parks on the wake channel.
 type workerPool struct {
-	tasks    chan *task
+	offer    atomic.Pointer[task] // the newest loop's offer, nil when none
+	wake     chan struct{}        // one deep: a token means "read the offer"
 	mu       sync.Mutex
 	started  atomic.Int32
 	spinning atomic.Int32 // workers and callers inside spin
 }
 
-// poolQueueDepth bounds pending wake-ups. Sends never block: when the
-// queue is full the dispatcher skips the remaining wake-ups and the caller
-// absorbs the work through dynamic claiming. A wake-up for a loop that
-// has already finished stays queued until a worker takes it, so a full
-// queue does not mean every worker is busy.
-const poolQueueDepth = 1024
+var pool = workerPool{wake: make(chan struct{}, 1)}
 
-var pool = workerPool{tasks: make(chan *task, poolQueueDepth)}
+// signal leaves a wake-up token unless one is already waiting.
+func (p *workerPool) signal() {
+	select {
+	case p.wake <- struct{}{}:
+	default:
+	}
+}
+
+// take claims a helper slot of the offered task, or returns nil when the
+// slot is empty or its helper slots are all taken.
+func (p *workerPool) take() *task {
+	t := p.offer.Load()
+	if t == nil {
+		return nil
+	}
+	switch left := t.slots.Add(-1); {
+	case left < 0:
+		return nil
+	case left == 0:
+		p.offer.CompareAndSwap(t, nil)
+	default:
+		p.signal()
+	}
+	return t
+}
 
 // ensure grows the pool to at least k workers.
 func (p *workerPool) ensure(k int) {
@@ -167,19 +199,16 @@ func (p *workerPool) ensure(k int) {
 	p.mu.Unlock()
 }
 
+// worker parks only after it saw the slot empty.
 func (p *workerPool) worker() {
 	for {
-		var t *task
-		p.spin(func() bool {
-			select {
-			case t = <-p.tasks:
-				return true
-			default:
-				return false
-			}
-		})
+		t := p.take()
 		if t == nil {
-			t = <-p.tasks
+			p.spin(func() bool { t = p.take(); return t != nil })
+		}
+		if t == nil {
+			<-p.wake
+			continue
 		}
 		t.participate()
 	}
@@ -227,8 +256,7 @@ func (p *workerPool) spin(done func() bool) {
 // fn(chunk, lo, hi) over [0, n) with dense chunk indexes in
 // [0, numChunksFor(n, workers)), each index handed out exactly once.
 // Parallelism is bounded by workers: the caller plus at most workers-1
-// pool workers. A late pool worker that dequeues an already-finished task
-// sees no chunks left and goes back to waiting for the next.
+// pool workers. A loop that splits into one chunk runs inline.
 func runN(n, workers int, fn func(chunk, lo, hi int)) {
 	if n <= 0 {
 		return
@@ -244,37 +272,26 @@ func runN(n, workers int, fn func(chunk, lo, hi int)) {
 		fn(0, 0, n)
 		return
 	}
+	// n >= seqCutoff and workers >= 2 give at least four chunks.
 	grain := grainFor(n, workers)
-	nchunks := (n + grain - 1) / grain
-	if nchunks <= 1 {
-		recordSeq()
-		fn(0, 0, n)
-		return
-	}
-	runTask(&task{fn: fn, n: n, grain: grain, nchunks: int32(nchunks)}, workers)
+	runTask(&task{fn: fn, n: n, grain: grain, nchunks: int32((n + grain - 1) / grain)}, workers)
 }
 
-// runTask dispatches a prepared task: wake up to workers-1 pool workers,
-// claim chunks alongside them, wait out the generation barrier, then
-// re-raise any panic captured from the loop body.
+// runTask dispatches a prepared task: offer min(workers-1, chunks-1)
+// helper slots to the pool, claim chunks alongside the helpers, withdraw
+// the offer, wait out the generation barrier, then re-raise any panic
+// captured from the loop body.
 func runTask(t *task, workers int) {
 	nchunks := int(t.nchunks)
 	t.wg.Add(nchunks)
 	t.left.Store(t.nchunks)
-	helpers := workers - 1
-	if helpers > nchunks-1 {
-		helpers = nchunks - 1
-	}
+	helpers := min(workers, nchunks) - 1
 	pool.ensure(helpers)
-wake:
-	for i := 0; i < helpers; i++ {
-		select {
-		case pool.tasks <- t:
-		default:
-			break wake
-		}
-	}
+	t.slots.Store(int32(helpers))
+	pool.offer.Store(t)
+	pool.signal()
 	mine := t.participate()
+	pool.offer.CompareAndSwap(t, nil)
 	if t.left.Load() > 0 {
 		pool.spin(func() bool { return t.left.Load() == 0 })
 	}
@@ -292,9 +309,9 @@ wake:
 // merging blocks, per-subgraph phases — where each index is substantial
 // and k is small; For's grain policy would run such loops sequentially
 // because k is far below the cutoff. The indices run in parallel only as
-// far as workers pick up their wake-ups: when the pool's queue is full the
-// wake-up is dropped and the caller runs every index itself, so fn(i) must
-// never wait for another index.
+// far as idle workers take the loop's offer: when every worker is busy, or
+// a newer loop's offer replaced this one, the caller runs the indices left
+// itself, so fn(i) must never wait for another index.
 func Do(k int, fn func(i int)) {
 	if k <= 0 {
 		return

@@ -252,19 +252,15 @@ func TestFilterTwoPassMatchesSequential(t *testing.T) {
 	}
 }
 
-// waitParked waits until nothing spins in the pool and no wake-up is
-// queued, and fails if that takes a second after the last loop: a worker
-// drains the wake-ups of finished loops at once, and every spinner gives
-// up within spinWindow. (With more workers than processors, wake-ups for
-// loops the caller finished alone queue up; a later loop that needs a
-// second goroutine must not find the queue full.)
+// waitParked waits until nothing spins in the pool, and fails if that
+// takes a second after the last loop: every spinner gives up within
+// spinWindow.
 func waitParked(t *testing.T) {
 	t.Helper()
 	deadline := time.Now().Add(time.Second)
-	for pool.spinning.Load() != 0 || len(pool.tasks) != 0 {
+	for pool.spinning.Load() != 0 {
 		if time.Now().After(deadline) {
-			t.Fatalf("a second after the last loop, %d goroutines spin and %d wake-ups are queued",
-				pool.spinning.Load(), len(pool.tasks))
+			t.Fatalf("a second after the last loop, %d goroutines spin", pool.spinning.Load())
 		}
 		time.Sleep(spinWindow)
 	}
@@ -342,6 +338,33 @@ func TestSpinCapHoldsWithManyWorkers(t *testing.T) {
 	}
 	if m := most.Load(); m > 2 {
 		t.Fatalf("%d goroutines spun at once on 2 processors", m)
+	}
+	waitParked(t)
+}
+
+// TestPoolHelpsAfterBackToBackLoops: seven workers on two processors run
+// 2,000 back-to-back loops with empty bodies, and a Do whose two indices
+// wait for each other must then still get a helper, however many
+// wake-ups the finished loops left behind. The deadline turns a
+// rendezvous that got no helper into a failure instead of a hang.
+func TestPoolHelpsAfterBackToBackLoops(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	defer SetWorkers(0)
+	SetWorkers(7)
+	for trial := 0; trial < 20; trial++ {
+		for k := 0; k < 2000; k++ {
+			Range(4096, func(lo, hi int) {})
+		}
+		met := make(chan struct{})
+		go func() {
+			Do(2, rendezvous(2))
+			close(met)
+		}()
+		select {
+		case <-met:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("trial %d: Do(2, rendezvous(2)) got no helper within 5 s", trial)
+		}
 	}
 	waitParked(t)
 }
