@@ -58,9 +58,10 @@ bench-par:
 
 # Decomposition sub-phase probe: the BFS forest, the LCA walks, the
 # splits and MPX's growing and start order, each timed alone on the six
-# paper-grid instances at scale 1.0 (BenchmarkDecompPhases).
+# paper-grid instances at scale 1.0 (BenchmarkDecompPhases), then the four
+# two-phase matchings whole on both architectures (BenchmarkMMTwoPhase).
 bench-decomp:
-	$(GO) test -run='^$$' -bench='DecompPhases' -benchtime=10x ./internal/decomp/
+	$(GO) test -run='^$$' -bench='DecompPhases|MMTwoPhase' -benchmem -benchtime=10x ./internal/decomp/ ./internal/matching/
 
 # Live-telemetry demo: a figure run with the HTTP server up for manual
 # inspection — curl localhost:9090/metrics, /trace, /debug/pprof/ while

@@ -86,12 +86,9 @@ func buildSchedule(g *graph.Graph, solve func(*graph.Graph) *mis.IndepSet) [][]i
 			}
 		}
 		schedule = append(schedule, round)
-		member := make([]bool, n)
-		for v := 0; v < n; v++ {
-			member[v] = !assigned[v]
-		}
-		sub := graph.InducedSubgraph(g, member)
-		current = sub
+		current = graph.Subgraph(g,
+			func(v int32) bool { return !assigned[v] },
+			func(_, w int32) bool { return !assigned[w] })
 	}
 	return schedule
 }

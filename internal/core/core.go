@@ -139,13 +139,8 @@ type Options struct {
 // the same resolution Solve applies internally. Callers that key caches or
 // coalesce identical requests (the serving layer) normalize first, so a
 // request that spells out a default and one that leaves it zero map to the
-// same key. Note Normalized materializes a fresh bsp.Machine for GPU
-// options with a nil Machine; key builders should hash the scalar fields
-// only.
-func (o Options) Normalized() Options { return o.withDefaults() }
-
-// withDefaults fills in the paper's defaults.
-func (o Options) withDefaults() Options {
+// same key.
+func (o Options) Normalized() Options {
 	if o.RandParts == 0 {
 		if o.Arch == ArchGPU {
 			o.RandParts = 4
@@ -158,9 +153,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.MPXBeta == 0 {
 		o.MPXBeta = decomp.DefaultMPXBeta
-	}
-	if o.Arch == ArchGPU && o.Machine == nil {
-		o.Machine = bsp.New()
 	}
 	return o
 }
@@ -243,7 +235,7 @@ type Result struct {
 // impossible by construction (every path yields a verified-shape solution,
 // and Verify re-checks it cheaply if desired).
 func Solve(g *graph.Graph, p Problem, opt Options) (*Result, error) {
-	opt = opt.withDefaults()
+	opt = opt.Normalized()
 	if err := opt.Validate(p); err != nil {
 		return nil, err
 	}
@@ -252,6 +244,9 @@ func Solve(g *graph.Graph, p Problem, opt Options) (*Result, error) {
 	res := &Result{}
 	var before bsp.Stats
 	if opt.Arch == ArchGPU {
+		if opt.Machine == nil {
+			opt.Machine = bsp.New()
+		}
 		before = opt.Machine.Stats()
 	}
 

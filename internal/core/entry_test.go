@@ -57,8 +57,16 @@ func TestNormalized(t *testing.T) {
 		t.Fatalf("CPU defaults not applied: %+v", o)
 	}
 	og := Options{Arch: ArchGPU}.Normalized()
-	if og.RandParts != 4 || og.Machine == nil {
+	if og.RandParts != 4 {
 		t.Fatalf("GPU defaults not applied: %+v", og)
+	}
+	// Normalized is pure: a GPU run without a machine gets one in Solve.
+	if og.Machine != nil {
+		t.Fatal("Normalized created a bsp.Machine")
+	}
+	res, err := Solve(randomGraph(50, 100, 1), ProblemMM, Options{Arch: ArchGPU})
+	if err != nil || res.Report.GPUStats.Launches == 0 {
+		t.Fatalf("GPU Solve without a machine: err %v, launches %d", err, res.Report.GPUStats.Launches)
 	}
 	// Explicit values survive normalization.
 	ex := Options{RandParts: 7, DegK: 3, MPXBeta: 0.5}.Normalized()

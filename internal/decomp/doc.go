@@ -29,5 +29,8 @@
 // Each technique's split is one function that the decomposed solvers call
 // too: FindBridges, RandLabels, DegkLabels and MPXGrow. Bridge and MPX
 // materialize theirs with graph.SplitEdges, Rand and Degk with
-// graph.PartitionByLabel.
+// graph.PartitionByLabel, cross graph included, and Figure 2 times that.
+// The decomposed matchings build no cross graph in their decomposition:
+// they keep the split's edges with graph.KeepEdges and build only the
+// part of the cross graph their second phase matches, G_x[V′].
 package decomp

@@ -135,22 +135,6 @@ func (g *Graph) Edges() []Edge {
 	return edges
 }
 
-// ForEachEdgePar calls fn for every undirected edge {u, v} with u < v, in
-// parallel. fn must be safe for concurrent invocation.
-func (g *Graph) ForEachEdgePar(fn func(u, v int32)) {
-	n := g.NumVertices()
-	par.Range(n, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			u := int32(i)
-			for _, v := range g.Neighbors(u) {
-				if v > u {
-					fn(u, v)
-				}
-			}
-		}
-	})
-}
-
 // Validate checks structural invariants (sorted adjacency, symmetric arcs,
 // no self loops, ids in range) and returns a descriptive error on the first
 // violation. Intended for tests and tool entry points, not hot paths.

@@ -129,41 +129,6 @@ func TestEdgesRoundTrip(t *testing.T) {
 	}
 }
 
-func TestForEachEdgeParCoversAllEdges(t *testing.T) {
-	g := randomGraph(300, 1500, 7)
-	var mu chanLock
-	seen := map[Edge]int{}
-	g.ForEachEdgePar(func(u, v int32) {
-		mu.Lock()
-		seen[Edge{u, v}]++
-		mu.Unlock()
-	})
-	edges := g.Edges()
-	if len(seen) != len(edges) {
-		t.Fatalf("ForEachEdgePar saw %d distinct edges, want %d", len(seen), len(edges))
-	}
-	for e, c := range seen {
-		if c != 1 {
-			t.Fatalf("edge %v visited %d times", e, c)
-		}
-		if e.U >= e.V {
-			t.Fatalf("edge %v not canonical", e)
-		}
-	}
-}
-
-// chanLock is a tiny mutex built on a channel, to avoid importing sync in a
-// test that only needs serialization.
-type chanLock struct{ ch chan struct{} }
-
-func (l *chanLock) Lock() {
-	if l.ch == nil {
-		l.ch = make(chan struct{}, 1)
-	}
-	l.ch <- struct{}{}
-}
-func (l *chanLock) Unlock() { <-l.ch }
-
 func TestMaxAvgDegree(t *testing.T) {
 	g := star(11)
 	if g.MaxDegree() != 10 {

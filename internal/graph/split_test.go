@@ -32,13 +32,14 @@ func checkSub(t *testing.T, what string, s *Sub) {
 	}
 }
 
-// TestBuildersMatchBruteForce checks SplitEdges, KeepEdges and
-// InducedSubgraph against a brute-force filter of g.Edges(), at several
-// worker counts: the kept graph keeps every vertex id, the cross Sub
-// holds exactly the rejected edges over exactly their endpoints, the two
-// together are E with no edge in both, KeepEdges builds SplitEdges' kept
-// graph, and InducedSubgraph equals part 1 of PartitionByLabel on the
-// mask.
+// TestBuildersMatchBruteForce checks SplitEdges, KeepEdges and Subgraph
+// against a brute-force filter of g.Edges(), at several worker counts: the
+// kept graph keeps every vertex id, the cross Sub holds exactly the
+// rejected edges over exactly their endpoints, the two together are E with
+// no edge in both, KeepEdges builds SplitEdges' kept graph, Subgraph keeps
+// every member and exactly the member-to-member edges its arc predicate
+// accepts, both when that is every such edge and when keep drops some, and
+// the induced Subgraph equals part 1 of PartitionByLabel on the mask.
 func TestBuildersMatchBruteForce(t *testing.T) {
 	defer par.SetWorkers(0)
 	type input struct {
@@ -117,22 +118,33 @@ func TestBuildersMatchBruteForce(t *testing.T) {
 					kept.NumEdges(), cross.NumEdges(), g.NumEdges())
 			}
 
-			sub := InducedSubgraph(g, in.member)
-			checkSub(t, in.name+" induced", sub)
+			member := func(v int32) bool { return in.member[v] }
 			var wantVerts []int32
 			for v, ok := range in.member {
 				if ok {
 					wantVerts = append(wantVerts, int32(v))
 				}
 			}
-			var wantInduced []Edge
-			for _, e := range g.Edges() {
-				if in.member[e.U] && in.member[e.V] {
-					wantInduced = append(wantInduced, e)
+			// The induced subgraph, and the member-to-member edges that
+			// keep also accepts, over every member, isolated ones too.
+			for _, arcs := range []struct {
+				name string
+				keep func(v, w int32) bool
+			}{
+				{"induced", func(_, w int32) bool { return in.member[w] }},
+				{"kept", func(v, w int32) bool { return in.member[w] && in.keep(v, w) }},
+			} {
+				sub := Subgraph(g, member, arcs.keep)
+				checkSub(t, in.name+" "+arcs.name, sub)
+				var wantEdges []Edge
+				for _, e := range g.Edges() {
+					if in.member[e.U] && arcs.keep(e.U, e.V) {
+						wantEdges = append(wantEdges, e)
+					}
 				}
-			}
-			if !slices.Equal(sub.ToGlobal, wantVerts) || !slices.Equal(subEdges(sub), wantInduced) {
-				t.Fatalf("w=%d %s: induced subgraph differs from the brute-force filter", w, in.name)
+				if !slices.Equal(sub.ToGlobal, wantVerts) || !slices.Equal(subEdges(sub), wantEdges) {
+					t.Fatalf("w=%d %s: %s subgraph differs from the brute-force filter", w, in.name, arcs.name)
+				}
 			}
 			label := make([]int32, n)
 			for v, ok := range in.member {
@@ -140,10 +152,11 @@ func TestBuildersMatchBruteForce(t *testing.T) {
 					label[v] = 1
 				}
 			}
+			sub := Subgraph(g, member, func(_, w int32) bool { return in.member[w] })
 			parts, _ := PartitionByLabel(g, label, 2)
 			if !slices.Equal(sub.ToGlobal, parts[1].ToGlobal) ||
 				sub.G.Fingerprint() != parts[1].G.Fingerprint() {
-				t.Fatalf("w=%d %s: InducedSubgraph differs from PartitionByLabel's part 1", w, in.name)
+				t.Fatalf("w=%d %s: the induced Subgraph differs from PartitionByLabel's part 1", w, in.name)
 			}
 		}
 	}

@@ -80,16 +80,15 @@ func PartitionByLabel(g *Graph, label []int32, k int) (parts []*Sub, cross *Sub)
 		tg := order[first[l]:first[l+1]:first[l+1]]
 		parts[l] = buildPart(g, label, int32(l), tg, localID, intraDeg)
 	}
-	cross = buildCross(g, crossDeg, func(v, w int32) bool { return label[v] == label[w] })
+	cross = buildSub(g, crossDeg, 0, func(v, w int32) bool { return label[v] == label[w] }, false)
 	return parts, cross
 }
 
 // buildPart materializes the part whose vertices are tg (ascending global
 // ids, renumbered by localID) and whose edges are those to neighbours w
-// with label[w] == l; deg[v] counts v's such neighbours. PartitionByLabel
-// and InducedSubgraph share it; the label test stays inline, since it runs
-// once per arc.
-func buildPart[L comparable](g *Graph, label []L, l L, tg, localID, deg []int32) *Sub {
+// with label[w] == l; deg[v] counts v's such neighbours. The label test
+// stays inline, since it runs once per arc.
+func buildPart(g *Graph, label []int32, l int32, tg, localID, deg []int32) *Sub {
 	m := len(tg)
 	partDeg := make([]int32, m)
 	par.For(m, func(j int) { partDeg[j] = deg[tg[j]] })
@@ -143,18 +142,45 @@ func SplitEdges(g *Graph, keep func(u, v int32) bool) (kept *Graph, cross *Sub) 
 		v := int32(i)
 		crossDeg[i] = g.Degree(v) - kept.Degree(v)
 	})
-	cross = buildCross(g, crossDeg, keep)
+	cross = buildSub(g, crossDeg, 0, keep, false)
 	return kept, cross
 }
 
-// buildCross builds the edge-induced Sub of the edges keep rejects, from
-// their per-vertex counts crossDeg.
-func buildCross(g *Graph, crossDeg []int32, keep func(v, w int32) bool) *Sub {
-	tg, localID := renumber(crossDeg)
+// Subgraph materializes the subgraph of g on the vertices v with in(v),
+// renumbered in id order, isolated ones included, with the arcs (v, w) at
+// them that keep(v, w) accepts. keep is asked only at in vertices, and
+// there it must be symmetric and imply in(w); keep(_, w) = in(w) gives
+// the subgraph in induces. Both must be safe for concurrent calls.
+func Subgraph(g *Graph, in func(v int32) bool, keep func(v, w int32) bool) *Sub {
+	n := g.NumVertices()
+	// cnt[v] is 1 + v's kept arcs for an in vertex and 0 for any other, so
+	// that the ranks count isolated in vertices too.
+	cnt := make([]int32, n)
+	par.For(n, func(i int) {
+		v := int32(i)
+		if !in(v) {
+			return
+		}
+		d := int32(1)
+		for _, w := range g.Neighbors(v) {
+			if keep(v, w) {
+				d++
+			}
+		}
+		cnt[i] = d
+	})
+	return buildSub(g, cnt, 1, keep, true)
+}
+
+// buildSub builds the Sub of the vertices v with cnt[v] != 0, in id
+// order, and of their arcs (v, w) with keep(v, w) == want, of which v has
+// cnt[v] − base.
+func buildSub(g *Graph, cnt []int32, base int32, keep func(v, w int32) bool, want bool) *Sub {
+	tg, localID := renumber(cnt)
 	deg := make([]int32, len(tg))
-	par.For(len(tg), func(j int) { deg[j] = crossDeg[tg[j]] })
+	par.For(len(tg), func(j int) { deg[j] = cnt[tg[j]] - base })
 	off := par.ExclusiveSum32(deg)
-	adj := fillEdges(g, tg, localID, off, keep, false)
+	adj := fillEdges(g, tg, localID, off, keep, want)
 	return &Sub{G: &Graph{off: off, adj: adj}, ToGlobal: tg}
 }
 
@@ -189,17 +215,16 @@ func fillEdges(g *Graph, tg, localID []int32, off []int64, keep func(v, w int32)
 	return adj
 }
 
-// renumber ranks the vertices v whose in[v] is not the zero value: tg
-// lists them in id order, and localID[v] is v's index in tg (set only for
-// those vertices). A per-chunk count gives each chunk its first rank.
-func renumber[T comparable](in []T) (tg, localID []int32) {
-	var zero T
-	n := len(in)
+// renumber ranks the vertices v with cnt[v] != 0: tg lists them in id
+// order, and localID[v] is v's index in tg (set only for those vertices).
+// A per-chunk count gives each chunk its first rank.
+func renumber(cnt []int32) (tg, localID []int32) {
+	n := len(cnt)
 	first := make([]int, par.NumChunks(n)+1)
 	par.RangeIdx(n, func(w, lo, hi int) {
 		c := 0
 		for i := lo; i < hi; i++ {
-			if in[i] != zero {
+			if cnt[i] != 0 {
 				c++
 			}
 		}
@@ -213,7 +238,7 @@ func renumber[T comparable](in []T) (tg, localID []int32) {
 	par.RangeIdx(n, func(w, lo, hi int) {
 		next := first[w]
 		for i := lo; i < hi; i++ {
-			if in[i] != zero {
+			if cnt[i] != 0 {
 				localID[i] = int32(next)
 				tg[next] = int32(i)
 				next++
@@ -252,25 +277,4 @@ func RelabelRandom(g *Graph, seed uint64) *Graph {
 		out[i] = Edge{perm[edges[i].U], perm[edges[i].V]}.Canon()
 	})
 	return FromEdges(n, out)
-}
-
-// InducedSubgraph materializes the subgraph induced by the vertices for
-// which member is true. Vertices keep their relative order.
-func InducedSubgraph(g *Graph, member []bool) *Sub {
-	n := g.NumVertices()
-	if len(member) != n {
-		panic("graph: InducedSubgraph mask length mismatch")
-	}
-	tg, localID := renumber(member)
-	deg := make([]int32, n)
-	par.For(len(tg), func(j int) {
-		var d int32
-		for _, w := range g.Neighbors(tg[j]) {
-			if member[w] {
-				d++
-			}
-		}
-		deg[tg[j]] = d
-	})
-	return buildPart(g, member, true, tg, localID, deg)
 }

@@ -159,7 +159,7 @@ func TestInducedSubgraph(t *testing.T) {
 	member := make([]bool, g.NumVertices())
 	// Induce on the triangle {a, b, c}.
 	member[0], member[1], member[2] = true, true, true
-	sub := InducedSubgraph(g, member)
+	sub := Subgraph(g, func(v int32) bool { return member[v] }, func(_, w int32) bool { return member[w] })
 	if sub.NumVertices() != 3 || sub.NumEdges() != 3 {
 		t.Fatalf("induced triangle has n=%d m=%d", sub.NumVertices(), sub.NumEdges())
 	}
@@ -168,7 +168,6 @@ func TestInducedSubgraph(t *testing.T) {
 			t.Fatalf("ToGlobal[%d] = %d", j, gv)
 		}
 	}
-	mustPanic(t, func() { InducedSubgraph(g, make([]bool, 2)) })
 }
 
 func TestPartitionLargeParallelPath(t *testing.T) {
@@ -213,7 +212,7 @@ func TestBuildsKeepNoHeap(t *testing.T) {
 	for r := 0; r < 3; r++ {
 		PartitionByLabel(g, label, 3)
 		SplitEdges(g, keep)
-		InducedSubgraph(g, member)
+		Subgraph(g, func(v int32) bool { return member[v] }, func(_, w int32) bool { return member[w] })
 		FromEdges(n, edges)
 	}
 	runtime.GC()

@@ -188,7 +188,7 @@ func Table1(cfg Config) *Table {
 	}
 	add := func(problem string, arch core.Arch, grid *Grid, col int, excl []string, paper string) {
 		t.Rows = append(t.Rows, []string{
-			problem, arch.String(), strategyColName(col),
+			problem, arch.String(), strategyList[col].String(),
 			fmt.Sprintf("%.2fx", grid.AvgSpeedup(col, excl...)), paper,
 		})
 	}
@@ -214,22 +214,6 @@ func Table1(cfg Config) *Table {
 	t.Notes = append(t.Notes,
 		"MPX (Miller–Peng–Xu ball growing) is an extension beyond the paper's three decompositions")
 	return t
-}
-
-// strategyColName names a grid column.
-func strategyColName(col int) string {
-	switch col {
-	case colBridge:
-		return "BRIDGE"
-	case colRand:
-		return "RAND"
-	case colDegk:
-		return "DEGk"
-	case colMPX:
-		return "MPX"
-	default:
-		return "BASELINE"
-	}
 }
 
 // ColorCounts reproduces the §IV-D color-overhead discussion: extra colors
@@ -283,12 +267,10 @@ func AblationParts(cfg Config) *Table {
 		mmRow := []string{spec.Name, "MM-Rand"}
 		colRow := []string{spec.Name, "COLOR-Rand"}
 		for _, k := range parts {
-			start := time.Now()
-			matching.MMRand(g, k, cfg.Seed, matching.GMSolver(), cfg.Trace)
-			mmRow = append(mmRow, fmtDur(time.Since(start)))
-			start = time.Now()
-			coloring.ColorRand(g, k, cfg.Seed, coloring.NewVB(), cfg.Trace)
-			colRow = append(colRow, fmtDur(time.Since(start)))
+			mm := timeRun(cfg, func() { matching.MMRand(g, k, cfg.Seed, matching.GMSolver(), cfg.Trace) })
+			col := timeRun(cfg, func() { coloring.ColorRand(g, k, cfg.Seed, coloring.NewVB(), cfg.Trace) })
+			mmRow = append(mmRow, fmtDur(mm))
+			colRow = append(colRow, fmtDur(col))
 		}
 		t.Rows = append(t.Rows, mmRow, colRow)
 	}
@@ -312,12 +294,10 @@ func AblationDegk(cfg Config) *Table {
 		mmRow := []string{spec.Name, "MM-Degk"}
 		colRow := []string{spec.Name, "COLOR-Degk"}
 		for _, k := range ks {
-			start := time.Now()
-			matching.MMDegk(g, k, matching.GMSolver(), cfg.Trace)
-			mmRow = append(mmRow, fmtDur(time.Since(start)))
-			start = time.Now()
-			coloring.ColorDegk(g, k, coloring.NewVB(), cfg.Trace)
-			colRow = append(colRow, fmtDur(time.Since(start)))
+			mm := timeRun(cfg, func() { matching.MMDegk(g, k, matching.GMSolver(), cfg.Trace) })
+			col := timeRun(cfg, func() { coloring.ColorDegk(g, k, coloring.NewVB(), cfg.Trace) })
+			mmRow = append(mmRow, fmtDur(mm))
+			colRow = append(colRow, fmtDur(col))
 		}
 		t.Rows = append(t.Rows, mmRow, colRow)
 	}
@@ -337,12 +317,10 @@ func AblationOrder(cfg Config) *Table {
 	for _, spec := range cfg.specs() {
 		g := dataset.Load(spec, cfg.Scale, cfg.Seed)
 		bridgeCell := func(ord mis.Order) string {
-			_, rep := mis.MISBridgeOrdered(g, alg, ord, cfg.Trace)
-			return fmtDur(rep.Total())
+			return fmtDur(timeRun(cfg, func() { mis.MISBridgeOrdered(g, alg, ord, cfg.Trace) }))
 		}
 		randCell := func(ord mis.Order) string {
-			_, rep := mis.MISRandOrdered(g, 10, cfg.Seed, alg, ord, cfg.Trace)
-			return fmtDur(rep.Total())
+			return fmtDur(timeRun(cfg, func() { mis.MISRandOrdered(g, 10, cfg.Seed, alg, ord, cfg.Trace) }))
 		}
 		t.Rows = append(t.Rows,
 			[]string{spec.Name, "MIS-Bridge", bridgeCell(mis.OrderAuto), bridgeCell(mis.OrderPartsFirst), bridgeCell(mis.OrderCrossFirst)},

@@ -5,7 +5,6 @@ package harness
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/coloring"
 	"repro/internal/dataset"
@@ -68,9 +67,8 @@ func Remark1(cfg Config) *Table {
 	}
 	for _, spec := range cfg.specs() {
 		g := dataset.Load(spec, cfg.Scale, cfg.Seed)
-		start := time.Now()
-		ml := decomp.Multilevel(g, 10, cfg.Seed)
-		mlTime := time.Since(start)
+		var ml *decomp.Result
+		mlTime := timeRun(cfg, func() { ml = decomp.Multilevel(g, 10, cfg.Seed) })
 		gm := timeRun(cfg, func() { matching.GM(g) })
 		vb := timeRun(cfg, func() { coloring.NewVB().Fresh(g) })
 		luby := timeRun(cfg, func() { mis.Luby(g, cfg.Seed) })

@@ -18,7 +18,6 @@ import (
 	"time"
 	"unicode/utf8"
 
-	"repro/internal/bsp"
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/graph"
@@ -178,19 +177,12 @@ var strategyList = []core.Strategy{
 // returns the median-time cell.
 func measure(cfg Config, g *graph.Graph, spec dataset.Spec, p core.Problem, s core.Strategy, arch core.Arch) Cell {
 	opt := core.Options{Strategy: s, Arch: arch, Seed: cfg.Seed, DegK: 2}
-	if arch == core.ArchGPU {
-		opt.RandParts = spec.MMRandPartsGPU
-		opt.Machine = bsp.New()
-	} else {
+	// MM's RAND takes the per-instance partition counts; the paper's
+	// COLOR/MIS RAND experiments keep core's architecture defaults.
+	if p == core.ProblemMM {
 		opt.RandParts = spec.MMRandPartsCPU
-	}
-	if p != core.ProblemMM {
-		// The paper's COLOR/MIS RAND experiments use the architecture
-		// default partition counts rather than the per-instance MM tuning.
 		if arch == core.ArchGPU {
-			opt.RandParts = 4
-		} else {
-			opt.RandParts = 10
+			opt.RandParts = spec.MMRandPartsGPU
 		}
 	}
 

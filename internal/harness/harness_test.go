@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dataset"
+	"repro/internal/trace"
 )
 
 // tiny restricts experiments to three representative instances at a very
@@ -203,6 +204,27 @@ func TestAblationsRun(t *testing.T) {
 	}
 	if tb := DecompStats(cfg); len(tb.Rows) != 1 {
 		t.Fatalf("DecompStats rows = %d", len(tb.Rows))
+	}
+	// Every cell is a median of Repeats runs: its solver opens one
+	// decomp span per run.
+	col := trace.NewCollector()
+	cfg.Repeats, cfg.Trace = 3, col.Root()
+	for _, ab := range []struct {
+		name  string
+		run   func(Config) *Table
+		cells int
+	}{{"AblationParts", AblationParts, 12}, {"AblationDegk", AblationDegk, 10}, {"AblationOrder", AblationOrder, 6}} {
+		col.Reset()
+		ab.run(cfg)
+		spans := 0
+		for _, c := range col.Snapshot().Children {
+			if c.Name == "decomp" {
+				spans++
+			}
+		}
+		if spans != 3*ab.cells {
+			t.Fatalf("%s opened %d decomp spans for %d cells, want 3 each", ab.name, spans, ab.cells)
+		}
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/bsp"
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/trace"
@@ -39,9 +38,6 @@ func RoundsPhases(cfg Config) *Table {
 			for _, arch := range []core.Arch{core.ArchCPU, core.ArchGPU} {
 				col := trace.NewCollector()
 				opt := core.Options{Strategy: core.StrategyAuto, Arch: arch, Seed: cfg.Seed, Trace: col.Root()}
-				if arch == core.ArchGPU {
-					opt.Machine = bsp.New()
-				}
 				res, err := core.Solve(g, p, opt)
 				if err != nil {
 					panic(fmt.Sprintf("harness: rounds-phases %s/%v/%v: %v", spec.Name, p, arch, err))

@@ -3,7 +3,6 @@ package matching
 import (
 	"repro/internal/biconn"
 	"repro/internal/graph"
-	"repro/internal/par"
 	"repro/internal/trace"
 )
 
@@ -19,20 +18,20 @@ func MMBiconn(g *graph.Graph, mm Algorithm, parent *trace.Span) (*Matching, Repo
 	bc := biconn.Blocks(g, dsp)
 	rep.Decomposed(dsp)
 
-	n := g.NumVertices()
-	m := NewMatching(n)
+	m := NewMatching(g.NumVertices())
+	mate, art := m.Mate, bc.IsArticulation
 	sp := rep.Phase("solve/parts")
-	member := make([]bool, n)
-	par.For(n, func(i int) { member[i] = !bc.IsArticulation[i] })
-	inner := graph.InducedSubgraph(g, member)
-	mi, st := mm(inner.G, sp)
-	mergeSub(m.Mate, inner, mi)
+	st := solveSub(mate, graph.Subgraph(g,
+		func(v int32) bool { return !art[v] },
+		func(_, w int32) bool { return !art[w] }), mm, sp)
 	sp.Add("matched", st.Matched)
 	rep.EndPhase(sp, st.Rounds)
 	// Extend across the cut vertices (the whole residual graph, as in the
 	// other algorithms' final phases).
 	sp = rep.Phase("solve/cross")
-	st = solveOnUnmatched(m.Mate, graph.IdentitySub(g), mm, sp)
+	st = solveSub(mate, graph.Subgraph(g,
+		func(v int32) bool { return mate[v] == Unmatched },
+		func(_, w int32) bool { return mate[w] == Unmatched }), mm, sp)
 	sp.Add("matched", st.Matched)
 	rep.EndPhase(sp, st.Rounds)
 	return m, rep

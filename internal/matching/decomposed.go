@@ -7,63 +7,50 @@ import (
 	"repro/internal/trace"
 )
 
-// mergeSub transfers a matching computed on a subgraph into the global mate
-// array through the subgraph's local→global map.
-func mergeSub(global []int32, sub *graph.Sub, local *Matching) {
+// solveSub matches sub with mm under the phase span sp and writes the
+// pairs into the global mate array through the subgraph's local→global
+// map. Returns the run's stats.
+func solveSub(global []int32, sub *graph.Sub, mm Algorithm, sp *trace.Span) Stats {
+	local, st := mm(sub.G, sp)
 	par.For(len(local.Mate), func(j int) {
-		w := local.Mate[j]
-		if w != Unmatched {
+		if w := local.Mate[j]; w != Unmatched {
 			global[sub.ToGlobal[j]] = sub.ToGlobal[w]
 		}
 	})
-}
-
-// solveOnUnmatched induces sub on its vertices still unmatched in global,
-// runs mm there under the phase span sp, and merges the result back.
-// Returns the inner run's stats. This realizes the recurring pseudocode
-// step "V' ← unmatched vertices in G_x using M; M' ← MM(G_x[V'])".
-func solveOnUnmatched(global []int32, sub *graph.Sub, mm Algorithm, sp *trace.Span) Stats {
-	member := make([]bool, sub.NumVertices())
-	par.For(len(member), func(j int) {
-		member[j] = global[sub.ToGlobal[j]] == Unmatched
-	})
-	restricted := graph.InducedSubgraph(sub.G, member)
-	// Compose the two mapping levels so merge lands on global ids.
-	composed := &graph.Sub{G: restricted.G, ToGlobal: make([]int32, restricted.NumVertices())}
-	par.For(restricted.NumVertices(), func(j int) {
-		composed.ToGlobal[j] = sub.ToGlobal[restricted.ToGlobal[j]]
-	})
-	local, st := mm(composed.G, sp)
-	mergeSub(global, composed, local)
 	return st
 }
 
 // twoPhase is the body MM-Bridge, MM-Rand, MM-Degk and MM-MPX share. The
 // timed decomposition runs split under the decomp span, which returns keep,
 // the predicate of the first phase's edges, and the part count for the
-// decomp span; one graph.SplitEdges call builds both phases' graphs. The
-// first phase matches the graph of kept edges, which keeps global vertex
-// ids; the second matches the edge-induced subgraph of the other (cross)
-// edges, restricted to the vertices still unmatched. first and second name
-// the two phase spans, opened under parent.
+// decomp span. The first phase matches graph.KeepEdges(g, keep), which
+// keeps global vertex ids, so its matching is the result. The second
+// phase is the pseudocode's "V′ ← unmatched vertices in G_x; M′ ←
+// MM(G_x[V′])", with G_x the other (cross) edges: it builds G_x[V′] once,
+// from g — the still-unmatched endpoints of cross edges in id order,
+// isolated ones kept, with the cross edges between them — and merges its
+// matching in. first and second name the two phase spans, opened under
+// parent.
 func twoPhase(g *graph.Graph, strategy, first, second string, mm Algorithm, parent *trace.Span,
 	split func(dsp *trace.Span) (keep func(u, v int32) bool, parts int)) (*Matching, Report) {
 	rep := Report{Strategy: strategy, Parent: parent}
 	dsp := rep.Decompose()
 	keep, parts := split(dsp)
-	g1, cross := graph.SplitEdges(g, keep)
+	g1 := graph.KeepEdges(g, keep)
 	dsp.Add("parts", int64(parts))
-	dsp.Add("cross_edges", int64(cross.G.NumEdges()))
+	dsp.Add("cross_edges", g.NumEdges()-g1.NumEdges())
 	rep.Decomposed(dsp)
 
-	m := NewMatching(g.NumVertices())
 	sp := rep.Phase(first)
-	m1, st := mm(g1, sp)
-	par.Copy(m.Mate, m1.Mate)
+	m, st := mm(g1, sp)
 	sp.Add("matched", st.Matched)
 	rep.EndPhase(sp, st.Rounds)
 	sp = rep.Phase(second)
-	st = solveOnUnmatched(m.Mate, cross, mm, sp)
+	mate := m.Mate
+	cross := graph.Subgraph(g,
+		func(v int32) bool { return mate[v] == Unmatched && g.Degree(v) != g1.Degree(v) },
+		func(v, w int32) bool { return mate[w] == Unmatched && !keep(v, w) })
+	st = solveSub(mate, cross, mm, sp)
 	sp.Add("matched", st.Matched)
 	rep.EndPhase(sp, st.Rounds)
 	return m, rep

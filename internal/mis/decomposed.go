@@ -174,11 +174,6 @@ func MISRandOrdered(g *graph.Graph, k int, seed uint64, solver Solver, ord Order
 // over the ball labels — the vertices with no inter-ball edge and the
 // reduced remainder, sparser side first.
 func MISMPX(g *graph.Graph, beta float64, seed uint64, solver Solver, parent *trace.Span) (*IndepSet, Report) {
-	return MISMPXOrdered(g, beta, seed, solver, OrderAuto, parent)
-}
-
-// MISMPXOrdered is MISMPX with an explicit phase order (ablation).
-func MISMPXOrdered(g *graph.Graph, beta float64, seed uint64, solver Solver, ord Order, parent *trace.Span) (*IndepSet, Report) {
 	rep := Report{Report: trace.Report{Strategy: "MIS-MPX", Parent: parent}}
 
 	dsp := rep.Decompose()
@@ -186,7 +181,7 @@ func MISMPXOrdered(g *graph.Graph, beta float64, seed uint64, solver Solver, ord
 	hasCross, partEdges := crossClassify(g, info.Center)
 	rep.Decomposed(dsp)
 
-	set := labeledTwoPhase(&rep, g, hasCross, partEdges, solver, ord)
+	set := labeledTwoPhase(&rep, g, hasCross, partEdges, solver, OrderAuto)
 	return set, rep
 }
 
